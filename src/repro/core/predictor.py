@@ -113,14 +113,6 @@ class HybridPredictor:
         )
         self.trees = BoostedTrees(self.config.trees, seed=seed)
         self.report: TrainingReport | None = None
-        # Online scoring path: True routes predict_candidates through the
-        # shared-trunk CNN + compiled trees (bit-identical to the
-        # reference path, see predict_candidates_reference).
-        self.fast_path = True
-        # Training path: True fits the trees level-wise over histograms
-        # and the CNN with im2col convolutions; False selects the
-        # reference growers/backprop (the training oracles).
-        self.fast_train = True
 
     # ------------------------------------------------------------------
     # Training
@@ -167,9 +159,10 @@ class HybridPredictor:
         lat = x_lh[:, -1, :] / self.qos.latency_ms
         b = len(latent)
         if len(util) != b:
-            # Shared-history fast path: one history row serves the whole
-            # candidate batch; broadcasting is a zero-copy view and the
-            # per-row values are bitwise those of an explicit tile.
+            # Shared history (predict_candidates): one history row
+            # serves the whole candidate batch; broadcasting is a
+            # zero-copy view and the per-row values are bitwise those of
+            # an explicit tile.
             util = np.broadcast_to(util, (b, util.shape[1]))
             lat = np.broadcast_to(lat, (b, lat.shape[1]))
         return np.concatenate([latent, rc, delta, util, lat], axis=1)
@@ -178,11 +171,6 @@ class HybridPredictor:
         self, split: TrainValSplit, lr: float, epochs: int
     ) -> TrainingReport:
         cfg = self.config
-        # Push the training-path toggle down into both models (old
-        # pickles predate the attribute, hence the .get default).
-        fast = bool(self.__dict__.get("fast_train", True))
-        self.trees.fast_train = fast
-        self.cnn.set_fast_train(fast)
         if not self.normalizer.fitted:
             self.normalizer.fit(split.train)
         train, val = split.train, split.val
@@ -281,23 +269,20 @@ class HybridPredictor:
     ) -> tuple[np.ndarray, np.ndarray]:
         """Score candidate allocations against the live telemetry window.
 
-        Dispatches to the shared-trunk fast path unless ``fast_path`` is
-        False.  Both paths produce bitwise-identical latencies and
-        violation probabilities; the fast one encodes the telemetry
-        window once (zero-copy, incrementally cached) and runs the conv
-        trunk a single time per decision instead of once per candidate.
+        The telemetry window is encoded once (zero-copy, incrementally
+        cached) and the conv trunk runs a single time per decision
+        instead of once per candidate.  The results are bitwise those of
+        scoring every candidate with its own copy of the history (the
+        reference path in ``tests/oracles/decision.py``).
         """
-        if not self.__dict__.get("fast_path", True):
-            latency, prob = self.predict_candidates_reference(log, candidates)
-        else:
-            x_rh, x_lh, x_rc = self.encoder.encode_candidates_shared(
-                log, candidates
-            )
-            rh, lh, rc = self._model_inputs(x_rh, x_lh, x_rc)
-            latency, latent = self.cnn.predict_candidates((rh, lh, rc))
-            prob = self.trees.predict_proba(
-                self._bt_features(latent, x_rh, x_lh, x_rc)
-            )
+        x_rh, x_lh, x_rc = self.encoder.encode_candidates_shared(
+            log, candidates
+        )
+        rh, lh, rc = self._model_inputs(x_rh, x_lh, x_rc)
+        latency, latent = self.cnn.predict_candidates((rh, lh, rc))
+        prob = self.trees.predict_proba(
+            self._bt_features(latent, x_rh, x_lh, x_rc)
+        )
         recorder = self.__dict__.get("recorder")
         if recorder is not None and recorder.enabled:
             self._report_scores(recorder, latency, prob)
@@ -327,20 +312,6 @@ class HybridPredictor:
                 for f in (1.0, 2.5, 5.0, 10.0, 20.0, 40.0, 80.0, 160.0)
             )
         return buckets
-
-    def predict_candidates_reference(
-        self, log: TelemetryLog, candidates: np.ndarray
-    ) -> tuple[np.ndarray, np.ndarray]:
-        """The pre-optimization scoring path, kept as equivalence oracle:
-        materializes B copies of the history window and runs the full
-        CNN batch plus the recursive tree walk."""
-        x_rh, x_lh, x_rc = self.encoder.encode_candidates(log, candidates)
-        inputs = self._model_inputs(x_rh, x_lh, x_rc)
-        latency, latent = self.cnn.predict_with_latent(inputs)
-        prob = self.trees.predict_proba_reference(
-            self._bt_features(latent, x_rh, x_lh, x_rc)
-        )
-        return latency, prob
 
     def evaluate(self, dataset: SinanDataset) -> dict[str, float]:
         """RMSE / classification quality on an arbitrary dataset."""

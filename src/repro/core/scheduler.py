@@ -34,7 +34,6 @@ import numpy as np
 
 from repro.core.actions import (
     KIND_CODES,
-    Action,
     ActionKind,
     ActionSpace,
     CandidateSet,
@@ -51,8 +50,8 @@ from repro.obs.audit import (
 from repro.obs.recorder import NULL_RECORDER, Recorder
 from repro.sim.telemetry import TelemetryLog
 
-#: Decision wall-time buckets (milliseconds); sized around the measured
-#: fast-path latency in ``BENCH_decision.json``.
+#: Decision wall-time buckets (milliseconds); sized around measured
+#: decision latencies (``decide_ms_p50`` in ``BENCHMARK.json``).
 _DECISION_MS_BUCKETS: tuple[float, ...] = (
     0.25, 0.5, 1.0, 2.5, 5.0, 10.0, 25.0, 50.0, 100.0, 250.0,
 )
@@ -129,13 +128,6 @@ class OnlineScheduler(Manager):
     """QoS-aware allocation search over the pruned action space."""
 
     name = "sinan"
-
-    fast_control = True
-    """Route candidate generation and selection through the vectorized
-    path (:meth:`ActionSpace.candidates_fast` + :meth:`_select_fast`).
-    The Action-list path (:meth:`ActionSpace.candidates` +
-    :meth:`_select`) is the retained oracle; both produce bitwise-equal
-    decisions, so this toggle never changes behavior — only speed."""
 
     def __init__(
         self,
@@ -230,9 +222,7 @@ class OnlineScheduler(Manager):
         """One control decision: score the candidate set, pick an action.
 
         Candidate scoring goes through
-        :meth:`HybridPredictor.predict_candidates`, which by default uses
-        the shared-trunk fast path — bit-identical to the reference path,
-        so decision traces do not depend on the ``fast_path`` toggle.
+        :meth:`HybridPredictor.predict_candidates`.
 
         When a recorder is attached and enabled, the decision is also
         reported as a metric/span/audit record; the decision itself is
@@ -298,23 +288,13 @@ class OnlineScheduler(Manager):
             np.asarray(latest.cpu_util, dtype=float),
             nan=1.0, posinf=1.0, neginf=0.0,
         )
-        fast = self.fast_control
-        if fast:
-            cset = self.action_space.candidates_fast(
-                current,
-                cpu_util,
-                victims=victims,
-                allow_scale_down=allow_down,
-            )
-            candidates = cset.allocs
-        else:
-            actions = self.action_space.candidates(
-                current,
-                cpu_util,
-                victims=victims,
-                allow_scale_down=allow_down,
-            )
-            candidates = np.stack([a.alloc for a in actions])
+        cset = self.action_space.candidates(
+            current,
+            cpu_util,
+            victims=victims,
+            allow_scale_down=allow_down,
+        )
+        candidates = cset.allocs
         if note is not None:
             note.n_candidates = len(candidates)
         try:
@@ -339,17 +319,10 @@ class OnlineScheduler(Manager):
 
         pred_qos_lat = latency[:, self.qos.percentile_index]
 
-        if fast:
-            chosen_idx = self._select_fast(cset, pred_qos_lat, prob)
-        else:
-            chosen_idx = self._select(actions, pred_qos_lat, prob)
+        chosen_idx = self._select(cset, pred_qos_lat, prob)
         if chosen_idx is not None:
-            if fast:
-                chosen_kind = cset.kind_of(chosen_idx)
-                chosen_alloc = candidates[chosen_idx]
-            else:
-                chosen_kind = actions[chosen_idx].kind
-                chosen_alloc = actions[chosen_idx].alloc
+            chosen_kind = cset.kind_of(chosen_idx)
+            chosen_alloc = candidates[chosen_idx]
             self._last_predicted_safe = prob[chosen_idx] < self.p_up
             self._record(measured, float(pred_qos_lat[chosen_idx]), float(prob[chosen_idx]))
             if note is not None:
@@ -379,58 +352,20 @@ class OnlineScheduler(Manager):
         return chosen_alloc
 
     def _select(
-        self, actions: list[Action], pred_lat: np.ndarray, prob: np.ndarray
-    ) -> int | None:
-        """Index of the chosen action, or ``None`` for the max-allocation
-        safety fallback."""
-        margin = self.qos.latency_ms - self.predictor.rmse_val
-        hold_idx = next(
-            i for i, a in enumerate(actions) if a.kind is ActionKind.HOLD
-        )
-        w = self.config.prob_smoothing
-        self._hold_p_ewma = (1.0 - w) * self._hold_p_ewma + w * prob[hold_idx]
-        hold_ok = self._hold_p_ewma < self.p_up and pred_lat[hold_idx] <= margin
-
-        acceptable: list[int] = []
-        for i, action in enumerate(actions):
-            if pred_lat[i] > margin:
-                continue
-            if action.kind in (ActionKind.SCALE_DOWN, ActionKind.SCALE_DOWN_BATCH):
-                if prob[i] < self.p_down:
-                    acceptable.append(i)
-            elif action.kind is ActionKind.HOLD:
-                if hold_ok:
-                    acceptable.append(i)
-            else:  # scale ups
-                if prob[i] < self.p_up:
-                    acceptable.append(i)
-
-        if not acceptable:
-            return None
-        if hold_ok:
-            # Stable region: only leave hold for a cheaper (scale-down)
-            # action; never pay for an upscale the model deems unneeded.
-            downs = [
-                i
-                for i in acceptable
-                if actions[i].total_cpu < actions[hold_idx].total_cpu - 1e-9
-            ]
-            return min(downs, key=lambda i: actions[i].total_cpu, default=hold_idx)
-        ups = [i for i in acceptable if actions[i].kind not in
-               (ActionKind.SCALE_DOWN, ActionKind.SCALE_DOWN_BATCH, ActionKind.HOLD)]
-        if not ups:
-            return None
-        return min(ups, key=lambda i: actions[i].total_cpu)
-
-    def _select_fast(
         self, cset: CandidateSet, pred_lat: np.ndarray, prob: np.ndarray
     ) -> int | None:
-        """Mask-based :meth:`_select` over a :class:`CandidateSet`.
+        """Index of the chosen candidate, or ``None`` for the
+        max-allocation safety fallback.
 
-        Same selection rules, same first-match tie-breaks: Python's
-        ``min`` keeps the first of equal keys and ``np.argmin`` returns
-        the first minimum, so ties resolve to the earliest candidate in
-        generation order on both paths.
+        A candidate is acceptable when its predicted latency clears the
+        QoS target by the model's validation RMSE and its violation
+        probability is below ``p_down`` (scale-downs) or ``p_up`` (hold,
+        judged on a smoothed probability, and scale-ups).  When hold is
+        acceptable the cheapest strictly cheaper acceptable candidate
+        wins, else hold; otherwise the cheapest acceptable scale-up.
+        ``np.argmin`` returns the first minimum, so ties resolve to the
+        earliest candidate in generation order — the same first match
+        as the list-based rule in ``tests/oracles/control.py``.
         """
         margin = self.qos.latency_ms - self.predictor.rmse_val
         kinds = cset.kinds

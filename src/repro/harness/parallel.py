@@ -251,13 +251,6 @@ def _record_outcome(recorder, outcome: EpisodeOutcome) -> None:
     )
 
 
-def _warm_pool_default() -> bool:
-    """Warm-pool escape hatch: ``REPRO_WARM_POOL=0`` restores the
-    legacy cold-pool-per-call, payload-per-task behavior."""
-    raw = os.environ.get("REPRO_WARM_POOL", "").strip().lower()
-    return raw not in ("0", "false", "off")
-
-
 def run_episodes(
     tasks: list[EpisodeTask],
     jobs: int | None = None,
@@ -265,7 +258,6 @@ def run_episodes(
     progress: Callable[[EpisodeOutcome, int, int], None] | None = None,
     recorder=None,
     pool=None,
-    warm_pool: bool | None = None,
 ) -> RunSummary:
     """Run independent episode tasks, serially or on a worker pool.
 
@@ -292,16 +284,10 @@ def run_episodes(
         Recording happens in this (parent) process only, so it works
         identically for serial and pooled runs.
     pool:
-        Explicit :class:`repro.harness.pool.WorkerPool` to run on.
-        Forces pooled execution even when ``jobs`` resolves to 1 (used
-        by the sweep benchmark to compare pool configurations); the
-        caller keeps ownership — the pool is not closed here.
-    warm_pool:
-        ``True`` (default, or ``REPRO_WARM_POOL`` unset) reuses the
-        process-wide shared warm pool across calls and broadcasts model
-        payloads once via shared memory; ``False`` spins up a transient
-        cold pool with per-task payloads (the pre-warm-pool behavior).
-        Either way results are bit-identical — only wall-clock changes.
+        Explicit :class:`repro.harness.pool.WorkerPool` to run on
+        instead of the process-wide shared pool.  Forces pooled
+        execution even when ``jobs`` resolves to 1; the caller keeps
+        ownership — the pool is not closed here.
     """
     n_jobs = resolve_jobs(jobs)
     n_jobs = max(1, min(n_jobs, len(tasks)))
@@ -324,24 +310,12 @@ def run_episodes(
     else:
         from repro.harness import pool as pool_mod
 
-        if warm_pool is None:
-            warm_pool = _warm_pool_default()
-        if pool is not None:
-            outcomes, stats = pool.run(
-                tasks, n_jobs=n_jobs, retries=retries, progress=progress,
-                recorder=recorder,
-            )
-        elif warm_pool:
-            outcomes, stats = pool_mod.shared_pool(n_jobs).run(
-                tasks, n_jobs=n_jobs, retries=retries, progress=progress,
-                recorder=recorder,
-            )
-        else:
-            with pool_mod.WorkerPool(jobs=n_jobs, broadcast=False) as cold:
-                outcomes, stats = cold.run(
-                    tasks, n_jobs=n_jobs, retries=retries, progress=progress,
-                    recorder=recorder,
-                )
+        if pool is None:
+            pool = pool_mod.shared_pool(n_jobs)
+        outcomes, stats = pool.run(
+            tasks, n_jobs=n_jobs, retries=retries, progress=progress,
+            recorder=recorder,
+        )
 
     summary = RunSummary(
         outcomes=outcomes, jobs=n_jobs, wall_seconds=time.perf_counter() - start

@@ -39,10 +39,10 @@ and inference-serving stacks use for weight broadcast:
   an unpicklable payload/result) is recovered by re-running it inline
   in the parent with measured timing and a consistent attempt count.
 
-Results are bit-identical to ``jobs=1`` and to the legacy per-task
-payload path: broadcast only moves the *same* pickle bytes through
-shared memory instead of the task queue, and the worker deserializes
-them exactly as it would a per-task payload.
+Results are bit-identical to ``jobs=1``: broadcast only moves the
+*same* pickle bytes through shared memory instead of the task queue,
+and the worker deserializes them exactly as it would a per-task
+payload.
 """
 
 from __future__ import annotations
@@ -226,16 +226,10 @@ class WorkerPool:
     jobs:
         Worker count (``resolve_jobs`` semantics: ``0`` = one per CPU,
         ``None`` = ``REPRO_JOBS`` else 1).
-    broadcast:
-        When ``False``, payload slimming is disabled and every task
-        carries its full kwargs — the legacy per-task-pickle behavior,
-        kept for the sweep benchmark's baseline.
     """
 
-    def __init__(self, jobs: int | None = None, mp_context=None,
-                 broadcast: bool = True) -> None:
+    def __init__(self, jobs: int | None = None, mp_context=None) -> None:
         self.n_jobs = max(1, resolve_jobs(jobs))
-        self.broadcast_enabled = broadcast
         self._mp_context = mp_context or _mp_context()
         self._executor: ProcessPoolExecutor | None = None
         self._store: dict[str, tuple[shared_memory.SharedMemory, int]] = {}
@@ -328,8 +322,6 @@ class WorkerPool:
         self, task: EpisodeTask, stats: PoolRunStats
     ) -> EpisodeTask:
         """Replace broadcastable kwargs with :class:`ModelRef` stubs."""
-        if not self.broadcast_enabled:
-            return task
         slim: dict[str, object] = {}
         for key, value in task.kwargs.items():
             if _broadcastable(key, value):

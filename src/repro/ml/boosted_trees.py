@@ -18,24 +18,22 @@ flattened into feature / threshold / child-index / leaf-value arrays and
 numpy gathers — no Python recursion on the predict path, which sits
 inside every scheduler decision.  The flattened traversal performs the
 same comparisons and accumulates leaf values tree-by-tree in the same
-order, so its output is bit-identical to the recursive reference
-(:meth:`BoostedTrees.predict_margin_reference`, kept for the
-equivalence suite and ``repro bench``).
+order, so its output is bit-identical to a recursive walk of the trees
+(the oracle in ``tests/oracles/decision.py``).
 
-Training is *level-wise over histograms*: the default grower
-(:meth:`BoostedTrees._build_tree_hist`) replaces the reference grower's
-per-(node, feature) Python re-scan with one fused ``np.bincount`` per
-tree level over the key ``(node_slot * n_features + feature) * n_bins +
-bin``, plus the classic histogram-subtraction trick (only the smaller
-child of a split is scanned; its sibling's histogram is the parent's
-minus the child's).  Node gradient/hessian totals — and therefore every
-leaf weight — are still computed with the reference's exact
-``grad[rows].sum()`` arithmetic, and the split argmax replicates the
-reference's first-strict-maximum tie-breaking, so the grown trees match
-:meth:`BoostedTrees._build_tree_reference` split for split (the
-histogram subtraction perturbs *gains* by float epsilon, which can only
-matter on exact ties between structurally different splits).  Set
-``fast_train = False`` to fit with the reference grower.
+Training is *level-wise over histograms*: :meth:`BoostedTrees._build_tree`
+replaces a per-(node, feature) Python re-scan with one fused
+``np.bincount`` per tree level over the key ``(node_slot * n_features +
+feature) * n_bins + bin``, plus the classic histogram-subtraction trick
+(only the smaller child of a split is scanned; its sibling's histogram
+is the parent's minus the child's).  Node gradient/hessian totals — and
+therefore every leaf weight — are computed with the exact
+``grad[rows].sum()`` arithmetic of the recursive reference grower kept
+in ``tests/oracles/training.py``, and the split argmax replicates that
+grower's first-strict-maximum tie-breaking, so the grown trees must
+match it split for split (histogram subtraction perturbs *gains* by
+float epsilon, which can only matter on exact ties between structurally
+different splits).
 """
 
 from __future__ import annotations
@@ -59,6 +57,16 @@ class BoostedTreesConfig:
     min_child_weight: float = 1.0
     n_bins: int = 64
     early_stopping_rounds: int = 25
+
+    def __post_init__(self) -> None:
+        # With no hessian floor and no L2 term, an empty histogram bin
+        # scores 0/0 and the split search has no defined answer.
+        if self.min_child_weight <= 0 and self.reg_lambda <= 0:
+            raise ValueError(
+                "min_child_weight and reg_lambda cannot both be <= 0 "
+                f"(got min_child_weight={self.min_child_weight}, "
+                f"reg_lambda={self.reg_lambda})"
+            )
 
 
 @dataclass
@@ -144,10 +152,6 @@ class BoostedTrees:
         self._bin_edges: list[np.ndarray] | None = None
         self.train_accuracy = float("nan")
         self.val_accuracy = float("nan")
-        # Training path: True grows trees level-wise over fused
-        # histograms (see module docstring); False uses the recursive
-        # reference grower.  Both produce the same ensemble.
-        self.fast_train = True
 
     # ------------------------------------------------------------------
     # Training
@@ -276,21 +280,6 @@ class BoostedTrees:
                 dest[nan] = np.broadcast_to(counts, block.shape)[nan]
         return out
 
-    def _build_tree(self, bins: np.ndarray, grad: np.ndarray, hess: np.ndarray) -> _Node:
-        """Grow one tree, dispatching on the ``fast_train`` toggle.
-
-        The histogram grower needs ``min_child_weight > 0`` or
-        ``reg_lambda > 0`` to guarantee NaN-free gains (the reference's
-        NaN-argmax behaviour under the degenerate 0/0 config is not
-        worth replicating); that corner falls back to the reference.
-        """
-        cfg = self.config
-        if self.__dict__.get("fast_train", True) and (
-            cfg.min_child_weight > 0 or cfg.reg_lambda > 0
-        ):
-            return self._build_tree_hist(bins, grad, hess)
-        return self._build_tree_reference(bins, grad, hess)
-
     #: Ambiguity margin of the histogram grower: a subtracted node whose
     #: split decision is within this tolerance of flipping (tied gains
     #: with unequal histogram values, best gain near ``gamma``, child
@@ -298,7 +287,7 @@ class BoostedTrees:
     #: larger than the ~1e-10 float noise subtraction can introduce.
     _HIST_TOL = 1e-6
 
-    def _build_tree_hist(
+    def _build_tree(
         self, bins: np.ndarray, grad: np.ndarray, hess: np.ndarray
     ) -> _Node:
         """Level-wise growth over fused gradient/hessian histograms.
@@ -309,12 +298,14 @@ class BoostedTrees:
         child is never scanned — its histogram is the parent's minus its
         (scanned) smaller sibling's.  ``np.bincount`` accumulates in
         element order and node row sets stay sorted, so scanned
-        histograms are bit-identical to the reference grower's
+        histograms are bit-identical to the recursive reference grower's
         per-feature bincounts.  Gains replicate the reference's exact
         expressions and its first-strict-maximum tie-breaking (row-major
         argmax == first feature, then first bin, attaining the maximum);
         leaf values use the reference's own ``grad[rows].sum()``
-        arithmetic rather than histogram totals.
+        arithmetic rather than histogram totals.  Empty bins under
+        ``reg_lambda == 0`` score 0/0; those entries are masked to
+        ``-inf`` below, so the division runs with its warnings off.
 
         Histogram subtraction perturbs a subtracted node's gains by
         float epsilon, which matters exactly when the split decision is
@@ -368,7 +359,7 @@ class BoostedTrees:
 
         # Scratch buffers for split_scores, grown to the widest level
         # seen and reused across levels and trees (they survive on the
-        # instance between _build_tree_hist calls within one fit).
+        # instance between _build_tree calls within one fit).
         scratch = self.__dict__.get("_hist_scratch")
         if not isinstance(scratch, dict) or scratch.get("shape") != (d, nb):
             scratch = {"shape": (d, nb), "cap": 0}
@@ -408,15 +399,16 @@ class BoostedTrees:
             np.subtract(hs[:, None, None], h_left, out=h_right)
             parent_score = (gs * gs / (hs + lam))[:, None, None]
             # gain = gl²/(hl+λ) + gr²/(hr+λ) − parent, built in place.
-            np.multiply(g_left, g_left, out=t1)
-            np.add(h_left, lam, out=t2)
-            t1 /= t2
-            np.subtract(gs[:, None, None], g_left, out=t3)  # g_right
-            t3 *= t3
-            np.add(h_right, lam, out=t2)
-            t3 /= t2
-            t1 += t3
-            t1 -= parent_score
+            with np.errstate(divide="ignore", invalid="ignore"):
+                np.multiply(g_left, g_left, out=t1)
+                np.add(h_left, lam, out=t2)
+                t1 /= t2
+                np.subtract(gs[:, None, None], g_left, out=t3)  # g_right
+                t3 *= t3
+                np.add(h_right, lam, out=t2)
+                t3 /= t2
+                t1 += t3
+                t1 -= parent_score
             vb = s["vb"][:m]
             vb2 = s["vb2"][:m]
             np.greater_equal(h_left, mcw, out=vb)
@@ -551,68 +543,6 @@ class BoostedTrees:
             frontier, G, H, depth = next_frontier, G2, H2, child_depth
         return root
 
-    def _build_tree_reference(
-        self, bins: np.ndarray, grad: np.ndarray, hess: np.ndarray
-    ) -> _Node:
-        """The pre-optimization grower (equivalence oracle): recursive
-        depth-first growth re-scanning every (node, feature) pair."""
-        cfg = self.config
-        root_rows = np.arange(len(grad))
-
-        def grow(rows: np.ndarray, depth: int) -> _Node:
-            g_sum = grad[rows].sum()
-            h_sum = hess[rows].sum()
-            leaf_value = -cfg.learning_rate * g_sum / (h_sum + cfg.reg_lambda)
-            if depth >= cfg.max_depth or len(rows) < 2:
-                return _Node(value=leaf_value)
-            best_gain = cfg.gamma
-            best = None
-            parent_score = g_sum * g_sum / (h_sum + cfg.reg_lambda)
-            sub_bins = bins[rows]
-            sub_g = grad[rows]
-            sub_h = hess[rows]
-            for f in range(bins.shape[1]):
-                n_bins = len(self._bin_edges[f]) + 1
-                if n_bins < 2:
-                    continue
-                fb = sub_bins[:, f]
-                g_hist = np.bincount(fb, weights=sub_g, minlength=n_bins)
-                h_hist = np.bincount(fb, weights=sub_h, minlength=n_bins)
-                g_left = np.cumsum(g_hist)[:-1]
-                h_left = np.cumsum(h_hist)[:-1]
-                g_right = g_sum - g_left
-                h_right = h_sum - h_left
-                valid = (h_left >= cfg.min_child_weight) & (
-                    h_right >= cfg.min_child_weight
-                )
-                if not valid.any():
-                    continue
-                gain = (
-                    g_left * g_left / (h_left + cfg.reg_lambda)
-                    + g_right * g_right / (h_right + cfg.reg_lambda)
-                    - parent_score
-                )
-                gain = np.where(valid, gain, -np.inf)
-                b = int(np.argmax(gain))
-                if gain[b] > best_gain:
-                    best_gain = float(gain[b])
-                    best = (f, b)
-            if best is None:
-                return _Node(value=leaf_value)
-            f, b = best
-            threshold = self._bin_edges[f][b]
-            go_left = sub_bins[:, f] <= b
-            left_rows = rows[go_left]
-            right_rows = rows[~go_left]
-            if len(left_rows) == 0 or len(right_rows) == 0:
-                return _Node(value=leaf_value)
-            node = _Node(feature=f, threshold=float(threshold))
-            node.left = grow(left_rows, depth + 1)
-            node.right = grow(right_rows, depth + 1)
-            return node
-
-        return grow(root_rows, 0)
-
     # ------------------------------------------------------------------
     # Inference
     # ------------------------------------------------------------------
@@ -644,9 +574,9 @@ class BoostedTrees:
 
         Runs on the compiled array representation: every row descends
         all trees simultaneously via index gathers, one loop iteration
-        per tree level.  Bit-identical to
-        :meth:`predict_margin_reference` (same comparisons; leaf values
-        accumulated tree-by-tree in the same order).
+        per tree level.  Bit-identical to summing recursive per-tree
+        walks (same comparisons; leaf values accumulated tree-by-tree in
+        the same order).
         """
         X = np.atleast_2d(np.asarray(X, dtype=float))
         compiled = self._ensure_compiled()
@@ -670,21 +600,9 @@ class BoostedTrees:
             margin += leaf_values[:, t]
         return margin
 
-    def predict_margin_reference(self, X: np.ndarray) -> np.ndarray:
-        """The slow path: per-tree recursive walks (equivalence oracle)."""
-        X = np.atleast_2d(np.asarray(X, dtype=float))
-        margin = np.full(len(X), self.base_margin)
-        for tree in self.trees:
-            margin += self._predict_tree(tree, X)
-        return margin
-
     def predict_proba(self, X: np.ndarray) -> np.ndarray:
         """Probability of a QoS violation within the horizon, p_V."""
         return _sigmoid(self.predict_margin(X))
-
-    def predict_proba_reference(self, X: np.ndarray) -> np.ndarray:
-        """p_V via the recursive per-tree walk (equivalence oracle)."""
-        return _sigmoid(self.predict_margin_reference(X))
 
     def predict(self, X: np.ndarray, threshold: float = 0.5) -> np.ndarray:
         return (self.predict_proba(X) >= threshold).astype(float)

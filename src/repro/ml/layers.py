@@ -103,26 +103,24 @@ class Conv2D(Layer):
     so a k x k kernel fuses k adjacent tiers over k adjacent intervals —
     how the paper's CNN learns inter-tier dependencies (Section 3.1).
 
-    Two implementations coexist, selected per call:
+    The forward pass depends on the mode:
 
-    * **Inference** always uses sliding-window views and ``einsum``.
-      The einsum contraction is batch-invariant down to the bit, which
-      the shared-trunk decision fast path depends on (see
+    * **Inference** (``training=False``) uses sliding-window views and
+      ``einsum``.  The einsum contraction is batch-invariant down to the
+      bit, which the shared-trunk decision path depends on (see
       :meth:`repro.ml.cnn.LatencyCNN.predict_candidates`) — it must not
       be swapped for a GEMM, whose rounding depends on the batch size.
-    * **Training** (``forward(..., training=True)`` with ``fast_train``
-      on, the default) materializes the im2col matrix once and runs a
-      single GEMM forward; backward is one GEMM for ``dW`` (against the
-      saved im2col matrix) and one GEMM back to column space followed
-      by a col2im fold for ``dx`` — no einsum materialization of the
-      (B, C, H, W, k, k) gradient tensor.  The einsum forward plus
-      tap-loop backward is kept as the gradient oracle (``fast_train =
-      False``); outputs and gradients agree to float rounding (~1e-10
-      tolerance in the tests).
-    """
+    * **Training** (``training=True``) materializes the im2col matrix
+      once and runs a single GEMM forward; backward is one GEMM for
+      ``dW`` (against the saved im2col matrix) and one GEMM back to
+      column space followed by a col2im fold for ``dx`` — no einsum
+      materialization of the (B, C, H, W, k, k) gradient tensor.
+      Outputs and gradients agree to ~1e-10 with the einsum forward and
+      tap-loop backward oracle in ``tests/oracles/training.py``.
 
-    #: Training-path toggle (class default; instances may override).
-    fast_train = True
+    :meth:`backward` needs a training-mode forward first: an inference
+    forward keeps no state to differentiate.
+    """
 
     def __init__(
         self, in_ch: int, out_ch: int, kernel: int, rng: np.random.Generator
@@ -150,16 +148,18 @@ class Conv2D(Layer):
         B, C, H, W = x.shape
         if C != self.in_ch:
             raise ValueError(f"expected {self.in_ch} channels, got {C}")
-        if training and self.fast_train:
+        if training:
             return self._forward_im2col(x)
         return self._forward_einsum(x)
 
     def backward(self, dout: np.ndarray) -> np.ndarray:
-        if self.__dict__.get("_mode", "einsum") == "im2col":
-            return self._backward_im2col(dout)
-        return self._backward_einsum(dout)
+        if self._mode != "im2col":
+            raise RuntimeError(
+                "Conv2D.backward needs a training-mode forward first"
+            )
+        return self._backward_im2col(dout)
 
-    # -- im2col fast training path -------------------------------------
+    # -- im2col training path ------------------------------------------
 
     def _forward_im2col(self, x: np.ndarray) -> np.ndarray:
         B, C, H, W = x.shape
@@ -208,49 +208,29 @@ class Conv2D(Layer):
             return dxp[:, :, pad:-pad, pad:-pad]
         return dxp
 
-    # -- einsum inference path / training oracle -----------------------
+    # -- einsum inference path ----------------------------------------
 
     def _forward_einsum(self, x: np.ndarray) -> np.ndarray:
         pad = self.kernel // 2
-        self._x_shape = x.shape
         self._mode = "einsum"
         xp = np.pad(x, ((0, 0), (0, 0), (pad, pad), (pad, pad)))
         # (B, C, H, W, k, k) zero-copy view of all kernel positions.
-        self._windows = np.lib.stride_tricks.sliding_window_view(
+        windows = np.lib.stride_tricks.sliding_window_view(
             xp, (self.kernel, self.kernel), axis=(2, 3)
         )
         # The greedy contraction-path search is a per-call cost worth
         # skipping on the decision hot path: memoize it per input shape.
         cached = self.__dict__.get("_fwd_path")
-        if cached is None or cached[0] != self._windows.shape:
+        if cached is None or cached[0] != windows.shape:
             path = np.einsum_path(
-                "bchwij,cijo->bhwo", self._windows, self.W, optimize=True
+                "bchwij,cijo->bhwo", windows, self.W, optimize=True
             )[0]
-            self._fwd_path = cached = (self._windows.shape, path)
+            self._fwd_path = cached = (windows.shape, path)
         out = np.einsum(
-            "bchwij,cijo->bhwo", self._windows, self.W, optimize=cached[1]
+            "bchwij,cijo->bhwo", windows, self.W, optimize=cached[1]
         )
         out += self.b
         return out.transpose(0, 3, 1, 2)
-
-    def _backward_einsum(self, dout: np.ndarray) -> np.ndarray:
-        B, C, H, W = self._x_shape
-        k = self.kernel
-        pad = k // 2
-        dout_hw = dout.transpose(0, 2, 3, 1)
-        self.dW[...] = np.einsum(
-            "bchwij,bhwo->cijo", self._windows, dout_hw, optimize=True
-        )
-        self.db[...] = dout_hw.sum(axis=(0, 1, 2))
-        # dx: scatter each kernel tap's contribution back onto the input.
-        dwin = np.einsum("bhwo,cijo->bchwij", dout_hw, self.W, optimize=True)
-        dxp = np.zeros((B, C, H + 2 * pad, W + 2 * pad), dtype=dout.dtype)
-        for i in range(k):
-            for j in range(k):
-                dxp[:, :, i : i + H, j : j + W] += dwin[..., i, j]
-        if pad:
-            return dxp[:, :, pad:-pad, pad:-pad]
-        return dxp
 
 
 class LSTMCell(Layer):
@@ -259,21 +239,16 @@ class LSTMCell(Layer):
     Standard gates with fused weight matrix; full backpropagation
     through time.  Used by the Table 2 LSTM comparison model.
 
-    The default (``fast_train = True``) path hoists the input half of
-    the gate projection out of the timestep loop — one ``(B*T, D) @
-    (D, 4H)`` GEMM for the whole sequence — and leaves only the ``h @
-    W_h`` recurrence per step; backward writes the four gate gradients
-    into one preallocated ``(B, T, 4H)`` buffer (no per-step
-    ``concatenate``), accumulates ``dW_h`` per step, and recovers
-    ``dW_x`` / ``dx`` / ``db`` with single whole-sequence GEMMs.  The
-    original per-step concatenated formulation is kept as the gradient
-    oracle (``fast_train = False``); the two agree to float rounding
-    (~1e-10 in the tests) since a split GEMM sums products in a
-    different order than the fused one.
+    The input half of the gate projection is hoisted out of the
+    timestep loop — one ``(B*T, D) @ (D, 4H)`` GEMM for the whole
+    sequence — leaving only the ``h @ W_h`` recurrence per step; backward
+    writes the four gate gradients into one preallocated ``(B, T, 4H)``
+    buffer (no per-step ``concatenate``), accumulates ``dW_h`` per step,
+    and recovers ``dW_x`` / ``dx`` / ``db`` with single whole-sequence
+    GEMMs.  It agrees with the per-step concatenated oracle in
+    ``tests/oracles/training.py`` to float rounding (~1e-10), since a
+    split GEMM sums products in a different order than the fused one.
     """
-
-    #: Training-path toggle (class default; instances may override).
-    fast_train = True
 
     def __init__(self, in_dim: int, hidden: int, rng: np.random.Generator) -> None:
         scale = np.sqrt(1.0 / (in_dim + hidden))
@@ -292,18 +267,6 @@ class LSTMCell(Layer):
     def grads(self) -> list[np.ndarray]:
         return [self.dW, self.db]
 
-    def forward(self, x: np.ndarray, training: bool = False) -> np.ndarray:
-        if self.fast_train:
-            return self._forward_fused(x)
-        return self._forward_reference(x)
-
-    def backward(self, dout: np.ndarray) -> np.ndarray:
-        if self.__dict__.get("_mode", "reference") == "fused":
-            return self._backward_fused(dout)
-        return self._backward_reference(dout)
-
-    # -- fused fast path -----------------------------------------------
-
     def _buffers(self, B: int, T: int) -> None:
         """(Re)allocate the per-sequence caches only on a shape change."""
         H = self.hidden
@@ -317,11 +280,10 @@ class LSTMCell(Layer):
         self._h_prev = np.empty((B, T, H))
         self._dgates = np.empty((B, T, 4 * H))
 
-    def _forward_fused(self, x: np.ndarray) -> np.ndarray:
+    def forward(self, x: np.ndarray, training: bool = False) -> np.ndarray:
         B, T, D = x.shape
         H = self.hidden
         self._x = x
-        self._mode = "fused"
         self._buffers(B, T)
         # All timestep input projections in one GEMM; the recurrence
         # keeps only the (B, H) @ (H, 4H) product per step.
@@ -347,7 +309,7 @@ class LSTMCell(Layer):
             h = o * tanh_c
         return h
 
-    def _backward_fused(self, dout: np.ndarray) -> np.ndarray:
+    def backward(self, dout: np.ndarray) -> np.ndarray:
         x = self._x
         B, T, D = x.shape
         H = self.hidden
@@ -375,62 +337,6 @@ class LSTMCell(Layer):
         self.dW[D:] = dWh
         self.db[...] = flat.sum(axis=0)
         return (flat @ self.W[:D].T).reshape(B, T, D)
-
-    # -- per-step reference (gradient oracle) --------------------------
-
-    def _forward_reference(self, x: np.ndarray) -> np.ndarray:
-        B, T, D = x.shape
-        H = self.hidden
-        h = np.zeros((B, H))
-        c = np.zeros((B, H))
-        self._cache = []
-        self._x = x
-        self._mode = "reference"
-        for t in range(T):
-            z = np.concatenate([x[:, t], h], axis=1)
-            gates = z @ self.W + self.b
-            i = _sigmoid(gates[:, :H])
-            f = _sigmoid(gates[:, H : 2 * H])
-            o = _sigmoid(gates[:, 2 * H : 3 * H])
-            g = np.tanh(gates[:, 3 * H :])
-            c_new = f * c + i * g
-            tanh_c = np.tanh(c_new)
-            h_new = o * tanh_c
-            self._cache.append((z, i, f, o, g, c, tanh_c))
-            h, c = h_new, c_new
-        return h
-
-    def _backward_reference(self, dout: np.ndarray) -> np.ndarray:
-        B, T, D = self._x.shape
-        H = self.hidden
-        self.dW[...] = 0.0
-        self.db[...] = 0.0
-        dx = np.zeros_like(self._x)
-        dh = dout
-        dc = np.zeros((B, H))
-        for t in reversed(range(T)):
-            z, i, f, o, g, c_prev, tanh_c = self._cache[t]
-            do = dh * tanh_c
-            dc = dc + dh * o * (1.0 - tanh_c * tanh_c)
-            di = dc * g
-            df = dc * c_prev
-            dg = dc * i
-            dgates = np.concatenate(
-                [
-                    di * i * (1.0 - i),
-                    df * f * (1.0 - f),
-                    do * o * (1.0 - o),
-                    dg * (1.0 - g * g),
-                ],
-                axis=1,
-            )
-            self.dW += z.T @ dgates
-            self.db += dgates.sum(axis=0)
-            dz = dgates @ self.W.T
-            dx[:, t] = dz[:, :D]
-            dh = dz[:, D:]
-            dc = dc * f
-        return dx
 
 
 def _sigmoid(x: np.ndarray) -> np.ndarray:

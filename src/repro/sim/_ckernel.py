@@ -1,4 +1,4 @@
-"""Optional compiled tick kernel for the fast simulation path.
+"""Optional compiled tick kernel for the batched simulation path.
 
 The batched interval path spends its residual time in the sequential
 tick recurrence (queue, busy EWMA, the sojourn level sweep): ~50 numpy
@@ -20,8 +20,10 @@ Bitwise equality with the numpy recurrence relies on two things:
 * compilation uses ``-ffp-contract=off`` so no multiply-add pair is
   contracted into an FMA.
 
-Set ``REPRO_SIM_PURE_NUMPY=1`` to skip the kernel and force the numpy
-recurrence (the equivalence suite exercises both).
+The kernel roughly halves the wall time of simulator-bound runs (see
+``docs/architecture.md``).  Tests reach the numpy recurrence by making
+:func:`load_kernel` return ``None``; the equivalence suite exercises
+both.
 """
 
 from __future__ import annotations

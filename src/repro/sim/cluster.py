@@ -9,7 +9,6 @@ telemetry and writes per-tier CPU limits.
 
 from __future__ import annotations
 
-import dataclasses
 from dataclasses import dataclass
 
 import numpy as np
@@ -78,11 +77,6 @@ class ClusterSimulator:
         profile's physics faults to the engine and splits the telemetry
         into ground truth (:attr:`telemetry`) and the manager's possibly
         corrupted view (:attr:`observed`).
-    fast_sim:
-        Override the engine's batched-tick fast path (bitwise-identical
-        to the reference tick loop; see
-        :attr:`~repro.sim.engine.EngineConfig.fast_sim`).  ``None``
-        keeps the engine config's setting.
     """
 
     def __init__(
@@ -95,7 +89,6 @@ class ClusterSimulator:
         initial_alloc: np.ndarray | None = None,
         engine_config: EngineConfig | None = None,
         faults: FaultInjector | None = None,
-        fast_sim: bool | None = None,
     ) -> None:
         if workload.graph is not graph and workload.graph.name != graph.name:
             raise ValueError("workload was built for a different application")
@@ -120,8 +113,6 @@ class ClusterSimulator:
             noise_sigma=platform.noise_sigma,
             capacity_jitter=platform.capacity_jitter,
         )
-        if fast_sim is not None:
-            config = dataclasses.replace(config, fast_sim=fast_sim)
         if faults is not None:
             behaviors = tuple(behaviors) + faults.behaviors()
         self.engine = QueueingEngine(graph, config, seed=seed, behaviors=behaviors)

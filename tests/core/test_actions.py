@@ -15,8 +15,15 @@ def space():
     )
 
 
-def kinds_of(actions):
-    return {a.kind for a in actions}
+def kinds_of(cset):
+    return {cset.kind_of(i) for i in range(len(cset))}
+
+
+def allocs_of(cset, *kinds):
+    """Candidate allocations of the given kinds, in generation order."""
+    return [
+        cset.allocs[i] for i in range(len(cset)) if cset.kind_of(i) in kinds
+    ]
 
 
 class TestCandidateGeneration:
@@ -35,15 +42,15 @@ class TestCandidateGeneration:
 
     def test_exactly_one_hold(self, space):
         actions = space.candidates(np.full(4, 2.0), np.full(4, 0.3))
-        holds = [a for a in actions if a.kind is ActionKind.HOLD]
+        holds = allocs_of(actions, ActionKind.HOLD)
         assert len(holds) == 1
-        np.testing.assert_allclose(holds[0].alloc, 2.0)
+        np.testing.assert_allclose(holds[0], 2.0)
 
     def test_all_candidates_within_bounds(self, space):
         actions = space.candidates(np.full(4, 2.0), np.full(4, 0.3))
-        for action in actions:
-            assert np.all(action.alloc >= space.min_alloc - 1e-12)
-            assert np.all(action.alloc <= space.max_alloc + 1e-12)
+        for alloc in actions.allocs:
+            assert np.all(alloc >= space.min_alloc - 1e-12)
+            assert np.all(alloc <= space.max_alloc + 1e-12)
 
     def test_allow_scale_down_false_removes_downs(self, space):
         actions = space.candidates(
@@ -58,9 +65,9 @@ class TestCandidateGeneration:
         current = np.full(4, 2.0)
         util = np.array([0.59, 0.1, 0.1, 0.1])  # tier 0 busy = 1.18 cores
         actions = space.candidates(current, util)
-        for action in actions:
-            if action.kind is ActionKind.SCALE_DOWN and action.alloc[0] < 2.0:
-                projected = 0.59 * 2.0 / action.alloc[0]
+        for alloc in allocs_of(actions, ActionKind.SCALE_DOWN):
+            if alloc[0] < 2.0:
+                projected = 0.59 * 2.0 / alloc[0]
                 assert projected <= space.util_cap + 1e-9
 
     def test_hot_tier_does_not_veto_other_downscales(self, space):
@@ -69,13 +76,12 @@ class TestCandidateGeneration:
         current = np.full(4, 2.0)
         util = np.array([0.9, 0.01, 0.01, 0.01])
         actions = space.candidates(current, util)
-        downs = [
-            a for a in actions
-            if a.kind in (ActionKind.SCALE_DOWN, ActionKind.SCALE_DOWN_BATCH)
-        ]
+        downs = allocs_of(
+            actions, ActionKind.SCALE_DOWN, ActionKind.SCALE_DOWN_BATCH
+        )
         assert downs, "idle tiers should still be reclaimable"
-        for action in downs:
-            assert action.alloc[0] == pytest.approx(2.0)  # hot tier untouched
+        for alloc in downs:
+            assert alloc[0] == pytest.approx(2.0)  # hot tier untouched
 
     def test_at_floor_no_scale_down(self, space):
         current = np.full(4, 0.2)
@@ -94,9 +100,9 @@ class TestCandidateGeneration:
         current = np.full(4, 2.0)
         victims = np.array([False, True, True, False])
         actions = space.candidates(current, np.full(4, 0.3), victims=victims)
-        victim_ups = [a for a in actions if a.kind is ActionKind.SCALE_UP_VICTIM]
+        victim_ups = allocs_of(actions, ActionKind.SCALE_UP_VICTIM)
         assert len(victim_ups) == 1
-        changed = victim_ups[0].alloc != current
+        changed = victim_ups[0] != current
         np.testing.assert_array_equal(changed, victims)
 
     def test_no_victim_action_without_victims(self, space):
@@ -107,12 +113,13 @@ class TestCandidateGeneration:
         current = np.full(4, 2.0)
         util = np.array([0.5, 0.05, 0.4, 0.02])
         actions = space.candidates(current, util)
+        # The batch of two: the only batch rows that shrink two tiers.
         batch2 = [
-            a for a in actions
-            if a.kind is ActionKind.SCALE_DOWN_BATCH and "2 least" in a.description
+            alloc for alloc in allocs_of(actions, ActionKind.SCALE_DOWN_BATCH)
+            if (alloc < current).sum() == 2
         ]
         assert batch2
-        reduced = np.flatnonzero(batch2[0].alloc < current)
+        reduced = np.flatnonzero(batch2[0] < current)
         assert set(reduced) == {1, 3}
 
     def test_candidates_are_unique(self, space):
@@ -124,7 +131,7 @@ class TestCandidateGeneration:
             actions = space.candidates(
                 current, np.full(4, 0.1), victims=victims
             )
-            keys = [tuple(np.round(a.alloc, 9)) for a in actions]
+            keys = [tuple(np.round(alloc, 9)) for alloc in actions.allocs]
             assert len(keys) == len(set(keys))
 
     def test_dedupe_keeps_most_specific_kind(self, space):

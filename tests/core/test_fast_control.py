@@ -1,13 +1,14 @@
 """Vectorized control loop vs the Action-list oracle: bitwise equality.
 
-The matrix candidate path (:meth:`ActionSpace.candidates_fast`) and the
-mask-based selection (:meth:`OnlineScheduler._select_fast`) are only
+The matrix candidate path (:meth:`ActionSpace.candidates`) and the
+mask-based selection (:meth:`OnlineScheduler._select`) are only
 shippable because they change nothing but wall-clock time.  These tests
-pin that down at every level: the candidate matrix row-for-row against
-the Action list, the selected index against the list-based ``_select``
-under synthetic predictions, and full-episode decision traces with
-``fast_control`` on vs off — on clean telemetry, under fault profiles,
-and on telemetry recorded from a bandit-explorer episode.
+pin that down against ``tests/oracles/control.py``: the candidate matrix
+row-for-row against the Action list — on clean telemetry, under fault
+profiles, and on telemetry recorded from a bandit-explorer episode — and
+the selected index against the list-based rule under synthetic
+predictions.  Whole closed loops with the control loop on its oracle run
+in ``tests/core/test_fast_path.py``.
 """
 
 import numpy as np
@@ -19,9 +20,11 @@ from repro.core.scheduler import OnlineScheduler
 from tests.conftest import make_tiny_cluster, make_tiny_graph
 from tests.core.test_fast_path import (  # noqa: F401 (fixture re-export)
     QOS,
+    collected,
     make_faulty_cluster,
     trained,
 )
+from tests.oracles.control import candidates_reference, select_reference
 
 
 def tiny_space() -> ActionSpace:
@@ -30,10 +33,10 @@ def tiny_space() -> ActionSpace:
 
 
 def assert_candidates_equal(space, current, cpu_util, victims, allow_down):
-    actions = space.candidates(
-        current, cpu_util, victims=victims, allow_scale_down=allow_down
+    actions = candidates_reference(
+        space, current, cpu_util, victims=victims, allow_scale_down=allow_down
     )
-    cset = space.candidates_fast(
+    cset = space.candidates(
         current, cpu_util, victims=victims, allow_scale_down=allow_down
     )
     assert len(cset) == len(actions)
@@ -47,7 +50,7 @@ def assert_candidates_equal(space, current, cpu_util, victims, allow_down):
 
 
 class TestCandidateMatrixEquivalence:
-    """``candidates_fast`` emits exactly the Action-list candidates:
+    """``candidates`` emits exactly the Action-list candidates:
     same rows, same order, same kinds, same total CPU."""
 
     @pytest.mark.parametrize("allow_down", [True, False])
@@ -120,9 +123,9 @@ class TestCandidateMatrixEquivalence:
 
 
 class TestSelectEquivalence:
-    """``_select_fast`` picks the same index as the list-based
-    ``_select`` — including the EWMA hold-probability state both carry
-    across decisions and every first-match tie-break."""
+    """``_select`` picks the same index as the list-based rule —
+    including the EWMA hold-probability state both carry across
+    decisions and every first-match tie-break."""
 
     def _schedulers(self, trained):  # noqa: F811
         space = tiny_space()
@@ -137,10 +140,10 @@ class TestSelectEquivalence:
             current = np.round(rng.uniform(0.3, 6.0, n), 2)
             cpu_util = rng.uniform(0.0, 1.0, n)
             allow_down = bool(trial % 2)
-            actions = space.candidates(
-                current, cpu_util, allow_scale_down=allow_down
+            actions = candidates_reference(
+                space, current, cpu_util, allow_scale_down=allow_down
             )
-            cset = space.candidates_fast(
+            cset = space.candidates(
                 current, cpu_util, allow_scale_down=allow_down
             )
             b = len(actions)
@@ -149,8 +152,8 @@ class TestSelectEquivalence:
             # is hit across the sweep.
             pred_lat = rng.uniform(20.0, 400.0, b)
             prob = rng.uniform(0.0, 0.4, b)
-            idx_ref = ref._select(actions, pred_lat, prob)
-            idx_fast = fast._select_fast(cset, pred_lat, prob)
+            idx_ref = select_reference(ref, actions, pred_lat, prob)
+            idx_fast = fast._select(cset, pred_lat, prob)
             assert idx_fast == idx_ref
             assert fast._hold_p_ewma == ref._hold_p_ewma
 
@@ -160,13 +163,13 @@ class TestSelectEquivalence:
         space, fast, ref = self._schedulers(trained)
         n = space.n_tiers
         current = np.full(n, 2.0)
-        actions = space.candidates(current, np.full(n, 0.3))
-        cset = space.candidates_fast(current, np.full(n, 0.3))
+        actions = candidates_reference(space, current, np.full(n, 0.3))
+        cset = space.candidates(current, np.full(n, 0.3))
         b = len(actions)
         pred_lat = np.full(b, 50.0)
         prob = np.full(b, 0.001)
-        assert fast._select_fast(cset, pred_lat, prob) == ref._select(
-            actions, pred_lat, prob
+        assert fast._select(cset, pred_lat, prob) == select_reference(
+            ref, actions, pred_lat, prob
         )
 
 
@@ -177,7 +180,7 @@ class TestActionTotalCpuCache:
     def test_cached_value_matches_recompute(self):
         space = tiny_space()
         current = np.array([1.0, 2.0, 3.0, 4.0])
-        for action in space.candidates(current, np.full(4, 0.5)):
+        for action in candidates_reference(space, current, np.full(4, 0.5)):
             first = action.total_cpu
             assert first == float(np.sum(action.alloc))
             assert "total_cpu" in action.__dict__  # cached after access
@@ -191,64 +194,13 @@ class TestActionTotalCpuCache:
         n = space.n_tiers
         for _ in range(10):
             current = np.round(rng.uniform(0.3, 6.0, n), 2)
-            cold = space.candidates(current, np.full(n, 0.3))
-            warm = space.candidates(current, np.full(n, 0.3))
+            cold = candidates_reference(space, current, np.full(n, 0.3))
+            warm = candidates_reference(space, current, np.full(n, 0.3))
             for action in warm:
                 action.total_cpu  # populate the cache up front
             b = len(cold)
             pred_lat = rng.uniform(20.0, 400.0, b)
             prob = rng.uniform(0.0, 0.4, b)
-            assert ref_a._select(cold, pred_lat, prob) == ref_b._select(
-                warm, pred_lat, prob
-            )
-
-
-class TestFastControlTraceEquivalence:
-    """Full-episode decision traces with ``fast_control`` on vs off.
-
-    The predictor fast path stays on for both runs — only the control
-    loop (candidate generation + selection) is toggled, so this isolates
-    exactly the code the tentpole vectorized.  Decisions feed back into
-    the simulator, so a single divergence would compound."""
-
-    def _run_trace(self, trained, fast: bool, cluster_factory) -> list:  # noqa: F811
-        cluster = cluster_factory()
-        graph = make_tiny_graph()
-        space = ActionSpace(graph.min_alloc(), graph.max_alloc())
-        scheduler = OnlineScheduler(trained, space, QOS)
-        scheduler.fast_control = fast
-        trained.encoder.invalidate_cache()
-        trace = []
-        for _ in range(20):
-            cluster.step(cluster.current_alloc)
-            alloc = scheduler.decide(cluster.observed)
-            if alloc is not None:
-                cluster.step(alloc)
-                trace.append(np.asarray(alloc, dtype=float).copy())
-        trace.append(np.asarray(scheduler.prediction_trace, dtype=object))
-        return trace
-
-    def _assert_identical(self, trained, cluster_factory):  # noqa: F811
-        fast = self._run_trace(trained, True, cluster_factory)
-        ref = self._run_trace(trained, False, cluster_factory)
-        assert len(fast) == len(ref)
-        for a, b in zip(fast[:-1], ref[:-1]):
-            assert np.array_equal(a, b)
-        for rec_a, rec_b in zip(fast[-1], ref[-1]):
-            assert rec_a.keys() == rec_b.keys()
-            for key in rec_a:
-                va, vb = rec_a[key], rec_b[key]
-                assert va == vb or (np.isnan(va) and np.isnan(vb))
-
-    def test_trace_identical_clean(self, trained):  # noqa: F811
-        self._assert_identical(
-            trained, lambda: make_tiny_cluster(users=180, seed=41)
-        )
-
-    @pytest.mark.parametrize(
-        "profile", ["chaos", "telemetry-dropout", "crash-storm"]
-    )
-    def test_trace_identical_under_faults(self, trained, profile):  # noqa: F811
-        self._assert_identical(
-            trained, lambda: make_faulty_cluster(180, 43, profile)
-        )
+            assert select_reference(
+                ref_a, cold, pred_lat, prob
+            ) == select_reference(ref_b, warm, pred_lat, prob)

@@ -1,11 +1,14 @@
-"""Fast decision path vs reference path: bitwise-equivalence suite.
+"""Production decision path vs the oracles: bitwise-equivalence suite.
 
 The shared-trunk CNN inference, compiled boosted trees, and zero-copy
 candidate encoding are only shippable because they change nothing but
-wall-clock time.  These tests pin that down at every level: encoder
-tensors, predictor outputs, and full scheduler decision traces — on
-clean telemetry and under the PR 2 fault profiles.
+wall-clock time.  These tests pin that down at every level against
+``tests/oracles/``: encoder tensors, predictor outputs, training, and
+full closed-loop decision traces with any mix of layers on their
+oracles — on clean telemetry and under fault profiles.
 """
+
+import copy
 
 import numpy as np
 import pytest
@@ -26,6 +29,15 @@ from repro.sim.faults import FaultInjector, resolve_profile
 from repro.workload.generator import RequestMix, Workload
 from repro.workload.patterns import ConstantLoad
 from tests.conftest import make_tiny_cluster, make_tiny_graph
+from tests.oracles.control import use_reference_control
+from tests.oracles.decision import (
+    encode_candidates,
+    predict_candidates_reference,
+    use_reference_predictor,
+)
+from tests.oracles.engine import use_reference_engine
+from tests.oracles.training import ReferenceBoostedTrees, use_reference_training
+from tests.sim.test_fast_sim import assert_stats_equal
 from tests.sim.test_telemetry import make_stats
 
 QOS = QoSTarget(200.0)
@@ -45,7 +57,7 @@ def make_faulty_cluster(users: float, seed: int, profile: str) -> ClusterSimulat
 
 
 @pytest.fixture(scope="module")
-def trained():
+def collected():
     config = CollectionConfig(qos=QOS)
     collector = DataCollector(
         lambda users, seed: make_tiny_cluster(users, seed), config
@@ -53,8 +65,13 @@ def trained():
     result = collector.collect(
         BanditExplorer(config, seed=0), loads=[60, 160, 280], seconds_per_load=80
     )
+    return result.dataset
+
+
+@pytest.fixture(scope="module")
+def trained(collected):
     predictor = HybridPredictor(make_tiny_graph(), QOS, FAST, seed=0)
-    predictor.train(result.dataset)
+    predictor.train(collected)
     return predictor
 
 
@@ -76,8 +93,8 @@ class TestEncoderEquivalence:
     def test_shared_matches_reference(self, recorded_log, rng):
         graph = make_tiny_graph()
         cands = candidate_batch(recorded_log, graph.n_tiers, 8, rng)
-        ref_rh, ref_lh, ref_rc = WindowEncoder(graph, 5).encode_candidates(
-            recorded_log, cands
+        ref_rh, ref_lh, ref_rc = encode_candidates(
+            WindowEncoder(graph, 5), recorded_log, cands
         )
         x_rh, x_lh, x_rc = WindowEncoder(graph, 5).encode_candidates_shared(
             recorded_log, cands
@@ -94,7 +111,7 @@ class TestEncoderEquivalence:
         recorded_log.latest.cpu_util[:] = np.nan
         recorded_log[len(recorded_log) - 3].latency_ms[1] = np.inf
         cands = candidate_batch(recorded_log, graph.n_tiers, 8, rng)
-        ref = WindowEncoder(graph, 5).encode_candidates(recorded_log, cands)
+        ref = encode_candidates(WindowEncoder(graph, 5), recorded_log, cands)
         fast = WindowEncoder(graph, 5).encode_candidates_shared(recorded_log, cands)
         assert np.array_equal(np.broadcast_to(fast[0], ref[0].shape), ref[0])
         assert np.array_equal(np.broadcast_to(fast[1], ref[1].shape), ref[1])
@@ -146,7 +163,7 @@ class TestPredictorEquivalence:
     def test_fast_matches_reference_bitwise(self, trained, recorded_log, rng, b):
         cands = candidate_batch(recorded_log, trained.graph.n_tiers, b, rng)
         lat_fast, prob_fast = trained.predict_candidates(recorded_log, cands)
-        lat_ref, prob_ref = trained.predict_candidates_reference(recorded_log, cands)
+        lat_ref, prob_ref = predict_candidates_reference(trained, recorded_log, cands)
         assert np.array_equal(lat_fast, lat_ref)
         assert np.array_equal(prob_fast, prob_ref)
 
@@ -155,77 +172,80 @@ class TestPredictorEquivalence:
         recorded_log[len(recorded_log) - 2].cpu_util[:] = np.inf
         cands = candidate_batch(recorded_log, trained.graph.n_tiers, 16, rng)
         lat_fast, prob_fast = trained.predict_candidates(recorded_log, cands)
-        lat_ref, prob_ref = trained.predict_candidates_reference(recorded_log, cands)
+        lat_ref, prob_ref = predict_candidates_reference(trained, recorded_log, cands)
         assert np.array_equal(lat_fast, lat_ref)
         assert np.array_equal(prob_fast, prob_ref)
 
-    def test_fast_path_toggle_dispatches_reference(self, trained, recorded_log, rng):
-        cands = candidate_batch(recorded_log, trained.graph.n_tiers, 8, rng)
-        try:
-            trained.fast_path = False
-            lat_off, prob_off = trained.predict_candidates(recorded_log, cands)
-        finally:
-            trained.fast_path = True
-        lat_on, prob_on = trained.predict_candidates(recorded_log, cands)
-        assert np.array_equal(lat_off, lat_on)
-        assert np.array_equal(prob_off, prob_on)
 
+class TestClosedLoopTrace:
+    """Whole closed loops — cluster, telemetry, scheduler, predictor —
+    run once on the production path and once with some layers on their
+    oracles: the predictor's scoring, the control loop's candidate
+    generation and selection, or every layer including the fluid
+    engine.  Decisions feed back into the simulator, so a single
+    divergence would compound; allocations, the scheduler's prediction
+    trace, and every interval's telemetry must be bitwise equal."""
 
-class TestSchedulerTraceEquivalence:
-    """Full-episode decision traces with the toggle on vs off.
+    ORACLES = {
+        "predictor": (use_reference_predictor,),
+        "control": (use_reference_control,),
+        "all": (use_reference_predictor, use_reference_control,
+                use_reference_engine),
+    }
 
-    Decisions feed back into the simulator, so any divergence compounds
-    — equality over a whole episode is the strongest end-to-end check.
-    """
-
-    def _run_trace(self, trained, fast: bool, cluster_factory) -> list:
-        cluster = cluster_factory()
+    def _run(self, trained, oracles, profile):
+        if profile == "clean":
+            cluster = make_tiny_cluster(users=180, seed=41)
+        else:
+            cluster = make_faulty_cluster(180, 43, profile)
         graph = make_tiny_graph()
+        predictor = copy.deepcopy(trained)
+        predictor.encoder.invalidate_cache()
         space = ActionSpace(graph.min_alloc(), graph.max_alloc())
-        scheduler = OnlineScheduler(trained, space, QOS)
-        trained.fast_path = fast
-        trained.encoder._cache = None
-        trace = []
+        scheduler = OnlineScheduler(predictor, space, QOS)
+        targets = {
+            use_reference_predictor: predictor,
+            use_reference_control: scheduler,
+            use_reference_engine: cluster.engine,
+        }
+        for use in oracles:
+            use(targets[use])
+        allocs = []
         for _ in range(20):
             cluster.step(cluster.current_alloc)
             alloc = scheduler.decide(cluster.observed)
             if alloc is not None:
                 cluster.step(alloc)
-                trace.append(np.asarray(alloc, dtype=float).copy())
-        trace.append(np.asarray(scheduler.prediction_trace, dtype=object))
-        return trace
+                allocs.append(np.asarray(alloc, dtype=float).copy())
+        return allocs, scheduler.prediction_trace, list(cluster.telemetry)
 
-    def _assert_identical(self, trained, cluster_factory):
-        try:
-            fast = self._run_trace(trained, True, cluster_factory)
-            ref = self._run_trace(trained, False, cluster_factory)
-        finally:
-            trained.fast_path = True
-        assert len(fast) == len(ref)
-        for a, b in zip(fast[:-1], ref[:-1]):
+    @pytest.mark.parametrize(
+        "profile", ["clean", "chaos", "telemetry-dropout", "crash-storm"]
+    )
+    @pytest.mark.parametrize("oracles", ["predictor", "control", "all"])
+    def test_matches_oracles(self, trained, oracles, profile):
+        allocs, records, telemetry = self._run(trained, (), profile)
+        ref_allocs, ref_records, ref_telemetry = self._run(
+            trained, self.ORACLES[oracles], profile
+        )
+        assert len(allocs) == len(ref_allocs) > 0
+        for a, b in zip(allocs, ref_allocs):
             assert np.array_equal(a, b)
-        for rec_a, rec_b in zip(fast[-1], ref[-1]):
+        assert len(records) == len(ref_records)
+        for rec_a, rec_b in zip(records, ref_records):
             assert rec_a.keys() == rec_b.keys()
             for key in rec_a:
                 va, vb = rec_a[key], rec_b[key]
                 assert va == vb or (np.isnan(va) and np.isnan(vb))
-
-    def test_trace_identical_clean(self, trained):
-        self._assert_identical(
-            trained, lambda: make_tiny_cluster(users=180, seed=21)
-        )
-
-    @pytest.mark.parametrize("profile", ["telemetry-dropout", "crash-storm"])
-    def test_trace_identical_under_faults(self, trained, profile):
-        self._assert_identical(
-            trained, lambda: make_faulty_cluster(180, 23, profile)
-        )
+        assert len(telemetry) == len(ref_telemetry)
+        for i, (a, b) in enumerate(zip(telemetry, ref_telemetry)):
+            assert_stats_equal(a, b, f"interval {i}")
 
 
 class TestTrainingEquivalenceUnderFaults:
-    """Fast-path *training* on sanitized fault-corrupted data is a
+    """Production *training* on sanitized fault-corrupted data is a
     drop-in for the reference paths: the histogram grower reproduces the
-    reference tree structure, and the im2col/fused CNN reproduces the
+    reference tree structure, and the im2col CNN reproduces the
     reference loss trajectory — NaN-repaired windows (forward-filled
     plateaus, zero backfill, duplicated values) are exactly the
     tie-heavy inputs most likely to expose divergence."""
@@ -260,9 +280,8 @@ class TestTrainingEquivalenceUnderFaults:
         config = BoostedTreesConfig(n_trees=30)
 
         def fit(fast):
-            bt = BoostedTrees(config, seed=0)
-            bt.fast_train = fast
-            return bt.fit(X, y_viol)
+            cls = BoostedTrees if fast else ReferenceBoostedTrees
+            return cls(config, seed=0).fit(X, y_viol)
 
         fast, ref = fit(True), fit(False)
         assert len(fast.trees) == len(ref.trees)
@@ -293,11 +312,29 @@ class TestTrainingEquivalenceUnderFaults:
 
         def fit(fast):
             model = LatencyCNN(4, 6, 5, 5, config=small, seed=0)
-            model.set_fast_train(fast)
+            if not fast:
+                use_reference_training(model)
             return model.fit(inputs, y_lat, epochs=4, batch_size=64, seed=3)
 
         fast, ref = fit(True), fit(False)
         assert fast.epochs_run == ref.epochs_run
         np.testing.assert_allclose(
             fast.train_loss, ref.train_loss, rtol=0, atol=1e-8
+        )
+
+    def test_predictor_training_quality_matches_reference(self, collected):
+        """A whole ``HybridPredictor.train`` on collected data, production
+        vs every training oracle: the paths differ by float rounding, so
+        the models agree in reported quality, not bitwise."""
+        fast = HybridPredictor(make_tiny_graph(), QOS, FAST, seed=0)
+        ref = use_reference_training(
+            HybridPredictor(make_tiny_graph(), QOS, FAST, seed=0)
+        )
+        report_fast = fast.train(collected)
+        report_ref = ref.train(collected)
+        assert report_fast.rmse_val == pytest.approx(
+            report_ref.rmse_val, rel=0.05, abs=1.0
+        )
+        assert report_fast.bt_accuracy_val == pytest.approx(
+            report_ref.bt_accuracy_val, abs=0.05
         )

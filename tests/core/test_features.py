@@ -103,11 +103,17 @@ class TestWindowEncoder:
         graph = recorded_cluster.graph
         enc = WindowEncoder(graph, n_timesteps=4)
         cands = np.ones((7, graph.n_tiers))
-        x_rh, x_lh, x_rc = enc.encode_candidates(recorded_cluster.telemetry, cands)
-        assert x_rh.shape == (7, 6, graph.n_tiers, 4)
-        assert x_lh.shape == (7, 4, 5)
-        np.testing.assert_allclose(x_rh[0], x_rh[6])
+        cands[3] = 2.0
+        log = recorded_cluster.telemetry
+        x_rh, x_lh, x_rc = enc.encode_candidates_shared(log, cands)
+        # One history row serves all seven candidates.
+        assert x_rh.shape == (1, 6, graph.n_tiers, 4)
+        assert x_lh.shape == (1, 4, 5)
         np.testing.assert_allclose(x_rc, cands)
+        for cand in (cands[0], cands[3]):
+            s_rh, s_lh, s_rc = enc.encode_log(log, cand)
+            np.testing.assert_array_equal(x_rh[0], s_rh)
+            np.testing.assert_array_equal(x_lh[0], s_lh)
 
     def test_timestamp_ordering_latest_last(self, recorded_cluster):
         graph = recorded_cluster.graph

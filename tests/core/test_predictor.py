@@ -153,11 +153,10 @@ class TestSerialization:
             HybridPredictor.load(path)
 
     def test_fast_path_trained_model_roundtrips(self, tiny_dataset, tmp_path):
-        """A model trained on the fast paths (histogram trees, im2col
-        CNN) saves and loads like any other: tree margins bitwise equal
-        pre/post, CNN predictions equal, toggle state preserved."""
+        """A model trained on the production paths (histogram trees,
+        im2col CNN) saves and loads like any other: tree margins bitwise
+        equal pre/post, CNN predictions equal."""
         predictor = HybridPredictor(make_tiny_graph(), QOS, FAST, seed=0)
-        predictor.fast_train = True
         predictor.train(tiny_dataset)
         x_rh = tiny_dataset.X_RH[:8]
         x_lh = tiny_dataset.X_LH[:8]
@@ -176,8 +175,6 @@ class TestSerialization:
         lat_b, prob_b = loaded.predict_raw(x_rh, x_lh, x_rc)
         assert np.array_equal(lat_a, lat_b)
         assert np.array_equal(prob_a, prob_b)
-        # The toggle itself survives the round trip.
-        assert loaded.__dict__.get("fast_train", True) is True
 
     def test_load_rejects_format_mismatch(self, trained, tmp_path):
         import pickle

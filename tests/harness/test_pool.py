@@ -125,22 +125,21 @@ class TestBroadcast:
 
 
 class TestWarmReuse:
-    def test_two_sweeps_on_warm_pool_match_two_cold_pools(self):
+    def test_two_sweeps_on_warm_pool_match_serial(self):
         model = _model("v1")
         first = _tasks(_identify, n=3, predictor=model)
         second = _tasks(_identify, n=3, predictor=model)
 
-        cold_results = []
-        for tasks in (first, second):
-            with WorkerPool(jobs=2, broadcast=False) as cold:
-                outcomes, _ = cold.run(tasks)
-                cold_results.append([o.result[:2] for o in outcomes])
+        serial_results = [
+            [r[:2] for r in run_episodes(tasks, jobs=1).results]
+            for tasks in (first, second)
+        ]
 
         with WorkerPool(jobs=2) as warm:
             out1, stats1 = warm.run(first)
             out2, stats2 = warm.run(second)
-        assert [o.result[:2] for o in out1] == cold_results[0]
-        assert [o.result[:2] for o in out2] == cold_results[1]
+        assert [o.result[:2] for o in out1] == serial_results[0]
+        assert [o.result[:2] for o in out2] == serial_results[1]
         assert not stats1.reused and stats2.reused
 
     def test_run_episodes_reports_pool_reuse(self):

@@ -1,10 +1,13 @@
 """Resilience harness tests: recovery metric, episodes, sweep determinism."""
 
+from dataclasses import asdict
+
 import numpy as np
 import pytest
 
 from repro.core.manager import StaticManager
 from repro.core.qos import QoSTarget
+from repro.harness.bench import BenchConfig, make_synthetic_predictor
 from repro.harness.resilience import (
     ResilienceResult,
     format_resilience_report,
@@ -145,6 +148,26 @@ class TestSweepResilience:
             assert a.mean_total_cpu == b.mean_total_cpu
             assert a.recovery_times == b.recovery_times
             assert a.dropped_intervals == b.dropped_intervals
+
+    def test_broadcast_model_under_chaos_matches_serial(self):
+        """Sinan cells ship their predictor to the warm pool by shared-
+        memory broadcast; under the chaos profile the pooled cells must
+        equal the serial ones field for field."""
+        predictor = make_synthetic_predictor(
+            BenchConfig(n_trees=20, tree_depth=3)
+        )
+        runs = [
+            sweep_resilience(
+                "social_network", profiles=["chaos"],
+                manager_names=["sinan", "static"], users=250.0,
+                duration=8, seed=29, warmup=2, predictor=predictor, jobs=jobs,
+            )
+            for jobs in (1, 2)
+        ]
+        serial, pooled = runs
+        assert len(serial) == len(pooled) == 2
+        for a, b in zip(serial, pooled):
+            assert asdict(a) == asdict(b)
 
     def test_report_formatting(self, serial_results):
         report = format_resilience_report(serial_results)

@@ -1,10 +1,14 @@
 """Boosted-trees classifier tests."""
 
+import warnings
+
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
 from repro.ml.boosted_trees import BoostedTrees, BoostedTreesConfig
+from tests.oracles.decision import predict_margin_reference
+from tests.oracles.training import ReferenceBoostedTrees
 
 
 def blobs(n=1000, seed=0):
@@ -94,7 +98,7 @@ class TestInference:
         )
         queries = np.concatenate([X[:100], X[:3] * 100.0])
         assert np.array_equal(
-            bt.predict_margin(queries), bt.predict_margin_reference(queries)
+            bt.predict_margin(queries), predict_margin_reference(bt, queries)
         )
 
     def test_compiled_matches_reference_with_nan_features(self):
@@ -105,7 +109,7 @@ class TestInference:
         queries[::7, 2] = np.nan
         queries[3] = np.nan
         assert np.array_equal(
-            bt.predict_margin(queries), bt.predict_margin_reference(queries)
+            bt.predict_margin(queries), predict_margin_reference(bt, queries)
         )
 
     def test_compiled_survives_pickle(self):
@@ -157,13 +161,19 @@ class TestInference:
 
 
 def _fit_pair(config, X, y, X_val=None, y_val=None, seed=0):
-    """The same fit twice: histogram grower vs reference grower."""
+    """The same fit twice: histogram grower vs reference grower.
+
+    The production fit must not warn for any valid config; the oracle
+    divides 0/0 in empty bins when ``reg_lambda == 0`` (and masks the
+    result), so its warnings are silenced.
+    """
     fast = BoostedTrees(config, seed=seed)
-    fast.fast_train = True
-    fast.fit(X, y, X_val, y_val)
-    ref = BoostedTrees(config, seed=seed)
-    ref.fast_train = False
-    ref.fit(X, y, X_val, y_val)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error", RuntimeWarning)
+        fast.fit(X, y, X_val, y_val)
+    ref = ReferenceBoostedTrees(config, seed=seed)
+    with np.errstate(divide="ignore", invalid="ignore"):
+        ref.fit(X, y, X_val, y_val)
     return fast, ref
 
 
@@ -238,12 +248,13 @@ class TestHistogramGrower:
         fast, ref = _fit_pair(BoostedTreesConfig(n_trees=25), X, y)
         _assert_same_structure(fast, ref)
 
-    def test_degenerate_regularization_falls_back(self):
-        """λ=0 with mcw=0 uses the reference grower outright (0/0 gains)."""
-        X, y = blobs(200, seed=9)
-        config = BoostedTreesConfig(n_trees=5, reg_lambda=0.0, min_child_weight=0.0)
-        fast, ref = _fit_pair(config, X, y)
-        _assert_same_structure(fast, ref)
+    def test_degenerate_regularization_rejected(self):
+        """λ=0 with mcw=0 leaves empty-bin gains at 0/0: no grower can
+        rank splits, so the config is refused at construction."""
+        with pytest.raises(ValueError, match="min_child_weight and reg_lambda"):
+            BoostedTreesConfig(n_trees=5, reg_lambda=0.0, min_child_weight=0.0)
+        with pytest.raises(ValueError, match="reg_lambda=-1.0"):
+            BoostedTreesConfig(reg_lambda=-1.0, min_child_weight=-2.0)
 
     def test_binize_chunked_matches_unchunked(self):
         """Row-chunked binning is exact under ragged per-feature bin

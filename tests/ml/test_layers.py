@@ -1,5 +1,7 @@
 """Layer-level tests with numerical gradient checks."""
 
+import copy
+
 import numpy as np
 import pytest
 
@@ -12,6 +14,7 @@ from repro.ml.layers import (
     Sigmoid,
     Tanh,
 )
+from tests.oracles.training import use_reference_training
 
 EPS = 1e-6
 TOL = 1e-4
@@ -28,7 +31,7 @@ def numeric_input_grad(layer, x, dout, index):
 def check_input_grad(layer, x, indices):
     out = layer.forward(x)
     dout = np.random.default_rng(0).normal(size=out.shape)
-    layer.forward(x)
+    layer.forward(x, training=True)
     dx = layer.backward(dout)
     for index in indices:
         num = numeric_input_grad(layer, x, dout, index)
@@ -38,7 +41,7 @@ def check_input_grad(layer, x, indices):
 def check_param_grad(layer, x, param_idx, flat_positions):
     out = layer.forward(x)
     dout = np.random.default_rng(1).normal(size=out.shape)
-    layer.forward(x)
+    layer.forward(x, training=True)
     layer.backward(dout)
     grads = [g.copy() for g in layer.grads()]
     param = layer.params()[param_idx]
@@ -170,11 +173,15 @@ class TestLSTM:
         assert np.all(cell.b[4:8] == 1.0)
 
 
+def reference_copy(layer):
+    """The same layer (same weights) on its training oracle."""
+    return use_reference_training(copy.deepcopy(layer))
+
+
 class TestConv2DFastPath:
     """im2col training path vs the einsum/tap-loop reference."""
 
-    def _run(self, layer, x, dout, fast):
-        layer.fast_train = fast
+    def _run(self, layer, x, dout):
         out = layer.forward(x, training=True)
         dx = layer.backward(dout)
         return out, dx, layer.dW.copy(), layer.db.copy()
@@ -183,8 +190,8 @@ class TestConv2DFastPath:
         layer = Conv2D(3, 4, 3, rng)
         x = rng.normal(size=(4, 3, 6, 5))
         dout = rng.normal(size=(4, 4, 6, 5))
-        out_f, dx_f, dW_f, db_f = self._run(layer, x, dout, fast=True)
-        out_r, dx_r, dW_r, db_r = self._run(layer, x, dout, fast=False)
+        out_r, dx_r, dW_r, db_r = self._run(reference_copy(layer), x, dout)
+        out_f, dx_f, dW_f, db_f = self._run(layer, x, dout)
         np.testing.assert_allclose(out_f, out_r, atol=1e-10)
         np.testing.assert_allclose(dx_f, dx_r, atol=1e-10)
         np.testing.assert_allclose(dW_f, dW_r, atol=1e-10)
@@ -194,8 +201,8 @@ class TestConv2DFastPath:
         layer = Conv2D(2, 3, 5, rng)
         x = rng.normal(size=(3, 2, 9, 7))
         dout = rng.normal(size=(3, 3, 9, 7))
-        out_f, dx_f, dW_f, db_f = self._run(layer, x, dout, fast=True)
-        out_r, dx_r, dW_r, db_r = self._run(layer, x, dout, fast=False)
+        out_r, dx_r, dW_r, db_r = self._run(reference_copy(layer), x, dout)
+        out_f, dx_f, dW_f, db_f = self._run(layer, x, dout)
         np.testing.assert_allclose(out_f, out_r, atol=1e-10)
         np.testing.assert_allclose(dx_f, dx_r, atol=1e-10)
         np.testing.assert_allclose(dW_f, dW_r, atol=1e-10)
@@ -203,7 +210,6 @@ class TestConv2DFastPath:
 
     def test_numeric_input_gradient_on_fast_path(self, rng):
         layer = Conv2D(2, 3, 3, rng)
-        layer.fast_train = True
         x = rng.normal(size=(2, 2, 5, 4))
         out = layer.forward(x, training=True)
         dout = np.random.default_rng(0).normal(size=out.shape)
@@ -217,37 +223,37 @@ class TestConv2DFastPath:
             num = (plus - minus) / EPS
             assert abs(num - dx[index]) < TOL, (index, num, dx[index])
 
-    def test_inference_is_invariant_to_fast_train(self, rng):
-        """The decision path (training=False) must stay on einsum and be
-        bitwise identical whatever the training toggle says."""
+    def test_inference_matches_einsum_oracle(self, rng):
+        """The decision path (training=False) stays on einsum: bitwise
+        the oracle's forward, and unchanged by a training forward."""
         layer = Conv2D(3, 4, 3, rng)
         x = rng.normal(size=(2, 3, 6, 5))
-        layer.fast_train = True
-        on = layer.forward(x, training=False)
-        layer.fast_train = False
-        off = layer.forward(x, training=False)
-        assert np.array_equal(on, off)
+        before = layer.forward(x, training=False)
+        layer.forward(x, training=True)
+        after = layer.forward(x, training=False)
+        oracle = reference_copy(layer).forward(x, training=False)
+        assert np.array_equal(before, oracle)
+        assert np.array_equal(after, oracle)
 
     def test_backward_follows_forward_mode(self, rng):
-        """A training forward then an inference forward leaves backward
-        consistent with the most recent (einsum) forward."""
+        """Backward differentiates the most recent forward: after an
+        inference forward there is nothing to differentiate."""
         layer = Conv2D(2, 2, 3, rng)
         x = rng.normal(size=(2, 2, 4, 4))
         dout = rng.normal(size=(2, 2, 4, 4))
         layer.forward(x, training=True)
+        layer.backward(dout)
         layer.forward(x, training=False)
-        dx_after_inference = layer.backward(dout)
-        layer.fast_train = False
-        layer.forward(x, training=True)
-        dx_reference = layer.backward(dout)
-        np.testing.assert_allclose(dx_after_inference, dx_reference, atol=1e-12)
+        with pytest.raises(RuntimeError, match="training-mode forward"):
+            layer.backward(dout)
+        with pytest.raises(RuntimeError, match="training-mode forward"):
+            Conv2D(2, 2, 3, rng).backward(dout)
 
 
 class TestLSTMFastPath:
     """Fused single-GEMM gate projections vs the per-gate reference."""
 
-    def _run(self, cell, x, fast):
-        cell.fast_train = fast
+    def _run(self, cell, x):
         out = cell.forward(x)
         dout = np.random.default_rng(2).normal(size=out.shape)
         dx = cell.backward(dout)
@@ -256,8 +262,8 @@ class TestLSTMFastPath:
     def test_matches_reference(self, rng):
         cell = LSTMCell(5, 8, rng)
         x = rng.normal(size=(4, 6, 5))
-        out_f, dx_f, dW_f, db_f = self._run(cell, x, fast=True)
-        out_r, dx_r, dW_r, db_r = self._run(cell, x, fast=False)
+        out_r, dx_r, dW_r, db_r = self._run(reference_copy(cell), x)
+        out_f, dx_f, dW_f, db_f = self._run(cell, x)
         np.testing.assert_allclose(out_f, out_r, atol=1e-10)
         np.testing.assert_allclose(dx_f, dx_r, atol=1e-10)
         np.testing.assert_allclose(dW_f, dW_r, atol=1e-10)
@@ -266,8 +272,8 @@ class TestLSTMFastPath:
     def test_matches_reference_single_timestep(self, rng):
         cell = LSTMCell(3, 4, rng)
         x = rng.normal(size=(2, 1, 3))
-        out_f, dx_f, dW_f, db_f = self._run(cell, x, fast=True)
-        out_r, dx_r, dW_r, db_r = self._run(cell, x, fast=False)
+        out_r, dx_r, dW_r, db_r = self._run(reference_copy(cell), x)
+        out_f, dx_f, dW_f, db_f = self._run(cell, x)
         np.testing.assert_allclose(out_f, out_r, atol=1e-10)
         np.testing.assert_allclose(dx_f, dx_r, atol=1e-10)
         np.testing.assert_allclose(dW_f, dW_r, atol=1e-10)
@@ -276,12 +282,9 @@ class TestLSTMFastPath:
     def test_buffers_survive_batch_size_change(self, rng):
         """Preallocated gate buffers re-key on (B, T) changes."""
         cell = LSTMCell(3, 4, rng)
-        cell.fast_train = True
+        ref = reference_copy(cell)
         for shape in ((4, 5, 3), (2, 5, 3), (4, 3, 3), (4, 5, 3)):
             x = rng.normal(size=shape)
             out = cell.forward(x)
             cell.backward(np.ones_like(out))
-            cell.fast_train = False
-            ref = cell.forward(x)
-            cell.fast_train = True
-            np.testing.assert_allclose(out, ref, atol=1e-10)
+            np.testing.assert_allclose(out, ref.forward(x), atol=1e-10)

@@ -9,6 +9,7 @@ from repro.ml.mlp import LatencyMLP
 from repro.ml.multitask import MultiTaskLoss, MultiTaskNN
 from repro.ml.network import Sequential
 from repro.ml.layers import Dense, ReLU
+from tests.oracles.training import use_reference_training
 
 N, T, F, M = 6, 4, 6, 5
 SMALL = CNNConfig(conv_channels=(4,), rh_embed=16, lh_embed=8, rc_embed=8, latent_dim=16)
@@ -164,22 +165,6 @@ class TestFitInstrumentation:
         result = model.fit(inputs, y, inputs, y, epochs=30, patience=1, seed=0)
         assert len(result.epoch_time_s) == result.epochs_run
 
-    def test_set_fast_train_toggles_layers(self):
-        from repro.ml.layers import Conv2D, LSTMCell
-
-        model = LatencyCNN(N, T, F, M, config=SMALL, seed=0)
-        model.set_fast_train(False)
-        toggled = [
-            layer
-            for attr in vars(model).values()
-            for layer in (attr.layers if isinstance(attr, Sequential) else [attr])
-            if isinstance(layer, (Conv2D, LSTMCell))
-        ]
-        assert toggled
-        assert all(layer.fast_train is False for layer in toggled)
-        model.set_fast_train(True)
-        assert all(layer.fast_train is True for layer in toggled)
-
     def test_fast_and_reference_training_losses_match(self):
         """One whole CNN fit per path: im2col/fused vs einsum/loop, same
         data and seed — per-epoch losses agree to float rounding."""
@@ -187,7 +172,8 @@ class TestFitInstrumentation:
 
         def fit(fast):
             model = LatencyCNN(N, T, F, M, config=SMALL, seed=0)
-            model.set_fast_train(fast)
+            if not fast:
+                use_reference_training(model)
             return model.fit(inputs, y, epochs=3, batch_size=32, seed=1)
 
         fast, ref = fit(True), fit(False)

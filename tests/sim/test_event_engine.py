@@ -6,6 +6,8 @@ import pytest
 
 from repro.sim.engine import EngineConfig, QueueingEngine
 from repro.sim.event_engine import EventDrivenEngine, EventEngineConfig
+from repro.sim.graph import AppGraph, RequestType
+from repro.sim.tier import TierSpec
 from tests.conftest import make_tiny_graph
 
 GRAPH = make_tiny_graph()
@@ -40,6 +42,25 @@ class TestBasics:
             engine.run(np.ones(2), RATES, 5.0)
         with pytest.raises(ValueError):
             engine.run(np.ones(4), np.ones(3), 5.0)
+
+    def test_rejects_graphs_over_255_tiers(self):
+        """Heap entries carry the tier in 8 bits."""
+        names = [f"t{i}" for i in range(256)]
+        wide = AppGraph(
+            "wide",
+            [TierSpec(name) for name in names],
+            [("t0", name) for name in names[1:]],
+            [RequestType(name="Fan", stages=(("t0",), tuple(names[1:])))],
+        )
+        with pytest.raises(ValueError, match="at most 255 tiers"):
+            EventDrivenEngine(wide)
+        narrow = AppGraph(
+            "narrow",
+            [TierSpec(name) for name in names[:255]],
+            [("t0", name) for name in names[1:255]],
+            [RequestType(name="Fan", stages=(("t0",), tuple(names[1:255])))],
+        )
+        assert len(EventDrivenEngine(narrow).tiers) == 255
 
     def test_deterministic_by_seed(self):
         a = run_event(np.full(4, 3.0), seed=42)

@@ -2,14 +2,15 @@
 equality (this is the equality-test file named by
 ``repro.sim.event_engine``'s module docstring).
 
-The fast loop replaces ``_Request``/``_Visit`` objects and the tuple
-heap with preallocated arrays, incremental busy-time accounting, and
-pre-drawn arrival streams — all of it only shippable because nothing
-observable changes: every summary field, the engines' final RNG
-bit-generator state, and the per-tier busy/completed-work counters must
-match ``run_reference`` exactly, across the validation scenarios
-(allocation sweep on the tiny app), overload/drop regimes, multi-run
-windowing, non-default physics knobs, and the production-sized graph.
+The production loop replaces ``_Request``/``_Visit`` objects and the
+tuple heap of ``tests/oracles/event_engine.py`` with preallocated
+arrays, incremental busy-time accounting, and pre-drawn arrival streams
+— all of it only shippable because nothing observable changes: every
+summary field, the engines' final RNG bit-generator state, and the
+per-tier busy/completed-work counters must match the oracle exactly,
+across the validation scenarios (allocation sweep on the tiny app),
+overload/drop regimes, multi-run windowing, non-default physics knobs,
+and the production-sized graph.
 """
 
 import numpy as np
@@ -18,6 +19,7 @@ import pytest
 from repro.harness.pipeline import app_spec
 from repro.sim.event_engine import EventDrivenEngine, EventEngineConfig
 from tests.conftest import make_tiny_graph
+from tests.oracles.event_engine import ReferenceEventEngine
 
 GRAPH = make_tiny_graph()
 #: The validation-bench load (165 rps total on the tiny app).
@@ -25,10 +27,10 @@ RATES = np.array([150.0, 15.0])
 
 
 def paired_engines(graph=GRAPH, seed=0, **cfg):
-    """A (fast, reference) engine pair built identically."""
+    """A (production, reference) engine pair built identically."""
     return (
         EventDrivenEngine(graph, EventEngineConfig(**cfg), seed=seed),
-        EventDrivenEngine(graph, EventEngineConfig(**cfg), seed=seed),
+        ReferenceEventEngine(graph, EventEngineConfig(**cfg), seed=seed),
     )
 
 
@@ -140,48 +142,6 @@ class TestRunEquality:
         assert_state_equal(fast_e, ref_e)
 
 
-class TestDispatchRules:
-    def test_fast_events_toggle_runs_reference_loop(self):
-        """``fast_events=False`` must route ``run()`` through the object
-        loop — observable through identical results and object-path
-        state (populated tier queues under overload)."""
-        toggled_e = EventDrivenEngine(
-            GRAPH, EventEngineConfig(fast_events=False, max_queue=200), seed=4
-        )
-        ref_e = EventDrivenEngine(
-            GRAPH, EventEngineConfig(max_queue=200), seed=4
-        )
-        alloc = np.full(GRAPH.n_tiers, 0.4)
-        assert_summary_equal(
-            toggled_e.run(alloc, RATES, 5.0),
-            ref_e.run_reference(alloc, RATES, 5.0),
-        )
-        assert any(t.queue for t in toggled_e.tiers)  # object-path state
-
-    def test_reference_after_fast_in_flight_raises(self):
-        engine = EventDrivenEngine(
-            GRAPH, EventEngineConfig(max_queue=400), seed=6
-        )
-        engine.run(np.full(GRAPH.n_tiers, 0.4), RATES, 5.0)  # leaves work
-        with pytest.raises(RuntimeError, match="fresh engine"):
-            engine.run_reference(np.full(GRAPH.n_tiers, 0.4), RATES, 5.0)
-
-    def test_fast_after_reference_in_flight_falls_back(self):
-        """`run()` on an engine with object-path work in flight must not
-        silently adopt it into the fast loop: it continues on the
-        reference path, matching a pure-reference engine."""
-        mixed_e, ref_e = paired_engines(seed=8, max_queue=400)
-        alloc = np.full(GRAPH.n_tiers, 0.4)
-        mixed_e.run_reference(alloc, RATES, 5.0)
-        ref_e.run_reference(alloc, RATES, 5.0)
-        assert any(t.queue for t in mixed_e.tiers)
-        assert_summary_equal(
-            mixed_e.run(alloc, RATES, 5.0),
-            ref_e.run_reference(alloc, RATES, 5.0),
-        )
-        assert_state_equal(mixed_e, ref_e)
-
-
 class TestP99SeriesRegression:
     """Satellite: the vectorized (searchsorted) per-second p99 series
     must equal the original O(seconds x completions) mask scan,
@@ -204,7 +164,11 @@ class TestP99SeriesRegression:
 
     @pytest.mark.parametrize("method", ["run", "run_reference"])
     def test_series_matches_mask_scan_with_idle_seconds(self, method):
-        engine = EventDrivenEngine(GRAPH, EventEngineConfig(), seed=12)
+        engine_cls = (
+            ReferenceEventEngine if method == "run_reference"
+            else EventDrivenEngine
+        )
+        engine = engine_cls(GRAPH, EventEngineConfig(), seed=12)
         alloc = np.full(GRAPH.n_tiers, 2.0)
         sparse = np.array([2.0, 0.5])  # ~2.5 rps: plenty of idle seconds
         summary = getattr(engine, method)(alloc, sparse, 20.0)

@@ -1,26 +1,27 @@
-"""Bitwise equivalence of the batched-tick fast interval path.
+"""Bitwise equivalence of the batched-tick interval path.
 
-The fast path (`EngineConfig.fast_sim`, default on) must be
-indistinguishable from the per-tick reference loop
-(:meth:`QueueingEngine.run_interval_reference`): every
+:meth:`QueueingEngine.run_interval` must be indistinguishable from the
+per-tick reference loop (``tests/oracles/engine.py``): every
 :class:`IntervalStats` field, the engine's internal state vectors, and
 the RNG stream itself are compared bitwise across normal, bursty,
 overload, and chaos-fault episodes — serial and under the process-pool
-harness — with the compiled kernel and with the pure-numpy fallback
-(``REPRO_SIM_PURE_NUMPY=1``).
+harness, on the tiny app and on the production social network — with
+the compiled kernel and with the numpy recurrence that runs when no
+kernel loads.
 """
-
-import dataclasses
 
 import numpy as np
 import pytest
 
+from repro.harness.pipeline import app_spec
+from repro.sim import _ckernel
 from repro.sim.cluster import ClusterSimulator
 from repro.sim.engine import EngineConfig, QueueingEngine
 from repro.sim.faults import FaultInjector
 from repro.workload.generator import RequestMix, Workload
 from repro.workload.patterns import ConstantLoad
 from tests.conftest import make_tiny_graph
+from tests.oracles.engine import ReferenceQueueingEngine, use_reference_engine
 
 _STAT_FIELDS = (
     "time", "rps", "cpu_alloc", "cpu_util", "rss_mb", "cache_mb",
@@ -48,21 +49,17 @@ def assert_engines_equal(fast, ref, context=""):
     ), f"{context} RNG state diverged"
 
 
-def _engine_pair(overrides, seed=7):
-    graph = make_tiny_graph()
+def _engine_pair(overrides, seed=7, graph=None):
+    graph = graph or make_tiny_graph()
     cfg = EngineConfig(**overrides)
-    fast = QueueingEngine(
-        graph, dataclasses.replace(cfg, fast_sim=True), seed=seed
-    )
-    ref = QueueingEngine(
-        graph, dataclasses.replace(cfg, fast_sim=False), seed=seed
-    )
+    fast = QueueingEngine(graph, cfg, seed=seed)
+    ref = ReferenceQueueingEngine(graph, cfg, seed=seed)
     return graph, fast, ref
 
 
-def _drive(graph, fast, ref, intervals=25, rps=140.0, use_reference_api=False):
+def _drive(graph, fast, ref, intervals=25, rps=140.0, base_alloc=2.0):
     n = graph.n_tiers
-    base = np.full(n, 2.0)
+    base = np.full(n, base_alloc)
     rates = np.full(graph.n_types, rps / graph.n_types)
     phase = np.arange(n)
     total_drops = 0.0
@@ -70,11 +67,7 @@ def _drive(graph, fast, ref, intervals=25, rps=140.0, use_reference_api=False):
         allocs = base * (1.0 + 0.1 * np.sin(i + phase))
         tr = rates * (1.0 + 0.2 * np.sin(i / 3.0))
         sf = fast.run_interval(allocs, tr)
-        sr = (
-            ref.run_interval_reference(allocs, tr)
-            if use_reference_api
-            else ref.run_interval(allocs, tr)
-        )
+        sr = ref.run_interval(allocs, tr)
         assert_stats_equal(sf, sr, f"interval {i}")
         total_drops += sr.drops
     assert_engines_equal(fast, ref)
@@ -104,14 +97,24 @@ class TestEngineEquivalence:
         assert drops > 0
 
     def test_reference_api_is_the_oracle(self):
-        # run_interval_reference forces the per-tick loop even on a
-        # fast_sim engine; a fast engine against it must still agree.
+        # The oracle's explicit entry point runs the per-tick loop and
+        # never builds the batched plan, so the comparison above is not
+        # production code checked against itself.
         graph, fast, ref = _engine_pair({})
-        ref.config = dataclasses.replace(ref.config, fast_sim=True)
-        _drive(graph, fast, ref, intervals=10, use_reference_api=True)
+        for i in range(10):
+            allocs = np.full(graph.n_tiers, 2.0 + 0.1 * i)
+            rates = np.full(graph.n_types, 70.0)
+            assert_stats_equal(
+                fast.run_interval(allocs, rates),
+                ref.run_interval_reference(allocs, rates),
+                f"interval {i}",
+            )
+        assert_engines_equal(fast, ref)
+        assert fast._fast_plan is not None
+        assert ref._fast_plan is None
 
     def test_pure_numpy_fallback(self, monkeypatch):
-        monkeypatch.setenv("REPRO_SIM_PURE_NUMPY", "1")
+        monkeypatch.setattr(_ckernel, "load_kernel", lambda: None)
         graph, fast, ref = _engine_pair({"max_queue": 60.0})
         _drive(graph, fast, ref, rps=500.0)
         assert fast._fast_plan is not None
@@ -126,6 +129,24 @@ class TestEngineEquivalence:
         graph, fast, ref = _engine_pair({})
         _drive(graph, fast, ref, intervals=5)
         assert fast._fast_plan.clib is not None
+
+    @pytest.mark.parametrize(
+        "scenario",
+        {
+            "normal": {},
+            "overload": {"max_queue": 30.0},
+            "bursty": {"spike_prob": 0.5, "spike_mult_range": (2.0, 3.0)},
+        }.items(),
+        ids=lambda item: item[0],
+    )
+    def test_production_graph(self, scenario):
+        """The 28-tier social network at a 50 ms tick: deep multi-member
+        dependency levels and multi-tier stages the tiny app lacks."""
+        graph = app_spec("social_network").graph_factory()
+        graph, fast, ref = _engine_pair(
+            {"tick": 0.05, **scenario[1]}, seed=13, graph=graph
+        )
+        _drive(graph, fast, ref, intervals=30, rps=900.0, base_alloc=1.5)
 
 
 class TestReset:
@@ -171,23 +192,21 @@ class TestReset:
 
 
 class TestClusterEquivalence:
-    def _cluster(self, fast_sim, faults=False):
+    def _cluster(self, faults=False):
         graph = make_tiny_graph()
         mix = RequestMix.from_ratios({"Read": 9, "Write": 1})
         workload = Workload(graph, ConstantLoad(150), mix)
         injector = (
             FaultInjector("chaos", graph.n_tiers, seed=11) if faults else None
         )
-        return ClusterSimulator(
-            graph, workload, seed=4, faults=injector, fast_sim=fast_sim
-        )
+        return ClusterSimulator(graph, workload, seed=4, faults=injector)
 
     @pytest.mark.parametrize("faults", [False, True])
     def test_cluster_fast_vs_reference(self, faults):
-        fast = self._cluster(True, faults)
-        ref = self._cluster(False, faults)
-        assert fast.engine.config.fast_sim is True
-        assert ref.engine.config.fast_sim is False
+        fast = self._cluster(faults)
+        ref = self._cluster(faults)
+        use_reference_engine(ref.engine)
+        assert type(fast.engine) is QueueingEngine
         for i in range(20):
             assert_stats_equal(fast.step(), ref.step(), f"interval {i}")
         assert_engines_equal(fast.engine, ref.engine)
@@ -197,12 +216,11 @@ class TestClusterEquivalence:
             assert fast.engine.behaviors
 
 
-def _episode_digest(seed: int, fast_sim: bool) -> np.ndarray:
+def _episode_digest(seed: int, reference: bool) -> np.ndarray:
     """Picklable episode for the process-pool determinism check."""
     graph = make_tiny_graph()
-    engine = QueueingEngine(
-        graph, EngineConfig(fast_sim=fast_sim, max_queue=200.0), seed=seed
-    )
+    engine_cls = ReferenceQueueingEngine if reference else QueueingEngine
+    engine = engine_cls(graph, EngineConfig(max_queue=200.0), seed=seed)
     allocs = np.full(graph.n_tiers, 1.5)
     rates = np.full(graph.n_types, 120.0)
     samples = [
@@ -216,20 +234,20 @@ class TestParallelHarness:
     def test_serial_vs_jobs(self):
         from repro.harness.parallel import EpisodeTask, run_episodes
 
-        def tasks(fast_sim):
+        def tasks(reference):
             return [
                 EpisodeTask(
                     index=i,
                     label=f"ep{i}",
                     fn=_episode_digest,
-                    kwargs={"seed": 100 + i, "fast_sim": fast_sim},
+                    kwargs={"seed": 100 + i, "reference": reference},
                 )
                 for i in range(4)
             ]
 
-        serial = run_episodes(tasks(True), jobs=1)
-        pooled = run_episodes(tasks(True), jobs=2)
-        reference = run_episodes(tasks(False), jobs=1)
+        serial = run_episodes(tasks(False), jobs=1)
+        pooled = run_episodes(tasks(False), jobs=2)
+        reference = run_episodes(tasks(True), jobs=1)
         assert not serial.failures and not pooled.failures
         assert not reference.failures
         for a, b, c in zip(serial.results, pooled.results, reference.results):
@@ -241,13 +259,13 @@ class TestTelemetryWindow:
     def test_window_left_padding_under_fast_sim(self):
         """Early intervals (< window length) left-pad with the oldest
         stats; the encoder's incremental cache must agree bitwise with a
-        fresh encode at every step, fast sim on."""
+        fresh encode at every step."""
         from repro.core.features import WindowEncoder
 
         graph = make_tiny_graph()
         mix = RequestMix.from_ratios({"Read": 9, "Write": 1})
         workload = Workload(graph, ConstantLoad(120), mix)
-        cluster = ClusterSimulator(graph, workload, seed=2, fast_sim=True)
+        cluster = ClusterSimulator(graph, workload, seed=2)
         window = 5
         encoder = WindowEncoder(graph, window)
         rng = np.random.default_rng(0)

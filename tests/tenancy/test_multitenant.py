@@ -2,8 +2,8 @@
 and fault isolation across tenants.
 
 The determinism suite asserts the subsystem's contract: multi-tenant
-traces are bit-identical run-to-run, serial vs pooled (``jobs=2``, warm
-and cold), and a chaos profile injected into one tenant leaves every
+traces are bit-identical run-to-run, serial vs pooled (``jobs=2`` on
+the warm pool), and a chaos profile injected into one tenant leaves every
 other tenant's telemetry bitwise untouched when the cluster is
 uncontended.
 """
@@ -152,28 +152,23 @@ class TestDeterminism:
                 assert np.array_equal(x, y)
         assert a.mode_counts == b.mode_counts
 
-    def test_serial_vs_pooled_bitwise_identical(self, monkeypatch):
+    def test_serial_vs_pooled_bitwise_identical(self):
         serial = sweep_multitenant(
             SPECS, BUDGET, DURATION, seeds=[0, 9], jobs=1
         )
-        warm = sweep_multitenant(
+        pooled = sweep_multitenant(
             SPECS, BUDGET, DURATION, seeds=[0, 9], jobs=2
         )
-        monkeypatch.setenv("REPRO_WARM_POOL", "0")
-        cold = sweep_multitenant(
-            SPECS, BUDGET, DURATION, seeds=[0, 9], jobs=2
-        )
-        for other in (warm, cold):
-            assert len(other) == len(serial)
-            for r_serial, r_other in zip(serial, other):
-                assert r_serial.arbiter == r_other.arbiter
-                assert r_serial.mode_counts == r_other.mode_counts
-                for name in ("social", "hotel"):
-                    for x, y in zip(
-                        telemetry_fingerprint(r_serial, name),
-                        telemetry_fingerprint(r_other, name),
-                    ):
-                        assert np.array_equal(x, y)
+        assert len(pooled) == len(serial)
+        for r_serial, r_pooled in zip(serial, pooled):
+            assert r_serial.arbiter == r_pooled.arbiter
+            assert r_serial.mode_counts == r_pooled.mode_counts
+            for name in ("social", "hotel"):
+                for x, y in zip(
+                    telemetry_fingerprint(r_serial, name),
+                    telemetry_fingerprint(r_pooled, name),
+                ):
+                    assert np.array_equal(x, y)
 
     def test_chaos_on_one_tenant_does_not_perturb_the_other(self):
         # Ample budget: the arbiter always grants in full, so tenant
