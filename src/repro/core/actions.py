@@ -21,7 +21,6 @@ from __future__ import annotations
 
 import enum
 from dataclasses import dataclass
-from functools import cached_property
 
 import numpy as np
 
@@ -51,11 +50,8 @@ class Action:
     alloc: np.ndarray
     description: str
 
-    @cached_property
+    @property
     def total_cpu(self) -> float:
-        # Cached: the scheduler's selection loops compare total CPU many
-        # times per candidate set, and the sum never changes (frozen
-        # dataclass, allocations are never mutated after construction).
         return float(self.alloc.sum())
 
 

@@ -41,6 +41,7 @@ from repro.sim.telemetry import TelemetryLog
 #: Per-tier CPU deltas available to the bandit (paper Section 4.2).
 _ABS_DELTAS = (-1.0, -0.6, -0.2, 0.0, 0.2, 0.6, 1.0)
 _REL_DELTAS = (-0.3, -0.1, 0.1, 0.3)
+_N_OPS = len(_ABS_DELTAS) + len(_REL_DELTAS)
 
 
 @dataclass(frozen=True)
@@ -73,25 +74,47 @@ class CollectPolicy(Protocol):
         ...
 
 
-@dataclass
-class _ArmStats:
-    meets: int = 0
-    total: int = 0
+def _ci_shrink(meets: np.ndarray, total: np.ndarray) -> np.ndarray:
+    """Eq. 3, elementwise: how much one more sample is expected to
+    shrink the confidence interval of each arm's Bernoulli
+    probability-of-meeting-QoS, given its (meets, total) counts."""
+    p = (meets + 1.0) / (total + 2.0)
+    p_plus = (meets + 2.0) / (total + 3.0)
+    p_minus = (meets + 1.0) / (total + 3.0)
+    width = np.sqrt(p * (1.0 - p) / (total + 2.0))
+    width_plus = np.sqrt(p_plus * (1.0 - p_plus) / (total + 3.0))
+    width_minus = np.sqrt(p_minus * (1.0 - p_minus) / (total + 3.0))
+    return width - (p * width_plus + (1.0 - p) * width_minus)
 
-    def p(self) -> float:
-        return (self.meets + 1.0) / (self.total + 2.0)
+
+def _c_op(delta: np.ndarray, lat_ratio: float) -> np.ndarray:
+    """The paper's C_op: rewards meeting QoS and cutting slack."""
+    if lat_ratio > 1.0:  # violating: favor upscaling strongly
+        return np.where(delta > 0, 2.0, np.where(delta == 0, 0.5, 0.0))
+    if lat_ratio > 0.8:  # near the boundary: prefer to hold/raise
+        return np.where(delta >= 0, 1.2, 0.8)
+    # comfortably meeting QoS: reward reclaiming overprovisioning
+    return np.where(delta < 0, 1.4, np.where(delta == 0, 1.0, 0.6))
 
 
 class BanditExplorer:
-    """The paper's multi-armed-bandit boundary explorer (Eq. 3)."""
+    """The paper's multi-armed-bandit boundary explorer (Eq. 3).
+
+    An arm is ``(running state, tier, allocation bucket)``.  Its
+    ``(meets, total)`` QoS counts live in one ``(n_tiers, n_buckets, 2)``
+    table per running state seen, so each decision scores every tier's
+    operations in one array pass.
+    """
 
     name = "bandit"
 
     def __init__(self, config: CollectionConfig, seed: int = 0) -> None:
         self.config = config
         self._rng = np.random.default_rng(seed)
-        self._stats: dict[tuple, _ArmStats] = {}
-        self._pending: list[tuple] = []
+        self._tables: dict[tuple[int, int, int], np.ndarray] = {}
+        # The last decision's arms, (state, per-tier bucket), awaiting
+        # their QoS outcome in :meth:`observe`.
+        self._pending: tuple[tuple[int, int, int], np.ndarray] | None = None
 
     # -- state discretization ------------------------------------------
 
@@ -112,34 +135,18 @@ class BanditExplorer:
             diff_bucket = 0
         return (rps_bucket, lat_bucket, diff_bucket)
 
-    def _bucket(self, cores: float) -> int:
-        return int(round(cores / self.config.alloc_bucket))
+    def _buckets(self, cores: np.ndarray) -> np.ndarray:
+        # np.rint rounds half to even, as round() does.
+        return np.rint(cores / self.config.alloc_bucket).astype(np.intp)
 
-    # -- Eq. 3 information gain ----------------------------------------
-
-    def _info_gain(self, key: tuple) -> float:
-        arm = self._stats.get(key, _ArmStats())
-        n = arm.total
-        p = arm.p()
-        p_plus = (arm.meets + 2.0) / (n + 3.0)
-        p_minus = (arm.meets + 1.0) / (n + 3.0)
-        width = math.sqrt(p * (1.0 - p) / (n + 2.0))
-        width_plus = math.sqrt(p_plus * (1.0 - p_plus) / (n + 3.0))
-        width_minus = math.sqrt(p_minus * (1.0 - p_minus) / (n + 3.0))
-        return width - (p * width_plus + (1.0 - p) * width_minus)
-
-    def _op_coefficient(self, delta: float, lat_ratio: float) -> float:
-        """The paper's C_op: rewards meeting QoS and cutting slack."""
-        if lat_ratio > 1.0:  # violating: favor upscaling strongly
-            if delta > 0:
-                return 2.0
-            return 0.5 if delta == 0 else 0.0
-        if lat_ratio > 0.8:  # near the boundary: prefer to hold/raise
-            return 1.2 if delta >= 0 else 0.8
-        # comfortably meeting QoS: reward reclaiming overprovisioning
-        if delta < 0:
-            return 1.4
-        return 1.0 if delta == 0 else 0.6
+    def _table(self, state: tuple[int, int, int], n_tiers: int, n_buckets: int) -> np.ndarray:
+        """The state's ``(tier, bucket) -> (meets, total)`` counts,
+        covering at least ``n_tiers`` x ``n_buckets`` arms."""
+        table = self._tables.get(state, np.zeros((0, 0, 2), np.int64))
+        grow = (max(n_tiers - table.shape[0], 0), max(n_buckets - table.shape[1], 0))
+        if any(grow):  # first visit, or a larger cluster than before
+            table = self._tables[state] = np.pad(table, ((0, grow[0]), (0, grow[1]), (0, 0)))
+        return table
 
     # -- policy interface ----------------------------------------------
 
@@ -174,43 +181,53 @@ class BanditExplorer:
         if lat_ratio > 1.0 + cfg.alpha_frac:
             return np.minimum(current * 1.5 + 0.5, max_alloc)
 
-        new_alloc = current.copy()
-        self._pending = []
-        for tier in range(len(current)):
-            deltas = set(_ABS_DELTAS) | {current[tier] * r for r in _REL_DELTAS}
-            best_delta, best_score = 0.0, -np.inf
-            for delta in deltas:
-                target = float(np.clip(current[tier] + delta, min_alloc[tier], max_alloc[tier]))
-                real_delta = target - current[tier]
-                if real_delta < 0:
-                    if not lat_known or lat_ratio > 1.0:
-                        continue  # no reclamation while violating/blind
-                    if busy[tier] / max(target, 1e-9) > cfg.util_cap:
-                        continue  # utilization cap
-                key = (state, tier, self._bucket(target))
-                gain = self._info_gain(key)
-                score = self._op_coefficient(real_delta, lat_ratio) * gain
-                # Small jitter breaks ties between equally unexplored arms.
-                score += self._rng.uniform(0, 1e-6)
-                if score > best_score:
-                    best_score, best_delta = score, real_delta
-            new_alloc[tier] = current[tier] + best_delta
-            if lat_known:
-                self._pending.append((state, tier, self._bucket(new_alloc[tier])))
+        # Candidate ops per tier, NaN-padded.  Each row keeps the
+        # iteration order of the set the ops come from: that order fixes
+        # which candidate draws which tie-breaking jitter and which one
+        # wins a tie (unexplored arms tie on gain), and the set collapses
+        # relative steps that coincide with absolute ones.
+        n = len(current)
+        rows = [list(set(_ABS_DELTAS) | {c * r for r in _REL_DELTAS}) for c in current.tolist()]
+        ops = np.array([row + [np.nan] * (_N_OPS - len(row)) for row in rows])
+        pad = np.isnan(ops)
+        target = np.clip(current[:, None] + ops, min_alloc[:, None], max_alloc[:, None])
+        real_delta = target - current[:, None]
+        shrink = real_delta < 0
+        if lat_known and lat_ratio <= 1.0:
+            # reclaim only within the utilization cap
+            skip = shrink & (busy[:, None] / np.maximum(target, 1e-9) > cfg.util_cap)
+        else:
+            skip = shrink  # no reclamation while violating/blind
+        valid = ~(pad | skip)
+
+        # Buckets 0..rint(max / width), plus one for a new allocation
+        # (``current + real_delta``) that rounds an ulp above its ceiling.
+        n_buckets = int(np.rint(max_alloc.max() / cfg.alloc_bucket)) + 2
+        counts = self._table(state, n, n_buckets)[
+            np.arange(n)[:, None], self._buckets(np.where(pad, 0.0, target))  # pads: any bucket
+        ]
+        score = _c_op(real_delta, lat_ratio) * _ci_shrink(counts[..., 0], counts[..., 1])
+        # Small jitter breaks ties between equally unexplored arms; one
+        # draw per valid candidate, in row-major (tier, op) order.
+        score[valid] += self._rng.uniform(0, 1e-6, size=int(np.count_nonzero(valid)))
+        score[~valid] = -np.inf
+        # First maximum per tier.  Op 0.0 is never skipped (the cluster
+        # keeps ``current`` inside its bounds), so every row has one.
+        best = real_delta[np.arange(n), np.argmax(score, axis=1)]
+        new_alloc = current + best
+        self._pending = (state, self._buckets(new_alloc)) if lat_known else None
         return new_alloc
 
     def observe(self, met_qos: bool) -> None:
         """Update the Bernoulli estimates with the step's QoS outcome."""
-        for key in self._pending:
-            arm = self._stats.setdefault(key, _ArmStats())
-            arm.total += 1
-            if met_qos:
-                arm.meets += 1
-        self._pending = []
+        if self._pending is not None:
+            state, buckets = self._pending
+            self._tables[state][np.arange(len(buckets)), buckets] += (int(met_qos), 1)
+        self._pending = None
 
     @property
     def n_arms_visited(self) -> int:
-        return len(self._stats)
+        return sum(int(np.count_nonzero(t[..., 1])) for t in self._tables.values())
 
 
 class RandomCollectPolicy:
@@ -363,14 +380,14 @@ class DataCollector:
           through all load levels in order (the legacy serial protocol;
           bandit statistics carry across loads).  Incompatible with
           ``jobs > 1``, since fanned-out episodes cannot share state.
+          The first episode that fails raises.
         * ``policy_factory`` — ``seed -> policy``; episode *i* gets an
           independent policy seeded ``seed + i``.  Episodes are then
           fully independent and can run on ``jobs`` worker processes,
           producing a dataset bit-identical to the serial run.
-
-        Episodes that fail are retried once with a bumped seed; episodes
-        that fail twice are dropped from the dataset with a warning (the
-        run only raises if *every* episode failed).
+          Episodes that fail are retried once with a bumped seed;
+          episodes that fail twice are dropped from the dataset with a
+          warning (the run only raises if *every* episode failed).
         """
         from repro.harness.parallel import (  # runtime import: avoids core->harness cycle
             EpisodeTask,

@@ -5,15 +5,30 @@ import pytest
 
 from repro.baselines.autoscale import AutoScale
 from repro.core.data_collection import (
+    _ABS_DELTAS,
+    _REL_DELTAS,
     AutoscaleCollectPolicy,
     BanditExplorer,
     BanditPolicyFactory,
     CollectionConfig,
     DataCollector,
     RandomCollectPolicy,
+    _ci_shrink,
 )
 from repro.core.qos import QoSTarget
+from repro.harness import pipeline
+from repro.harness.pipeline import (
+    BUDGETS,
+    app_spec,
+    collect_training_data,
+    collection_loads,
+    make_cluster,
+)
 from tests.conftest import make_tiny_cluster, make_tiny_graph
+from tests.oracles.collection import (
+    ReferenceBanditExplorer,
+    ReferenceBanditPolicyFactory,
+)
 
 
 @pytest.fixture
@@ -43,12 +58,11 @@ class TestBanditExplorer:
 
     def test_info_gain_decreases_with_samples(self, config):
         explorer = BanditExplorer(config, seed=0)
-        key = ((0, 0, 0), 0, 5)
-        fresh_gain = explorer._info_gain(key)
-        from repro.core.data_collection import _ArmStats
-
-        explorer._stats[key] = _ArmStats(meets=10, total=20)
-        seen_gain = explorer._info_gain(key)
+        state, tier, bucket = (0, 0, 0), 0, 5
+        table = explorer._table(state, 1, 8)
+        fresh_gain = _ci_shrink(*table[tier, bucket])
+        table[tier, bucket] = (10, 20)  # (meets, total)
+        seen_gain = _ci_shrink(*explorer._table(state, 1, 8)[tier, bucket])
         assert fresh_gain > seen_gain > 0
 
     def test_deep_overload_jumps_to_max(self, config):
@@ -101,7 +115,7 @@ class TestBanditNaNLatency:
         cluster.telemetry.latest.latency_ms[:] = np.nan
         explorer = BanditExplorer(config, seed=0)
         explorer.decide(cluster)
-        assert explorer._pending == []
+        assert explorer._pending is None
         explorer.observe(False)  # the inconsistent "not met" outcome
         assert explorer.n_arms_visited == 0
 
@@ -111,7 +125,8 @@ class TestBanditNaNLatency:
             cluster.step()
         explorer = BanditExplorer(config, seed=0)
         explorer.decide(cluster)
-        assert len(explorer._pending) == cluster.n_tiers
+        _, buckets = explorer._pending
+        assert len(buckets) == cluster.n_tiers
         explorer.observe(True)
         assert explorer.n_arms_visited > 0
 
@@ -191,6 +206,24 @@ class TestDataCollector:
                 jobs=2,
             )
 
+    def test_shared_policy_raises_on_first_failing_episode(self, config):
+        """Only policy_factory= runs retry or drop a failed episode; a
+        shared policy's failure ends the run at once."""
+        built = []
+
+        def cluster_factory(users, seed):
+            built.append(users)
+            return make_tiny_cluster(users, seed)
+
+        class FailingPolicy(RandomCollectPolicy):
+            def decide(self, cluster):
+                raise RuntimeError("policy failed")
+
+        collector = DataCollector(cluster_factory, config)
+        with pytest.raises(RuntimeError, match="policy failed"):
+            collector.collect(FailingPolicy(), loads=[30, 60], seconds_per_load=5)
+        assert built == [30]
+
 
 class TestParallelCollect:
     """Per-episode policy factories: serial and fanned-out runs agree."""
@@ -219,3 +252,173 @@ class TestParallelCollect:
         # Higher offered load -> higher steady-state RPS, so load order
         # is observable in the returned logs.
         assert rps == sorted(rps)
+
+
+def _assert_same_arms(prod, ref):
+    """Every oracle arm's (meets, total) is its production table entry,
+    and production counts no other arm."""
+    arms = {}
+    for (state, tier, bucket), arm in ref._stats.items():
+        arms.setdefault(state, []).append((tier, bucket, arm.meets, arm.total))
+    for state, rows in arms.items():
+        rows = np.array(rows)
+        assert np.array_equal(prod._tables[state][rows[:, 0], rows[:, 1]], rows[:, 2:])
+    nonzero = sum(np.count_nonzero(t[..., 1]) for t in prod._tables.values())
+    assert nonzero == len(ref._stats) == prod.n_arms_visited
+
+
+def _explorers(config, seed):
+    """A production explorer and its oracle, seeded alike."""
+    return BanditExplorer(config, seed), ReferenceBanditExplorer(config, seed)
+
+
+def _lockstep(cluster, explorers, intervals, perturb=None):
+    """Step the production explorer and the oracle on one cluster,
+    comparing them at every interval.  ``perturb(cluster, qos)`` runs
+    before every third decision and edits what both are about to read."""
+    prod, ref = explorers
+    config = prod.config
+    for i in range(intervals):
+        if perturb is not None and i % 3 == 2:
+            perturb(cluster, config.qos)
+        alloc = prod.decide(cluster)
+        assert alloc.tobytes() == ref.decide(cluster).tobytes(), i
+        assert prod._rng.bit_generator.state == ref._rng.bit_generator.state, i
+        stats = cluster.step(alloc)
+        met = config.qos.latency_of(stats) <= config.qos.latency_ms
+        prod.observe(met)
+        ref.observe(met)
+        _assert_same_arms(prod, ref)
+    return prod, ref
+
+
+def _lockstep_app(app):
+    """``(cluster factory, QoS, collection load range)`` of an app."""
+    if app == "tiny":
+        return make_tiny_cluster, QoSTarget(200.0), (40.0, 400.0)
+    spec = app_spec(app)
+    graph = spec.graph_factory()
+    return (
+        lambda users, seed: make_cluster(graph, users, seed),
+        spec.qos,
+        spec.collection_load_range,
+    )
+
+
+def _set_latency(ratio):
+    def perturb(cluster, qos):
+        cluster.telemetry.latest.latency_ms[:] = ratio * qos.latency_ms
+    return perturb
+
+
+def _set_drops(cluster, qos):
+    cluster.telemetry.latest.drops = 3.0
+
+
+def _two_cores(cluster, qos):
+    """Put every tier that allows it at 2.0 cores, where each relative
+    step lands on an absolute one (2.0 * 0.1 == 0.2) and the set keeps
+    only the absolute steps."""
+    alloc = cluster.current_alloc.copy()
+    fits = (cluster.min_alloc <= 2.0) & (2.0 <= cluster.max_alloc)
+    alloc[fits] = 2.0
+    cluster.current_alloc = alloc
+
+
+_FORCED_BRANCHES = {
+    "nan_latency": _set_latency(np.nan),
+    "drops": _set_drops,
+    "violating_band": _set_latency(1.1),  # 1 < ratio <= 1 + alpha
+    "boundary_band": _set_latency(0.9),  # 0.8 < ratio <= 1
+    "two_cores": _two_cores,
+}
+
+
+class TestBanditOracleLockstep:
+    """The array-pass explorer against the per-arm loop it replaced
+    (``tests/oracles/collection.py``): same allocations, RNG state and
+    arm counts at every interval, hence the same datasets."""
+
+    @pytest.mark.parametrize("position", [0, 1, 2], ids=["low", "mid", "high"])
+    @pytest.mark.parametrize(
+        "app", ["social_network", "hotel_reservation", "media_service", "tiny"]
+    )
+    def test_lockstep_across_load_range(self, app, position):
+        factory, qos, (low, high) = _lockstep_app(app)
+        users = float(np.linspace(low, high, 3)[position])
+        cluster = factory(users, 11 + position)
+        prod, _ = _lockstep(cluster, _explorers(CollectionConfig(qos=qos), 5 + position), 120)
+        assert prod.n_arms_visited > 0
+
+    @pytest.mark.parametrize("branch", sorted(_FORCED_BRANCHES))
+    @pytest.mark.parametrize("app", ["social_network", "tiny"])
+    def test_lockstep_forced_branch(self, app, branch):
+        factory, qos, (low, high) = _lockstep_app(app)
+        cluster = factory((low + high) / 2, 3)
+        explorers = _explorers(CollectionConfig(qos=qos), 3)
+        _lockstep(cluster, explorers, 45, _FORCED_BRANCHES[branch])
+
+    def test_lockstep_across_applications(self):
+        """One explorer stepped through the tiny graph, then through the
+        larger social_network, widens its tables and still matches."""
+        spec = app_spec("social_network")
+        explorers = _explorers(CollectionConfig(qos=spec.qos), 9)
+        _lockstep(make_tiny_cluster(100, 9), explorers, 30)
+        _lockstep(make_cluster(spec.graph_factory(), 200, 9), explorers, 30)
+
+    def test_relative_steps_collapse_at_two_cores(self):
+        assert set(_ABS_DELTAS) | {2.0 * r for r in _REL_DELTAS} == set(_ABS_DELTAS)
+
+    def test_early_return_keeps_pending_credit(self, config):
+        """A recovery decision between a scored decision and its outcome
+        leaves the scored arms awaiting that outcome."""
+        cluster = make_tiny_cluster(users=100, seed=4)
+        for _ in range(3):
+            cluster.step()
+        prod, ref = _explorers(config, 0)
+        for explorer in (prod, ref):
+            explorer.decide(cluster)
+        cluster.telemetry.latest.drops = 3.0
+        for explorer in (prod, ref):
+            np.testing.assert_array_equal(explorer.decide(cluster), cluster.max_alloc)
+            explorer.observe(True)
+        assert prod.n_arms_visited == cluster.n_tiers
+        _assert_same_arms(prod, ref)
+
+    def test_collect_training_data_matches_oracle(self, monkeypatch):
+        seeds = []
+
+        class RecordingFactory(ReferenceBanditPolicyFactory):
+            def __call__(self, seed):
+                seeds.append(seed)
+                return super().__call__(seed)
+
+        graph = app_spec("social_network").graph_factory()
+        prod = collect_training_data(graph, "small", seed=5, jobs=1)
+        monkeypatch.setattr(pipeline, "BanditPolicyFactory", RecordingFactory)
+        ref = collect_training_data(graph, "small", seed=5, jobs=1)
+        assert seeds == [5, 6]  # one oracle explorer per load level
+        _assert_datasets_identical(prod, ref)
+
+    def test_shared_policy_collect_matches_oracle(self):
+        """The Figure 10 protocol: one explorer stepped through every load."""
+        spec = app_spec("hotel_reservation")
+        graph = spec.graph_factory()
+        config = CollectionConfig(qos=spec.qos)
+        collector = DataCollector(
+            lambda users, seed: make_cluster(graph, users, seed), config
+        )
+        loads = collection_loads(spec, BUDGETS["small"])
+        prod = collector.collect(BanditExplorer(config, seed=3), loads, 60, seed=31)
+        ref = collector.collect(
+            ReferenceBanditExplorer(config, seed=3), loads, 60, seed=31
+        )
+        _assert_datasets_identical(prod.dataset, ref.dataset)
+
+
+def _assert_datasets_identical(a, b):
+    for name in ("X_RH", "X_LH", "X_RC", "y_lat", "y_viol"):
+        x, y = getattr(a, name), getattr(b, name)
+        assert x.dtype == y.dtype and x.shape == y.shape, name
+        assert x.tobytes() == y.tobytes(), name
+    assert a.meta == b.meta

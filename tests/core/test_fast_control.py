@@ -171,36 +171,3 @@ class TestSelectEquivalence:
         assert fast._select(cset, pred_lat, prob) == select_reference(
             ref, actions, pred_lat, prob
         )
-
-
-class TestActionTotalCpuCache:
-    """Satellite: ``Action.total_cpu`` is precomputed once per action;
-    the cache must be transparent to the reference selection path."""
-
-    def test_cached_value_matches_recompute(self):
-        space = tiny_space()
-        current = np.array([1.0, 2.0, 3.0, 4.0])
-        for action in candidates_reference(space, current, np.full(4, 0.5)):
-            first = action.total_cpu
-            assert first == float(np.sum(action.alloc))
-            assert "total_cpu" in action.__dict__  # cached after access
-            assert action.total_cpu is action.__dict__["total_cpu"]
-
-    def test_reference_choice_unchanged_by_cache(self, trained, rng):  # noqa: F811
-        """Pre-warming every cache cannot change what ``_select`` picks."""
-        space = tiny_space()
-        ref_a = OnlineScheduler(trained, space, QOS)
-        ref_b = OnlineScheduler(trained, space, QOS)
-        n = space.n_tiers
-        for _ in range(10):
-            current = np.round(rng.uniform(0.3, 6.0, n), 2)
-            cold = candidates_reference(space, current, np.full(n, 0.3))
-            warm = candidates_reference(space, current, np.full(n, 0.3))
-            for action in warm:
-                action.total_cpu  # populate the cache up front
-            b = len(cold)
-            pred_lat = rng.uniform(20.0, 400.0, b)
-            prob = rng.uniform(0.0, 0.4, b)
-            assert select_reference(
-                ref_a, cold, pred_lat, prob
-            ) == select_reference(ref_b, warm, pred_lat, prob)

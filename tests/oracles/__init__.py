@@ -16,6 +16,8 @@ Nothing under ``src/`` imports this package.
   einsum / per-step Conv2D and LSTMCell training paths.
 * :mod:`tests.oracles.control` — the ``Action``-list candidate
   generator and the list-based selection.
+* :mod:`tests.oracles.collection` — the bandit explorer that scores
+  its arms one at a time.
 
 The ``use_*`` helpers switch a live production object to its oracle in
 place (those oracle classes are subclasses that add no state), so whole
