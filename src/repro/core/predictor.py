@@ -341,15 +341,19 @@ class HybridPredictor:
             raise RuntimeError("predictor is not trained")
         return self.report.p_down, self.report.p_up
 
-    #: On-disk serialization format.  Version 2 wraps the pickle in a
-    #: tagged envelope and carries predictors whose boosted trees are
-    #: compiled to arrays; bump when the stored state changes shape.
-    SAVE_FORMAT = 2
+    #: On-disk serialization format.  Version 2 wrapped the pickle in a
+    #: tagged envelope; version 3 stores an inference-only model: layer
+    #: parameters without backward caches or gradient buffers, and the
+    #: boosted trees as compiled arrays only (with a ``children`` table,
+    #: no ``_Node`` trees).  Bump when the stored state changes shape.
+    SAVE_FORMAT = 3
 
     def __getstate__(self) -> dict:
         # Observability state is per-episode, not part of the model:
-        # serialized predictors start detached (same shape as format-2
-        # checkpoints written before instrumentation existed).
+        # serialized predictors start detached.  With the layers' and
+        # the encoder's own state rules, a format-3 checkpoint carries
+        # parameters, normalizer and encoder state, and the compiled
+        # trees.
         state = dict(self.__dict__)
         state.pop("recorder", None)
         state.pop("_lat_buckets", None)

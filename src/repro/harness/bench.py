@@ -100,12 +100,13 @@ def make_synthetic_predictor(config: BenchConfig) -> HybridPredictor:
     predictor.normalizer.fit(calib)
 
     n_bt_features = predictor.cnn.config.latent_dim + 3 * n + m
-    predictor.trees.trees = [
-        _grow_tree(rng, n_bt_features, config.tree_depth)
-        for _ in range(config.n_trees)
-    ]
+    predictor.trees._compiled = _compile_trees(
+        [
+            _grow_tree(rng, n_bt_features, config.tree_depth)
+            for _ in range(config.n_trees)
+        ]
+    )
     predictor.trees.base_margin = -1.0
-    predictor.trees._compiled = _compile_trees(predictor.trees.trees)
 
     predictor.report = TrainingReport(
         cnn_fit=FitResult(),

@@ -90,7 +90,10 @@ logger = logging.getLogger(__name__)
 # grower, im2col/fused-GEMM backprop); trained weights match the old
 # path only to float tolerance, not bit for bit, so cached predictors
 # from v7 would silently differ from freshly trained ones.
-_CACHE_VERSION = 8
+# v9: predictors are inference-only (SAVE_FORMAT=3): no backward caches,
+# gradient buffers or _Node trees, and a children table in the compiled
+# trees; v8 files would fail HybridPredictor.load's format check.
+_CACHE_VERSION = 9
 
 
 @dataclass(frozen=True)

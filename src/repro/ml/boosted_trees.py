@@ -12,14 +12,18 @@ probability is the logistic of the accumulated margin
 (``p_V = e^{s_V} / (e^{s_V} + e^{s_{NV}})`` in the paper's two-score
 formulation, equivalent to a sigmoid over the margin difference).
 
-Inference is *compiled*: after ``fit`` the recursive node objects are
-flattened into feature / threshold / child-index / leaf-value arrays and
-``predict_margin`` walks all rows through all trees with vectorized
-numpy gathers — no Python recursion on the predict path, which sits
-inside every scheduler decision.  The flattened traversal performs the
-same comparisons and accumulates leaf values tree-by-tree in the same
-order, so its output is bit-identical to a recursive walk of the trees
-(the oracle in ``tests/oracles/decision.py``).
+Inference is *compiled*: ``fit`` grows recursive ``_Node`` trees, then
+flattens them into feature / threshold / children / leaf-value arrays
+(:class:`_CompiledEnsemble`) and drops the nodes, so the arrays are the
+only form a fitted ensemble keeps.  ``predict_margin`` moves every
+(tree, row) lane one level down per step with flat ``np.take`` gathers
+— no Python recursion and no per-level masking on the predict path,
+which sits inside every scheduler decision: leaves point at themselves,
+so a lane that reaches one early stays put.  The descent performs the
+same comparisons as a recursive walk and accumulates leaf values
+tree-by-tree in the same order, so its output is bit-identical to
+walking the trees (the oracle in ``tests/oracles/decision.py`` rebuilds
+them from the arrays).
 
 Training is *level-wise over histograms*: :meth:`BoostedTrees._build_tree`
 replaces a per-(node, feature) Python re-scan with one fused
@@ -86,18 +90,18 @@ class _Node:
 class _CompiledEnsemble:
     """Fitted trees flattened into arrays for vectorized traversal.
 
-    Node ``i`` is internal iff ``feature[i] >= 0``; its children are
-    ``left[i]`` / ``right[i]`` (indices into the same arrays).  Leaves
-    carry their weight in ``value[i]``.  ``roots[t]`` is tree *t*'s root
-    node and ``max_depth`` bounds the traversal loop.
+    Node ``i`` sends a row to ``children[i, 0]`` when ``x[feature[i]] <=
+    threshold[i]`` and to ``children[i, 1]`` otherwise, NaN included.  A
+    leaf has ``feature`` 0, both children pointing at itself and its
+    weight in ``value[i]``.  ``roots[t]`` is tree *t*'s root node; every
+    row is at a leaf of every tree after ``max_depth`` steps.
     """
 
-    feature: np.ndarray  # (n_nodes,) int32, -1 for leaves
+    feature: np.ndarray  # (n_nodes,) intp, 0 on leaves
     threshold: np.ndarray  # (n_nodes,) float64
-    left: np.ndarray  # (n_nodes,) int32
-    right: np.ndarray  # (n_nodes,) int32
+    children: np.ndarray  # (n_nodes, 2) intp, leaves point at themselves
     value: np.ndarray  # (n_nodes,) float64
-    roots: np.ndarray  # (n_trees,) int32
+    roots: np.ndarray  # (n_trees,) intp
     max_depth: int
 
 
@@ -107,8 +111,7 @@ def _compile_trees(trees: list[_Node]) -> _CompiledEnsemble | None:
         return None
     feature: list[int] = []
     threshold: list[float] = []
-    left: list[int] = []
-    right: list[int] = []
+    children: list[list[int]] = []
     value: list[float] = []
     roots: list[int] = []
     max_depth = 0
@@ -117,25 +120,22 @@ def _compile_trees(trees: list[_Node]) -> _CompiledEnsemble | None:
         nonlocal max_depth
         max_depth = max(max_depth, depth)
         idx = len(feature)
-        feature.append(node.feature)
+        feature.append(0 if node.is_leaf else node.feature)
         threshold.append(node.threshold)
-        left.append(-1)
-        right.append(-1)
+        children.append([idx, idx])
         value.append(node.value)
         if not node.is_leaf:
-            left[idx] = emit(node.left, depth + 1)
-            right[idx] = emit(node.right, depth + 1)
+            children[idx] = [emit(node.left, depth + 1), emit(node.right, depth + 1)]
         return idx
 
     for tree in trees:
         roots.append(emit(tree, 0))
     return _CompiledEnsemble(
-        feature=np.asarray(feature, dtype=np.int32),
+        feature=np.asarray(feature, dtype=np.intp),
         threshold=np.asarray(threshold, dtype=np.float64),
-        left=np.asarray(left, dtype=np.int32),
-        right=np.asarray(right, dtype=np.int32),
+        children=np.asarray(children, dtype=np.intp).reshape(-1, 2),
         value=np.asarray(value, dtype=np.float64),
-        roots=np.asarray(roots, dtype=np.int32),
+        roots=np.asarray(roots, dtype=np.intp),
         max_depth=max_depth,
     )
 
@@ -146,10 +146,8 @@ class BoostedTrees:
     def __init__(self, config: BoostedTreesConfig | None = None, seed: int = 0) -> None:
         self.config = config or BoostedTreesConfig()
         self._rng = np.random.default_rng(seed)
-        self.trees: list[_Node] = []
         self.base_margin = 0.0
         self._compiled: _CompiledEnsemble | None = None
-        self._bin_edges: list[np.ndarray] | None = None
         self.train_accuracy = float("nan")
         self.val_accuracy = float("nan")
 
@@ -164,7 +162,11 @@ class BoostedTrees:
         X_val: np.ndarray | None = None,
         y_val: np.ndarray | None = None,
     ) -> "BoostedTrees":
-        """Fit with optional early stopping on validation error."""
+        """Fit with optional early stopping on validation error.
+
+        Trees grow as ``_Node`` objects local to this call; the fitted
+        ensemble keeps only their compiled arrays.
+        """
         X = np.asarray(X, dtype=float)
         y = np.asarray(y, dtype=float).ravel()
         if X.ndim != 2 or len(X) != len(y):
@@ -172,7 +174,6 @@ class BoostedTrees:
         if len(np.unique(y)) < 2:
             # Degenerate training set: constant prediction.
             self.base_margin = _logit(np.clip(y.mean(), 1e-6, 1 - 1e-6))
-            self.trees = []
             self._compiled = None
             self.train_accuracy = accuracy(self.predict(X), y)
             if X_val is not None and y_val is not None:
@@ -197,7 +198,7 @@ class BoostedTrees:
         pos = np.clip(y.mean(), 1e-6, 1 - 1e-6)
         self.base_margin = _logit(pos)
         margin = np.full(len(y), self.base_margin)
-        self.trees = []
+        trees: list[_Node] = []
 
         best_val = float("inf")
         best_n = 0
@@ -212,7 +213,7 @@ class BoostedTrees:
             grad = prob - y
             hess = np.maximum(prob * (1.0 - prob), 1e-12)
             tree = self._build_tree(bins, grad, hess)
-            self.trees.append(tree)
+            trees.append(tree)
             margin += self._predict_tree(tree, X)
 
             if val_margin is not None:
@@ -220,7 +221,7 @@ class BoostedTrees:
                 val_loss = _logloss(val_margin, y_val)
                 if val_loss < best_val - 1e-7:
                     best_val = val_loss
-                    best_n = len(self.trees)
+                    best_n = len(trees)
                     stale = 0
                 else:
                     stale += 1
@@ -228,10 +229,11 @@ class BoostedTrees:
                         break
 
         if val_margin is not None and best_n:
-            self.trees = self.trees[:best_n]
-        self._keybase = None
-        self._hist_scratch = None
-        self._compiled = _compile_trees(self.trees)
+            trees = trees[:best_n]
+        # Growth state is fit-time only: the model keeps the arrays.
+        for name in ("_bin_edges", "_keybase", "_hist_scratch"):
+            self.__dict__.pop(name, None)
+        self._compiled = _compile_trees(trees)
         self.train_accuracy = accuracy(self.predict(X), y)
         if X_val is not None and y_val is not None:
             self.val_accuracy = accuracy(self.predict(X_val), y_val)
@@ -561,43 +563,34 @@ class BoostedTrees:
         walk(tree, np.arange(len(X)))
         return out
 
-    def _ensure_compiled(self) -> _CompiledEnsemble | None:
-        """The flattened ensemble, built lazily for unpickled models."""
-        compiled = self.__dict__.get("_compiled")
-        if compiled is None and self.trees:
-            compiled = _compile_trees(self.trees)
-            self._compiled = compiled
-        return compiled
-
     def predict_margin(self, X: np.ndarray) -> np.ndarray:
         """Accumulated score (the paper's s_V - s_NV margin).
 
-        Runs on the compiled array representation: every row descends
-        all trees simultaneously via index gathers, one loop iteration
-        per tree level.  Bit-identical to summing recursive per-tree
-        walks (same comparisons; leaf values accumulated tree-by-tree in
-        the same order).
+        Runs on the compiled arrays: one lane per (tree, row) steps down
+        ``max_depth`` levels, each a handful of flat gathers — the
+        row's feature value out of ``X.ravel()``, the node's threshold,
+        then the child picked by ``~(x <= threshold)`` (so NaN goes
+        right, as in the recursive walk).  Lanes at a leaf loop on it.
+        Leaf values are then summed tree-by-tree in tree order, which
+        keeps the margin bit-identical to summing recursive walks.
         """
         X = np.atleast_2d(np.asarray(X, dtype=float))
-        compiled = self._ensure_compiled()
-        if compiled is None:
-            return np.full(len(X), self.base_margin)
-        n = len(X)
-        idx = np.broadcast_to(compiled.roots, (n, len(compiled.roots))).copy()
-        rows = np.arange(n)[:, None]
-        for _ in range(compiled.max_depth):
-            feat = compiled.feature[idx]
-            internal = feat >= 0
-            if not internal.any():
-                break
-            xv = X[rows, np.where(internal, feat, 0)]
-            go_left = xv <= compiled.threshold[idx]
-            step = np.where(go_left, compiled.left[idx], compiled.right[idx])
-            idx = np.where(internal, step, idx)
-        leaf_values = compiled.value[idx]  # (n, n_trees)
+        n, d = X.shape
         margin = np.full(n, self.base_margin)
-        for t in range(leaf_values.shape[1]):  # per-tree order, see docstring
-            margin += leaf_values[:, t]
+        compiled = self._compiled
+        if compiled is None:
+            return margin
+        flat_x = X.ravel()
+        row_base = np.arange(n) * d  # flat offset of each row
+        children = compiled.children.ravel()
+        node = np.repeat(compiled.roots[:, None], n, axis=1)  # (trees, rows)
+        for _ in range(compiled.max_depth):
+            x = flat_x.take(compiled.feature.take(node) + row_base)
+            right = ~(x <= compiled.threshold.take(node))
+            node = children.take(2 * node + right)
+        leaf_values = compiled.value.take(node)
+        for leaf in leaf_values:  # per-tree order, see docstring
+            margin += leaf
         return margin
 
     def predict_proba(self, X: np.ndarray) -> np.ndarray:
@@ -610,7 +603,7 @@ class BoostedTrees:
     @property
     def n_trees_used(self) -> int:
         """Number of trees kept after early stopping (Table 3 column)."""
-        return len(self.trees)
+        return 0 if self._compiled is None else len(self._compiled.roots)
 
 
 def _sigmoid(x: np.ndarray) -> np.ndarray:

@@ -19,12 +19,12 @@ Online, the scheduler scores B candidate allocations that all share one
 telemetry history, so the RH/LH inputs of the batch are B identical
 copies.  :meth:`LatencyCNN.predict_candidates` exploits this: the conv
 trunk runs once on the single shared history and its activations are
-broadcast (zero-copy) across the candidate batch before the dense
-stack.  The split point is deliberate — convolution via ``einsum`` is
-batch-invariant down to the bit, while BLAS GEMM results depend on the
-batch dimension, so the dense layers run at the full batch size in both
-paths and the fast path reproduces :meth:`predict_with_latent` on the
-equivalent broadcast batch *exactly*.
+repeated across the candidate batch before the dense stack.  The split
+point is deliberate — convolution via ``einsum`` is batch-invariant
+down to the bit, while BLAS GEMM results depend on the batch dimension,
+so the dense layers run at the full batch size in both paths and the
+fast path reproduces :meth:`predict_with_latent` on the equivalent
+broadcast batch *exactly*.
 """
 
 from __future__ import annotations
@@ -105,7 +105,6 @@ class LatencyCNN(NeuralRegressor):
         concat_dim = cfg.rh_embed + cfg.lh_embed + cfg.rc_embed
         self.latent_head = Sequential(Dense(concat_dim, cfg.latent_dim, rng), ReLU())
         self.output_head = Dense(cfg.latent_dim, n_percentiles, rng)
-        self._latent: np.ndarray | None = None
 
     # ------------------------------------------------------------------
 
@@ -128,14 +127,26 @@ class LatencyCNN(NeuralRegressor):
         )
 
     def forward_batch(self, inputs: tuple[np.ndarray, ...], training: bool = False) -> np.ndarray:
+        return self._forward(inputs, training)[0]
+
+    def _forward(
+        self, inputs: tuple[np.ndarray, ...], training: bool
+    ) -> tuple[np.ndarray, np.ndarray]:
+        """One batch through every branch: (latency, latent ``L_f``)."""
         x_rh, x_lh, x_rc = inputs
         h_rh = self.rh_branch.forward(x_rh, training)
         h_lh = self.lh_branch.forward(x_lh, training)
         h_rc = self.rc_branch.forward(x_rc, training)
-        self._split = (h_rh.shape[1], h_lh.shape[1], h_rc.shape[1])
+        return self._heads(h_rh, h_lh, h_rc, training)
+
+    def _heads(
+        self, h_rh: np.ndarray, h_lh: np.ndarray, h_rc: np.ndarray, training: bool
+    ) -> tuple[np.ndarray, np.ndarray]:
+        if training:
+            self._split = (h_rh.shape[1], h_lh.shape[1], h_rc.shape[1])
         concat = np.concatenate([h_rh, h_lh, h_rc], axis=1)
-        self._latent = self.latent_head.forward(concat, training)
-        return self.output_head.forward(self._latent, training)
+        latent = self.latent_head.forward(concat, training)
+        return self.output_head.forward(latent, training), latent
 
     def backward_batch(self, dout: np.ndarray) -> None:
         dlatent = self.output_head.backward(dout)
@@ -157,16 +168,14 @@ class LatencyCNN(NeuralRegressor):
         chunks = []
         for start in range(0, n, batch_size):
             batch = tuple(x[start : start + batch_size] for x in inputs)
-            self.forward_batch(batch, training=False)
-            chunks.append(self._latent.copy())
+            chunks.append(self._forward(batch, training=False)[1])
         return np.concatenate(chunks)
 
     def predict_with_latent(
         self, inputs: tuple[np.ndarray, ...]
     ) -> tuple[np.ndarray, np.ndarray]:
         """One forward pass returning (latency prediction, latent L_f)."""
-        pred = self.forward_batch(inputs, training=False)
-        return pred, self._latent.copy()
+        return self._forward(inputs, training=False)
 
     def predict_candidates(
         self, inputs: tuple[np.ndarray, ...]
@@ -176,9 +185,9 @@ class LatencyCNN(NeuralRegressor):
         ``inputs`` is ``(x_rh, x_lh, x_rc)`` where the history tensors
         have a leading batch dimension of 1 (the shared telemetry
         window) and ``x_rc`` holds the B candidate-branch feature rows.
-        The conv trunk runs once; its activations are broadcast across
-        the batch as a zero-copy view before the dense layers, which run
-        at the full batch size so the result is bit-identical to
+        The conv trunk runs once; its activations are repeated across
+        the batch before the dense layers, which run at the full batch
+        size so the result is bit-identical to
         :meth:`predict_with_latent` on B broadcast copies of the
         history.  Returns ``(latency (B, M), latent L_f (B, latent))``.
         """
@@ -186,22 +195,22 @@ class LatencyCNN(NeuralRegressor):
         if len(x_rh) != 1 or len(x_lh) != 1:
             raise ValueError("shared history tensors must have batch size 1")
         b = len(x_rc)
-        trunk_len = self.__dict__.get("_rh_trunk_len", 0)
+        trunk_len = self._rh_trunk_len
         h_rh = x_rh
         for layer in self.rh_branch.layers[:trunk_len]:
             h_rh = layer.forward(h_rh, training=False)
-        h_rh = np.broadcast_to(h_rh, (b, *h_rh.shape[1:]))
+        # A contiguous copy, not a stride-0 view: numpy's matmul cannot
+        # hand a stride-0 operand to BLAS, and the copy plus the GEMM
+        # (the one the oracle's materialized batch runs) costs less than
+        # its fallback loop.
+        h_rh = np.repeat(h_rh, b, axis=0)
         for layer in self.rh_branch.layers[trunk_len:]:
             h_rh = layer.forward(h_rh, training=False)
         h_lh = self.lh_branch.forward(
             np.broadcast_to(x_lh, (b, *x_lh.shape[1:])), training=False
         )
         h_rc = self.rc_branch.forward(x_rc, training=False)
-        self._split = (h_rh.shape[1], h_lh.shape[1], h_rc.shape[1])
-        concat = np.concatenate([h_rh, h_lh, h_rc], axis=1)
-        self._latent = self.latent_head.forward(concat, training=False)
-        pred = self.output_head.forward(self._latent, training=False)
-        return pred, self._latent.copy()
+        return self._heads(h_rh, h_lh, h_rc, training=False)
 
 
 __all__ = ["LatencyCNN", "CNNConfig"]

@@ -4,6 +4,12 @@ Minimal but complete: every layer implements ``forward``/``backward``
 and exposes parameter/gradient pairs for the optimizers in
 :mod:`repro.ml.optim`.  Convolution uses im2col so the heavy lifting is
 a single matrix multiply.
+
+A layer is its parameters.  What ``backward`` needs is kept by a
+training forward only (``training=True``); pickling or deep-copying a
+layer drops that per-batch state and the gradient buffers, which come
+back as zeros the next time training asks for them.  A served model
+therefore carries its weights and nothing else.
 """
 
 from __future__ import annotations
@@ -13,6 +19,9 @@ import numpy as np
 
 class Layer:
     """Base class: stateless by default (no parameters)."""
+
+    #: Attributes holding per-batch state for ``backward``; never pickled.
+    _backward_state: tuple[str, ...] = ()
 
     def params(self) -> list[np.ndarray]:
         """Trainable parameter arrays (mutated in place by optimizers)."""
@@ -28,21 +37,29 @@ class Layer:
     def backward(self, dout: np.ndarray) -> np.ndarray:
         raise NotImplementedError
 
+    def __getstate__(self) -> dict:
+        state = dict(self.__dict__)
+        for name in self._backward_state + ("dW", "db"):
+            state.pop(name, None)
+        return state
+
+    def _needs_training_forward(self) -> RuntimeError:
+        return RuntimeError(
+            f"{type(self).__name__}.backward needs a training-mode forward first"
+        )
+
     @property
     def n_params(self) -> int:
         return int(sum(p.size for p in self.params()))
 
 
-class Dense(Layer):
-    """Fully-connected layer ``y = x @ W + b``."""
+class _Weighted(Layer):
+    """A layer with weights ``W`` and bias ``b``.
 
-    def __init__(self, in_dim: int, out_dim: int, rng: np.random.Generator) -> None:
-        scale = np.sqrt(2.0 / in_dim)
-        self.W = rng.normal(0.0, scale, size=(in_dim, out_dim))
-        self.b = np.zeros(out_dim)
-        self.dW = np.zeros_like(self.W)
-        self.db = np.zeros_like(self.b)
-        self._x: np.ndarray | None = None
+    The gradient buffers ``dW``/``db`` are allocated as zeros on first
+    access, so a freshly built, unpickled or copied layer trains the
+    same way.
+    """
 
     def params(self) -> list[np.ndarray]:
         return [self.W, self.b]
@@ -50,26 +67,58 @@ class Dense(Layer):
     def grads(self) -> list[np.ndarray]:
         return [self.dW, self.db]
 
+    def __getattr__(self, name: str):
+        # Reached only when normal lookup fails: a missing gradient buffer.
+        if name in ("dW", "db"):
+            grad = np.zeros_like(self.W if name == "dW" else self.b)
+            setattr(self, name, grad)
+            return grad
+        raise AttributeError(
+            f"{type(self).__name__!r} object has no attribute {name!r}"
+        )
+
+
+class Dense(_Weighted):
+    """Fully-connected layer ``y = x @ W + b``."""
+
+    _backward_state = ("_x",)
+    _x: np.ndarray | None = None
+
+    def __init__(self, in_dim: int, out_dim: int, rng: np.random.Generator) -> None:
+        scale = np.sqrt(2.0 / in_dim)
+        self.W = rng.normal(0.0, scale, size=(in_dim, out_dim))
+        self.b = np.zeros(out_dim)
+
     def forward(self, x: np.ndarray, training: bool = False) -> np.ndarray:
-        self._x = x
+        self._x = x if training else None
         return x @ self.W + self.b
 
     def backward(self, dout: np.ndarray) -> np.ndarray:
+        if self._x is None:
+            raise self._needs_training_forward()
         self.dW[...] = self._x.T @ dout
         self.db[...] = dout.sum(axis=0)
         return dout @ self.W.T
 
 
 class ReLU(Layer):
+    _backward_state = ("_mask",)
+    _mask: np.ndarray | None = None
+
     def forward(self, x: np.ndarray, training: bool = False) -> np.ndarray:
-        self._mask = x > 0
-        return np.where(self._mask, x, 0.0)
+        mask = x > 0
+        self._mask = mask if training else None
+        return np.where(mask, x, 0.0)
 
     def backward(self, dout: np.ndarray) -> np.ndarray:
+        if self._mask is None:
+            raise self._needs_training_forward()
         return dout * self._mask
 
 
 class Sigmoid(Layer):
+    _backward_state = ("_y",)
+
     def forward(self, x: np.ndarray, training: bool = False) -> np.ndarray:
         self._y = 1.0 / (1.0 + np.exp(-np.clip(x, -60.0, 60.0)))
         return self._y
@@ -79,6 +128,8 @@ class Sigmoid(Layer):
 
 
 class Tanh(Layer):
+    _backward_state = ("_y",)
+
     def forward(self, x: np.ndarray, training: bool = False) -> np.ndarray:
         self._y = np.tanh(x)
         return self._y
@@ -88,15 +139,20 @@ class Tanh(Layer):
 
 
 class Flatten(Layer):
+    _backward_state = ("_shape",)
+    _shape: tuple[int, ...] | None = None
+
     def forward(self, x: np.ndarray, training: bool = False) -> np.ndarray:
-        self._shape = x.shape
+        self._shape = x.shape if training else None
         return x.reshape(x.shape[0], -1)
 
     def backward(self, dout: np.ndarray) -> np.ndarray:
+        if self._shape is None:
+            raise self._needs_training_forward()
         return dout.reshape(self._shape)
 
 
-class Conv2D(Layer):
+class Conv2D(_Weighted):
     """Stride-1 "same" 2D convolution over (B, C, H, W) tensors.
 
     In the latency predictor, H indexes tiers and W indexes timestamps,
@@ -122,6 +178,9 @@ class Conv2D(Layer):
     forward keeps no state to differentiate.
     """
 
+    _backward_state = ("_cols", "_x_shape")
+    _cols: np.ndarray | None = None
+
     def __init__(
         self, in_ch: int, out_ch: int, kernel: int, rng: np.random.Generator
     ) -> None:
@@ -130,19 +189,10 @@ class Conv2D(Layer):
         scale = np.sqrt(2.0 / (in_ch * kernel * kernel))
         self.W = rng.normal(0.0, scale, size=(in_ch, kernel, kernel, out_ch))
         self.b = np.zeros(out_ch)
-        self.dW = np.zeros_like(self.W)
-        self.db = np.zeros_like(self.b)
         self.kernel = kernel
         self.in_ch = in_ch
         self.out_ch = out_ch
         self._fwd_path: tuple[tuple, list] | None = None
-        self._mode = "einsum"
-
-    def params(self) -> list[np.ndarray]:
-        return [self.W, self.b]
-
-    def grads(self) -> list[np.ndarray]:
-        return [self.dW, self.db]
 
     def forward(self, x: np.ndarray, training: bool = False) -> np.ndarray:
         B, C, H, W = x.shape
@@ -153,10 +203,8 @@ class Conv2D(Layer):
         return self._forward_einsum(x)
 
     def backward(self, dout: np.ndarray) -> np.ndarray:
-        if self._mode != "im2col":
-            raise RuntimeError(
-                "Conv2D.backward needs a training-mode forward first"
-            )
+        if self._cols is None:
+            raise self._needs_training_forward()
         return self._backward_im2col(dout)
 
     # -- im2col training path ------------------------------------------
@@ -166,7 +214,6 @@ class Conv2D(Layer):
         k = self.kernel
         pad = k // 2
         self._x_shape = x.shape
-        self._mode = "im2col"
         xp = np.pad(x, ((0, 0), (0, 0), (pad, pad), (pad, pad)))
         # im2col matrix (C*k*k, B*H*W), filled one kernel tap at a time:
         # each tap is a (C, B, H, W) slice copy with a contiguous
@@ -212,7 +259,7 @@ class Conv2D(Layer):
 
     def _forward_einsum(self, x: np.ndarray) -> np.ndarray:
         pad = self.kernel // 2
-        self._mode = "einsum"
+        self._cols = None
         xp = np.pad(x, ((0, 0), (0, 0), (pad, pad), (pad, pad)))
         # (B, C, H, W, k, k) zero-copy view of all kernel positions.
         windows = np.lib.stride_tricks.sliding_window_view(
@@ -233,7 +280,7 @@ class Conv2D(Layer):
         return out.transpose(0, 3, 1, 2)
 
 
-class LSTMCell(Layer):
+class LSTMCell(_Weighted):
     """Single-layer LSTM over (B, T, D) sequences, returning (B, H).
 
     Standard gates with fused weight matrix; full backpropagation
@@ -250,22 +297,18 @@ class LSTMCell(Layer):
     split GEMM sums products in a different order than the fused one.
     """
 
+    _backward_state = (
+        "_x", "_buf_shape", "_gate_acts", "_c_prev", "_tanh_c", "_h_prev", "_dgates",
+    )
+
     def __init__(self, in_dim: int, hidden: int, rng: np.random.Generator) -> None:
         scale = np.sqrt(1.0 / (in_dim + hidden))
         self.W = rng.normal(0.0, scale, size=(in_dim + hidden, 4 * hidden))
         self.b = np.zeros(4 * hidden)
         # Forget-gate bias starts positive: remember by default.
         self.b[hidden : 2 * hidden] = 1.0
-        self.dW = np.zeros_like(self.W)
-        self.db = np.zeros_like(self.b)
         self.hidden = hidden
         self.in_dim = in_dim
-
-    def params(self) -> list[np.ndarray]:
-        return [self.W, self.b]
-
-    def grads(self) -> list[np.ndarray]:
-        return [self.dW, self.db]
 
     def _buffers(self, B: int, T: int) -> None:
         """(Re)allocate the per-sequence caches only on a shape change."""

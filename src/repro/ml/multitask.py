@@ -74,8 +74,8 @@ class MultiTaskNN(LatencyCNN):
         return super().grads() + self.violation_head.grads()
 
     def forward_batch(self, inputs: tuple[np.ndarray, ...], training: bool = False) -> np.ndarray:
-        latency = super().forward_batch(inputs, training)
-        logit = self.violation_head.forward(self._latent, training)
+        latency, latent = self._forward(inputs, training)
+        logit = self.violation_head.forward(latent, training)
         return np.concatenate([latency, logit], axis=1)
 
     def backward_batch(self, dout: np.ndarray) -> None:

@@ -36,7 +36,11 @@ from tests.oracles.decision import (
     use_reference_predictor,
 )
 from tests.oracles.engine import use_reference_engine
-from tests.oracles.training import ReferenceBoostedTrees, use_reference_training
+from tests.oracles.training import (
+    ReferenceBoostedTrees,
+    assert_same_structure,
+    use_reference_training,
+)
 from tests.sim.test_fast_sim import assert_stats_equal
 from tests.sim.test_telemetry import make_stats
 
@@ -284,22 +288,7 @@ class TestTrainingEquivalenceUnderFaults:
             return cls(config, seed=0).fit(X, y_viol)
 
         fast, ref = fit(True), fit(False)
-        assert len(fast.trees) == len(ref.trees)
-
-        def walk(a, b):
-            assert (a is None) == (b is None)
-            if a is None:
-                return
-            assert a.feature == b.feature
-            if a.is_leaf:
-                assert a.value == pytest.approx(b.value, abs=1e-10)
-            else:
-                assert a.threshold == b.threshold
-            walk(a.left, b.left)
-            walk(a.right, b.right)
-
-        for ta, tb in zip(fast.trees, ref.trees):
-            walk(ta, tb)
+        assert_same_structure(fast, ref)
         assert np.array_equal(fast.predict_margin(X), ref.predict_margin(X))
 
     def test_cnn_loss_trajectory_matches_reference(self, repaired):

@@ -1,5 +1,9 @@
 """Hybrid predictor end-to-end tests on the tiny application."""
 
+import copy
+import dataclasses
+import pickle
+
 import numpy as np
 import pytest
 
@@ -10,6 +14,7 @@ from repro.core.data_collection import (
 )
 from repro.core.predictor import HybridPredictor, PredictorConfig
 from repro.core.qos import QoSTarget
+from repro.ml.boosted_trees import _Node
 from repro.ml.cnn import CNNConfig
 from tests.conftest import make_tiny_cluster, make_tiny_graph
 
@@ -38,6 +43,17 @@ def trained(tiny_dataset):
     predictor = HybridPredictor(make_tiny_graph(), QOS, FAST, seed=0)
     predictor.train(tiny_dataset)
     return predictor
+
+
+@pytest.fixture(scope="module")
+def log():
+    """A short telemetry history of the tiny application."""
+    cluster = make_tiny_cluster(users=150, seed=9)
+    rng = np.random.default_rng(3)
+    for _ in range(12):
+        jitter = rng.uniform(-0.2, 0.2, cluster.n_tiers)
+        cluster.step(cluster.clip_alloc(cluster.current_alloc + jitter))
+    return cluster.telemetry
 
 
 class TestTraining:
@@ -119,7 +135,52 @@ class TestInference:
         assert p_up == 0.5
 
 
+#: Training-only state a served predictor must not carry: backward
+#: caches, gradient buffers, the CNN's last latent and the trees' bins.
+TRAINING_STATE = {"_cols", "_x", "_mask", "dW", "db", "_latent", "_bin_edges"}
+
+
+def _object_graph(root):
+    """(objects, attribute names) reachable from ``root`` through
+    instance attributes and containers."""
+    seen, objects, names = set(), [], set()
+    stack = [root]
+    while stack:
+        obj = stack.pop()
+        if id(obj) in seen or isinstance(
+            obj, (type, str, bytes, int, float, np.ndarray, np.generic)
+        ):
+            continue
+        seen.add(id(obj))
+        objects.append(obj)
+        if isinstance(obj, dict):
+            stack.extend(obj.values())
+        elif isinstance(obj, (list, tuple, set, frozenset)):
+            stack.extend(obj)
+        elif hasattr(obj, "__dict__"):
+            names.update(vars(obj))
+            stack.extend(vars(obj).values())
+    return objects, names
+
+
+def _tree_arrays(predictor):
+    """The compiled ensemble's arrays, by name."""
+    compiled = vars(predictor.trees._compiled)
+    return {k: v for k, v in compiled.items() if isinstance(v, np.ndarray)}
+
+
+def _report_fields(report):
+    """A training report without its wall-clock epoch times."""
+    fields = dataclasses.asdict(report)
+    del fields["cnn_fit"]["epoch_time_s"]
+    return fields
+
+
 class TestSerialization:
+    """Stored and copied predictors.  A served model is parameters,
+    normalizer/encoder state and the compiled trees, and it scores and
+    fine-tunes bitwise like the original."""
+
     def test_save_load_roundtrip(self, trained, tiny_dataset, tmp_path):
         path = tmp_path / "predictor.pkl"
         trained.save(path)
@@ -190,6 +251,57 @@ class TestSerialization:
                 fh,
             )
         with pytest.raises(ValueError, match="format"):
+            HybridPredictor.load(path)
+
+    def test_unpickled_graph_holds_no_training_state(self, trained):
+        objects, names = _object_graph(pickle.loads(pickle.dumps(trained)))
+        assert not names & TRAINING_STATE
+        assert not [o for o in objects if isinstance(o, _Node)]
+
+    def test_pickle_is_parameters_plus_trees(self, trained, tmp_path):
+        tree_bytes = sum(a.nbytes for a in _tree_arrays(trained).values())
+        param_bytes = sum(p.nbytes for p in trained.cnn.params())
+        path = tmp_path / "served.pkl"
+        trained.save(path)
+        assert path.stat().st_size <= param_bytes + tree_bytes + 64 * 1024
+
+    def test_roundtrip_and_deepcopy_score_bitwise(self, trained, log, tmp_path):
+        base = np.asarray(log.latest.cpu_alloc, dtype=float)
+        rng = np.random.default_rng(4)
+        cands = np.clip(base + rng.uniform(-1.0, 1.0, (24, len(base))), 0.2, 8.0)
+        want = trained.predict_candidates(log, cands)
+        path = tmp_path / "served.pkl"
+        trained.save(path)
+        for clone in (HybridPredictor.load(path), copy.deepcopy(trained)):
+            got = clone.predict_candidates(log, cands)
+            assert np.array_equal(got[0], want[0])
+            assert np.array_equal(got[1], want[1])
+
+    def test_fine_tune_of_copies_matches_original(self, tiny_dataset, tmp_path):
+        """``RetrainWorker`` fine-tunes a deep copy of the incumbent: a
+        copy's fresh gradient buffers must train exactly like the
+        original's stale ones."""
+        original = HybridPredictor(make_tiny_graph(), QOS, FAST, seed=0)
+        original.train(tiny_dataset)
+        path = tmp_path / "incumbent.pkl"
+        original.save(path)
+        copies = [copy.deepcopy(original), HybridPredictor.load(path)]
+        want = original.fine_tune(tiny_dataset, epochs=2)
+        for clone in copies:
+            got = clone.fine_tune(tiny_dataset, epochs=2)
+            np.testing.assert_equal(_report_fields(got), _report_fields(want))
+            for a, b in zip(clone.cnn.params(), original.cnn.params()):
+                assert np.array_equal(a, b)
+            np.testing.assert_equal(_tree_arrays(clone), _tree_arrays(original))
+
+    def test_load_rejects_format_2(self, trained, tmp_path):
+        path = tmp_path / "v2.pkl"
+        with open(path, "wb") as fh:
+            pickle.dump(
+                {"format": 2, "kind": "repro.HybridPredictor", "predictor": trained},
+                fh,
+            )
+        with pytest.raises(ValueError, match="format 2.*format 3"):
             HybridPredictor.load(path)
 
 

@@ -6,9 +6,10 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from repro.ml.boosted_trees import BoostedTrees, BoostedTreesConfig
+from repro.harness.bench import _grow_tree
+from repro.ml.boosted_trees import BoostedTrees, BoostedTreesConfig, _compile_trees
 from tests.oracles.decision import predict_margin_reference
-from tests.oracles.training import ReferenceBoostedTrees
+from tests.oracles.training import ReferenceBoostedTrees, assert_same_structure
 
 
 def blobs(n=1000, seed=0):
@@ -120,15 +121,34 @@ class TestInference:
         clone = pickle.loads(pickle.dumps(bt))
         assert np.array_equal(clone.predict_proba(X[:20]), bt.predict_proba(X[:20]))
 
-    def test_compiled_lazily_rebuilt(self):
-        """Ensembles without a compiled form (e.g. old pickles) compile
-        on first predict instead of falling back to recursion forever."""
-        X, y = blobs(400)
-        bt = BoostedTrees(BoostedTreesConfig(n_trees=25), seed=4).fit(X, y)
-        want = bt.predict_margin(X[:10])
-        bt._compiled = None
-        assert np.array_equal(bt.predict_margin(X[:10]), want)
-        assert bt._compiled is not None
+    def test_compile_matches_recursive_walks(self):
+        """The flat descent over compiled random trees of mixed depth
+        (leaves above ``max_depth`` self-loop) sums exactly the
+        recursive walks of the original nodes, NaN queries included."""
+        rng = np.random.default_rng(11)
+        trees = [_grow_tree(rng, 5, depth) for depth in (0, 3, 1, 6, 2, 6, 4)]
+        bt = BoostedTrees(seed=0)
+        bt.base_margin = -0.3
+        bt._compiled = _compile_trees(trees)
+        assert bt._compiled.max_depth == 6
+        assert bt.n_trees_used == len(trees)
+        queries = rng.normal(0.0, 1.0, size=(200, 5))
+        queries[::9, 1] = np.nan
+        queries[4] = np.nan
+        want = np.full(len(queries), bt.base_margin)
+        for tree in trees:
+            want += bt._predict_tree(tree, queries)
+        assert np.array_equal(bt.predict_margin(queries), want)
+
+    def test_fitted_model_holds_compiled_arrays_only(self):
+        """Growth state and ``_Node`` trees stay inside ``fit``."""
+        X, y = blobs(300)
+        bt = BoostedTrees(BoostedTreesConfig(n_trees=10), seed=0).fit(X, y)
+        assert set(vars(bt)) == {
+            "config", "_rng", "base_margin", "_compiled",
+            "train_accuracy", "val_accuracy",
+        }
+        assert bt.n_trees_used == len(bt._compiled.roots) == 10
 
     def test_vectorized_binize_matches_searchsorted(self):
         """The one-pass binning equals per-feature searchsorted, NaN
@@ -177,27 +197,6 @@ def _fit_pair(config, X, y, X_val=None, y_val=None, seed=0):
     return fast, ref
 
 
-def _assert_same_structure(fast, ref):
-    """Split-for-split equality: features and thresholds exact, leaf
-    weights to 1e-10 (the histogram grower's oracle contract)."""
-    assert len(fast.trees) == len(ref.trees)
-
-    def walk(a, b):
-        assert (a is None) == (b is None)
-        if a is None:
-            return
-        assert a.feature == b.feature
-        if a.is_leaf:
-            assert a.value == pytest.approx(b.value, abs=1e-10)
-        else:
-            assert a.threshold == b.threshold
-        walk(a.left, b.left)
-        walk(a.right, b.right)
-
-    for ta, tb in zip(fast.trees, ref.trees):
-        walk(ta, tb)
-
-
 class TestHistogramGrower:
     """The level-wise histogram grower is a drop-in for the reference."""
 
@@ -206,13 +205,13 @@ class TestHistogramGrower:
         fast, ref = _fit_pair(
             BoostedTreesConfig(n_trees=40), X[:700], y[:700], X[700:], y[700:]
         )
-        _assert_same_structure(fast, ref)
+        assert_same_structure(fast, ref)
         assert np.array_equal(fast.predict_margin(X), ref.predict_margin(X))
 
     def test_matches_reference_without_validation(self):
         X, y = blobs(500, seed=5)
         fast, ref = _fit_pair(BoostedTreesConfig(n_trees=30), X, y)
-        _assert_same_structure(fast, ref)
+        assert_same_structure(fast, ref)
         assert np.array_equal(fast.predict_margin(X), ref.predict_margin(X))
 
     @pytest.mark.parametrize(
@@ -230,7 +229,7 @@ class TestHistogramGrower:
     def test_matches_reference_across_configs(self, config):
         X, y = blobs(400, seed=6)
         fast, ref = _fit_pair(config, X, y)
-        _assert_same_structure(fast, ref)
+        assert_same_structure(fast, ref)
 
     def test_matches_reference_with_duplicate_columns(self):
         """Duplicated features force exact cross-feature gain ties; the
@@ -238,7 +237,7 @@ class TestHistogramGrower:
         X, y = blobs(400, seed=7)
         X = np.hstack([X, X[:, :3]])
         fast, ref = _fit_pair(BoostedTreesConfig(n_trees=20), X, y)
-        _assert_same_structure(fast, ref)
+        assert_same_structure(fast, ref)
 
     def test_matches_reference_with_discrete_features(self):
         """Few distinct values: most bins empty, ties everywhere."""
@@ -246,7 +245,7 @@ class TestHistogramGrower:
         X = rng.integers(0, 4, size=(300, 5)).astype(float)
         y = ((X[:, 0] + X[:, 1] >= 4) ^ (rng.random(300) < 0.1)).astype(float)
         fast, ref = _fit_pair(BoostedTreesConfig(n_trees=25), X, y)
-        _assert_same_structure(fast, ref)
+        assert_same_structure(fast, ref)
 
     def test_degenerate_regularization_rejected(self):
         """λ=0 with mcw=0 leaves empty-bin gains at 0/0: no grower can

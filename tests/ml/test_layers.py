@@ -83,7 +83,7 @@ class TestActivations:
     def test_relu(self, rng):
         layer = ReLU()
         x = np.array([[-1.0, 0.5], [2.0, -3.0]])
-        out = layer.forward(x)
+        out = layer.forward(x, training=True)
         np.testing.assert_allclose(out, [[0.0, 0.5], [2.0, 0.0]])
         dx = layer.backward(np.ones_like(x))
         np.testing.assert_allclose(dx, [[0.0, 1.0], [1.0, 0.0]])
@@ -108,7 +108,7 @@ class TestActivations:
     def test_flatten_roundtrip(self, rng):
         layer = Flatten()
         x = rng.normal(size=(3, 2, 4, 5))
-        out = layer.forward(x)
+        out = layer.forward(x, training=True)
         assert out.shape == (3, 40)
         dx = layer.backward(out)
         assert dx.shape == x.shape
@@ -235,19 +235,29 @@ class TestConv2DFastPath:
         assert np.array_equal(before, oracle)
         assert np.array_equal(after, oracle)
 
-    def test_backward_follows_forward_mode(self, rng):
+    @pytest.mark.parametrize(
+        "make, x_shape, dout_shape",
+        [
+            (lambda rng: Conv2D(2, 2, 3, rng), (2, 2, 4, 4), (2, 2, 4, 4)),
+            (lambda rng: Dense(3, 2, rng), (2, 3), (2, 2)),
+            (lambda rng: ReLU(), (2, 3), (2, 3)),
+            (lambda rng: Flatten(), (2, 2, 4, 4), (2, 32)),
+        ],
+        ids=["Conv2D", "Dense", "ReLU", "Flatten"],
+    )
+    def test_backward_follows_forward_mode(self, rng, make, x_shape, dout_shape):
         """Backward differentiates the most recent forward: after an
         inference forward there is nothing to differentiate."""
-        layer = Conv2D(2, 2, 3, rng)
-        x = rng.normal(size=(2, 2, 4, 4))
-        dout = rng.normal(size=(2, 2, 4, 4))
+        layer = make(rng)
+        x = rng.normal(size=x_shape)
+        dout = rng.normal(size=dout_shape)
         layer.forward(x, training=True)
         layer.backward(dout)
         layer.forward(x, training=False)
         with pytest.raises(RuntimeError, match="training-mode forward"):
             layer.backward(dout)
         with pytest.raises(RuntimeError, match="training-mode forward"):
-            Conv2D(2, 2, 3, rng).backward(dout)
+            make(rng).backward(dout)
 
 
 class TestLSTMFastPath:

@@ -37,7 +37,7 @@ class TestSequential:
     def test_backward_flows(self, rng):
         net = Sequential(Dense(4, 8, rng), ReLU(), Dense(8, 2, rng))
         x = rng.normal(size=(3, 4))
-        out = net.forward(x)
+        out = net.forward(x, training=True)
         dx = net.backward(np.ones_like(out))
         assert dx.shape == x.shape
 

@@ -2,9 +2,10 @@
 
 The reference path materializes B copies of the history window
 (:func:`encode_candidates`), runs the full CNN batch, and walks every
-boosted tree recursively (:func:`predict_margin_reference`).  The
-production path — shared-history encoding, shared-trunk CNN and compiled
-trees — must match it bitwise (``tests/core/test_fast_path.py``).
+boosted tree recursively (:func:`predict_margin_reference`, over
+``_Node`` trees rebuilt from the compiled arrays).  The production path
+— shared-history encoding, shared-trunk CNN and the flat tree descent —
+must match it bitwise (``tests/core/test_fast_path.py``).
 """
 
 from __future__ import annotations
@@ -13,7 +14,7 @@ import numpy as np
 
 from repro.core.features import WindowEncoder, sanitize_window
 from repro.core.predictor import HybridPredictor
-from repro.ml.boosted_trees import BoostedTrees, _sigmoid
+from repro.ml.boosted_trees import BoostedTrees, _CompiledEnsemble, _Node, _sigmoid
 from repro.sim.telemetry import TelemetryLog
 
 
@@ -37,11 +38,32 @@ def encode_candidates(
     )
 
 
+def rebuild_trees(compiled: _CompiledEnsemble | None) -> list[_Node]:
+    """The recursive ``_Node`` trees a compiled ensemble was made from.
+
+    A node whose children both point at itself is a leaf."""
+    if compiled is None:
+        return []
+
+    def node(i: int) -> _Node:
+        left, right = (int(c) for c in compiled.children[i])
+        if left == i and right == i:
+            return _Node(value=float(compiled.value[i]))
+        return _Node(
+            feature=int(compiled.feature[i]),
+            threshold=float(compiled.threshold[i]),
+            left=node(left),
+            right=node(right),
+        )
+
+    return [node(int(root)) for root in compiled.roots]
+
+
 def predict_margin_reference(trees: BoostedTrees, X: np.ndarray) -> np.ndarray:
     """The slow path: per-tree recursive walks (equivalence oracle)."""
     X = np.atleast_2d(np.asarray(X, dtype=float))
     margin = np.full(len(X), trees.base_margin)
-    for tree in trees.trees:
+    for tree in rebuild_trees(trees._compiled):
         margin += trees._predict_tree(tree, X)
     return margin
 

@@ -2,7 +2,8 @@
 
 * :class:`ReferenceBoostedTrees` grows every tree with the recursive
   depth-first grower that re-scans each (node, feature) pair; the
-  production level-wise histogram grower must match it split for split.
+  production level-wise histogram grower must match it split for split
+  (:func:`assert_same_structure`, on the compiled arrays).
 * :class:`ReferenceConv2D` trains with the einsum forward and the
   tap-loop einsum backward; the production im2col path must match its
   outputs and gradients to 1e-10.
@@ -95,6 +96,22 @@ class ReferenceBoostedTrees(BoostedTrees):
         return grow(root_rows, 0)
 
 
+def assert_same_structure(fast: BoostedTrees, ref: BoostedTrees) -> None:
+    """Split-for-split equality of two fitted ensembles' compiled
+    arrays: layout, features and thresholds exact, leaf weights to 1e-10
+    (the histogram grower's oracle contract)."""
+    a, b = fast._compiled, ref._compiled
+    assert (a is None) == (b is None)
+    if a is None:
+        return
+    assert a.max_depth == b.max_depth
+    for name in ("feature", "children", "roots"):
+        assert np.array_equal(getattr(a, name), getattr(b, name)), name
+    leaf = a.children[:, 0] == np.arange(len(a.children))
+    assert np.array_equal(a.threshold[~leaf], b.threshold[~leaf])
+    np.testing.assert_allclose(a.value[leaf], b.value[leaf], rtol=0, atol=1e-10)
+
+
 class ReferenceConv2D(Conv2D):
     """Conv2D trained with the einsum forward and einsum backward."""
 
@@ -110,7 +127,6 @@ class ReferenceConv2D(Conv2D):
     def _forward_einsum(self, x: np.ndarray) -> np.ndarray:
         pad = self.kernel // 2
         self._x_shape = x.shape
-        self._mode = "einsum"
         xp = np.pad(x, ((0, 0), (0, 0), (pad, pad), (pad, pad)))
         # (B, C, H, W, k, k) zero-copy view of all kernel positions.
         self._windows = np.lib.stride_tricks.sliding_window_view(
