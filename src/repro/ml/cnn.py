@@ -150,11 +150,15 @@ class LatencyCNN(NeuralRegressor):
 
     def backward_batch(self, dout: np.ndarray) -> None:
         dlatent = self.output_head.backward(dout)
-        dconcat = self.latent_head.backward(dlatent)
+        self._backward_branches(self.latent_head.backward(dlatent))
+
+    def _backward_branches(self, dconcat: np.ndarray) -> None:
+        """Split the concatenation's gradient into the three input
+        branches; the gradient of the input data itself is never read."""
         a, b, _ = self._split
-        self.rh_branch.backward(dconcat[:, :a])
-        self.lh_branch.backward(dconcat[:, a : a + b])
-        self.rc_branch.backward(dconcat[:, a + b :])
+        self.rh_branch.backward(dconcat[:, :a], input_grad=False)
+        self.lh_branch.backward(dconcat[:, a : a + b], input_grad=False)
+        self.rc_branch.backward(dconcat[:, a + b :], input_grad=False)
 
     # ------------------------------------------------------------------
 

@@ -3,7 +3,13 @@
 Minimal but complete: every layer implements ``forward``/``backward``
 and exposes parameter/gradient pairs for the optimizers in
 :mod:`repro.ml.optim`.  Convolution uses im2col so the heavy lifting is
-a single matrix multiply.
+a single matrix multiply; the column matrix is built from, and folded
+back into, shifted contiguous runs of a channel-major copy of the input.
+
+``backward(dout, input_grad=False)`` on a layer with parameters fills
+its parameter gradients and skips the gradient with respect to its
+input, returning None: a network's input layers have nobody to pass
+that gradient to.
 
 A layer is its parameters.  What ``backward`` needs is kept by a
 training forward only (``training=True``); pickling or deep-copying a
@@ -34,7 +40,13 @@ class Layer:
     def forward(self, x: np.ndarray, training: bool = False) -> np.ndarray:
         raise NotImplementedError
 
-    def backward(self, dout: np.ndarray) -> np.ndarray:
+    def backward(
+        self, dout: np.ndarray, *, input_grad: bool = True
+    ) -> np.ndarray | None:
+        """Gradients of the most recent training forward: fills
+        :meth:`grads` and returns the gradient with respect to the input,
+        or None when ``input_grad`` is False (which only layers with
+        parameters are asked)."""
         raise NotImplementedError
 
     def __getstate__(self) -> dict:
@@ -93,12 +105,14 @@ class Dense(_Weighted):
         self._x = x if training else None
         return x @ self.W + self.b
 
-    def backward(self, dout: np.ndarray) -> np.ndarray:
+    def backward(
+        self, dout: np.ndarray, *, input_grad: bool = True
+    ) -> np.ndarray | None:
         if self._x is None:
             raise self._needs_training_forward()
         self.dW[...] = self._x.T @ dout
         self.db[...] = dout.sum(axis=0)
-        return dout @ self.W.T
+        return dout @ self.W.T if input_grad else None
 
 
 class ReLU(Layer):
@@ -118,23 +132,31 @@ class ReLU(Layer):
 
 class Sigmoid(Layer):
     _backward_state = ("_y",)
+    _y: np.ndarray | None = None
 
     def forward(self, x: np.ndarray, training: bool = False) -> np.ndarray:
-        self._y = 1.0 / (1.0 + np.exp(-np.clip(x, -60.0, 60.0)))
-        return self._y
+        y = _sigmoid(x)
+        self._y = y if training else None
+        return y
 
     def backward(self, dout: np.ndarray) -> np.ndarray:
+        if self._y is None:
+            raise self._needs_training_forward()
         return dout * self._y * (1.0 - self._y)
 
 
 class Tanh(Layer):
     _backward_state = ("_y",)
+    _y: np.ndarray | None = None
 
     def forward(self, x: np.ndarray, training: bool = False) -> np.ndarray:
-        self._y = np.tanh(x)
-        return self._y
+        y = np.tanh(x)
+        self._y = y if training else None
+        return y
 
     def backward(self, dout: np.ndarray) -> np.ndarray:
+        if self._y is None:
+            raise self._needs_training_forward()
         return dout * (1.0 - self._y * self._y)
 
 
@@ -169,13 +191,28 @@ class Conv2D(_Weighted):
     * **Training** (``training=True``) materializes the im2col matrix
       once and runs a single GEMM forward; backward is one GEMM for
       ``dW`` (against the saved im2col matrix) and one GEMM back to
-      column space followed by a col2im fold for ``dx`` — no einsum
-      materialization of the (B, C, H, W, k, k) gradient tensor.
-      Outputs and gradients agree to ~1e-10 with the einsum forward and
-      tap-loop backward oracle in ``tests/oracles/training.py``.
+      column space followed by a col2im fold for ``dx``.
+
+    Both folds work on shifted runs.  With the input copied channel-major
+    to ``(C, B*H*W)``, the kernel tap ``(di, dj)`` (offsets from the
+    centre) reads row ``c`` shifted by ``s = di*W + dj``: one contiguous
+    copy per channel fills the tap's rows of the column matrix.  The
+    entries whose source ``(h+di, w+dj)`` falls off the grid — exactly
+    those the shift pulled from a neighbouring row or image — are then
+    set to 0.0, the value "same" padding supplies.  col2im zeroes the
+    same entries of each ``dcols`` tap (their gradient belongs to the
+    padding) and adds the tap's run, shifted back, into a zeroed
+    ``(C, B*H*W)`` gradient, taps in ``(i, j)`` order.  Every input
+    gradient is the padded scatter-add's sequence of sums plus extra
+    ``+0.0`` terms, which are exact no-ops (a sum started at +0.0 never
+    becomes -0.0), and the three GEMMs see the same operands, in the
+    same layouts, as the padded version, so outputs and gradients match
+    the padded oracle in ``tests/oracles/training.py`` byte for byte
+    (and the einsum oracle there to ~1e-10).
 
     :meth:`backward` needs a training-mode forward first: an inference
-    forward keeps no state to differentiate.
+    forward keeps no state to differentiate.  ``input_grad=False`` skips
+    the ``dcols`` GEMM and the fold.
     """
 
     _backward_state = ("_cols", "_x_shape")
@@ -202,58 +239,69 @@ class Conv2D(_Weighted):
             return self._forward_im2col(x)
         return self._forward_einsum(x)
 
-    def backward(self, dout: np.ndarray) -> np.ndarray:
+    def backward(
+        self, dout: np.ndarray, *, input_grad: bool = True
+    ) -> np.ndarray | None:
         if self._cols is None:
             raise self._needs_training_forward()
-        return self._backward_im2col(dout)
+        return self._backward_im2col(dout, input_grad)
 
     # -- im2col training path ------------------------------------------
 
     def _forward_im2col(self, x: np.ndarray) -> np.ndarray:
         B, C, H, W = x.shape
         k = self.kernel
-        pad = k // 2
+        n = B * H * W
         self._x_shape = x.shape
-        xp = np.pad(x, ((0, 0), (0, 0), (pad, pad), (pad, pad)))
-        # im2col matrix (C*k*k, B*H*W), filled one kernel tap at a time:
-        # each tap is a (C, B, H, W) slice copy with a contiguous
-        # destination, which on these small feature maps is much faster
-        # than one big transpose of the 6D sliding-window view.  Rows
-        # follow the (c, i, j) order of W.reshape(C*k*k, O); BLAS
-        # handles the transposed GEMM operand without a copy.
-        cols = np.empty((C, k, k, B, H, W))
-        for i in range(k):
-            for j in range(k):
-                np.copyto(
-                    cols[:, i, j],
-                    xp[:, :, i : i + H, j : j + W].transpose(1, 0, 2, 3),
-                )
-        self._cols = cols.reshape(C * k * k, B * H * W)
+        # The input once, channel-major.  32 images at a time: a ReLU
+        # hands x over (B, H, W, C)-ordered, and transposing the whole
+        # batch at once runs out of cache.
+        src = np.empty((C, B, H, W))
+        for b in range(0, B, 32):
+            src[:, b : b + 32] = x[b : b + 32].transpose(1, 0, 2, 3)
+        src = src.reshape(C, n)
+        # im2col matrix (C*k*k, B*H*W): rows follow the (c, i, j) order
+        # of W.reshape(C*k*k, O); BLAS handles the transposed GEMM
+        # operand without a copy.  One channel at a time, so each run is
+        # still in cache when its off-grid entries are zeroed.
+        cols = np.empty((C, k * k, n))
+        taps = _tap_shifts(k, B, H, W)
+        for c in range(C):
+            for run, (di, dj, s, lo, hi) in zip(cols[c], taps):
+                run[lo:hi] = src[c, lo + s : hi + s]
+                # Entries outside [lo, hi) are off the grid too.
+                _zero_off_grid(run, H, W, di, dj)
+        self._cols = cols.reshape(C * k * k, n)
         out = self._cols.T @ self.W.reshape(C * k * k, self.out_ch)
         out += self.b
         return out.reshape(B, H, W, self.out_ch).transpose(0, 3, 1, 2)
 
-    def _backward_im2col(self, dout: np.ndarray) -> np.ndarray:
+    def _backward_im2col(
+        self, dout: np.ndarray, input_grad: bool
+    ) -> np.ndarray | None:
         B, C, H, W = self._x_shape
         k = self.kernel
-        pad = k // 2
         O = self.out_ch
-        dout_mat = dout.transpose(0, 2, 3, 1).reshape(B * H * W, O)
+        n = B * H * W
+        dout_mat = dout.transpose(0, 2, 3, 1).reshape(n, O)
         self.dW[...] = (self._cols @ dout_mat).reshape(C, k, k, O)
         self.db[...] = dout_mat.sum(axis=0)
+        if not input_grad:
+            return None
         # dx: one GEMM back to column space, then fold the k*k taps
-        # onto the padded input (col2im).
-        dcols = (self.W.reshape(C * k * k, O) @ dout_mat.T).reshape(
-            C, k, k, B, H, W
-        )
-        dxp = np.zeros((B, C, H + 2 * pad, W + 2 * pad), dtype=dout.dtype)
-        dst = dxp.transpose(1, 0, 2, 3)
-        for i in range(k):
-            for j in range(k):
-                dst[:, :, i : i + H, j : j + W] += dcols[:, i, j]
-        if pad:
-            return dxp[:, :, pad:-pad, pad:-pad]
-        return dxp
+        # back onto the input (col2im), each element's taps in (i, j)
+        # order.
+        dcols = (self.W.reshape(C * k * k, O) @ dout_mat.T).reshape(C, k * k, n)
+        dx = np.zeros((C, n), dtype=dout.dtype)
+        taps = _tap_shifts(k, B, H, W)
+        for c in range(C):
+            for run, (di, dj, s, lo, hi) in zip(dcols[c], taps):
+                _zero_off_grid(run, H, W, di, dj)
+                dx[c, lo + s : hi + s] += run[lo:hi]
+        # A (B, C, H, W) view, like the padded fold's: the ReLU below
+        # still multiplies it into a C-contiguous gradient, so the next
+        # conv's dout_mat keeps its layout (and its GEMMs their bits).
+        return dx.reshape(C, B, H, W).transpose(1, 0, 2, 3)
 
     # -- einsum inference path ----------------------------------------
 
@@ -295,11 +343,16 @@ class LSTMCell(_Weighted):
     GEMMs.  It agrees with the per-step concatenated oracle in
     ``tests/oracles/training.py`` to float rounding (~1e-10), since a
     split GEMM sums products in a different order than the fused one.
+
+    Only a training forward keeps the sequence and fills the buffers; an
+    inference forward (validation, prediction) leaves them alone, so
+    :meth:`backward` after it raises.
     """
 
     _backward_state = (
         "_x", "_buf_shape", "_gate_acts", "_c_prev", "_tanh_c", "_h_prev", "_dgates",
     )
+    _x: np.ndarray | None = None
 
     def __init__(self, in_dim: int, hidden: int, rng: np.random.Generator) -> None:
         scale = np.sqrt(1.0 / (in_dim + hidden))
@@ -326,18 +379,17 @@ class LSTMCell(_Weighted):
     def forward(self, x: np.ndarray, training: bool = False) -> np.ndarray:
         B, T, D = x.shape
         H = self.hidden
-        self._x = x
-        self._buffers(B, T)
+        self._x = x if training else None
+        if training:
+            self._buffers(B, T)
+            ig, fg, og, gg = self._gate_acts
         # All timestep input projections in one GEMM; the recurrence
         # keeps only the (B, H) @ (H, 4H) product per step.
         x_proj = (x.reshape(B * T, D) @ self.W[:D]).reshape(B, T, 4 * H)
         W_h = self.W[D:]
         h = np.zeros((B, H))
         c = np.zeros((B, H))
-        ig, fg, og, gg = self._gate_acts
         for t in range(T):
-            self._h_prev[:, t] = h
-            self._c_prev[:, t] = c
             gates = h @ W_h
             gates += x_proj[:, t]
             gates += self.b
@@ -345,15 +397,23 @@ class LSTMCell(_Weighted):
             f = _sigmoid(gates[:, H : 2 * H])
             o = _sigmoid(gates[:, 2 * H : 3 * H])
             g = np.tanh(gates[:, 3 * H :])
-            ig[:, t], fg[:, t], og[:, t], gg[:, t] = i, f, o, g
+            if training:
+                self._h_prev[:, t] = h
+                self._c_prev[:, t] = c
+                ig[:, t], fg[:, t], og[:, t], gg[:, t] = i, f, o, g
             c = f * c + i * g
             tanh_c = np.tanh(c)
-            self._tanh_c[:, t] = tanh_c
+            if training:
+                self._tanh_c[:, t] = tanh_c
             h = o * tanh_c
         return h
 
-    def backward(self, dout: np.ndarray) -> np.ndarray:
+    def backward(
+        self, dout: np.ndarray, *, input_grad: bool = True
+    ) -> np.ndarray | None:
         x = self._x
+        if x is None:
+            raise self._needs_training_forward()
         B, T, D = x.shape
         H = self.hidden
         W_h = self.W[D:]
@@ -379,7 +439,41 @@ class LSTMCell(_Weighted):
         self.dW[:D] = x.reshape(B * T, D).T @ flat
         self.dW[D:] = dWh
         self.db[...] = flat.sum(axis=0)
+        if not input_grad:
+            return None
         return (flat @ self.W[:D].T).reshape(B, T, D)
+
+
+def _tap_shifts(
+    k: int, B: int, H: int, W: int
+) -> list[tuple[int, int, int, int, int]]:
+    """Per tap of a k x k kernel, in ``(i, j)`` order: its offsets
+    ``(di, dj)`` from the centre, its flat shift ``s = di*W + dj`` and
+    the range ``[lo, hi)`` of flat positions whose source ``n + s`` lies
+    inside the ``B*H*W`` batch (empty when none does)."""
+    n = B * H * W
+    span = range(-(k // 2), k // 2 + 1)
+    taps = []
+    for di in span:
+        for dj in span:
+            s = di * W + dj
+            lo = max(0, -s)
+            taps.append((di, dj, s, lo, max(lo, min(n, n - s))))
+    return taps
+
+
+def _zero_off_grid(run: np.ndarray, H: int, W: int, di: int, dj: int) -> None:
+    """Set to 0.0 the entries of one tap's ``(B*H*W,)`` run whose source
+    ``(h+di, w+dj)`` lies off the ``H x W`` grid."""
+    grid = run.reshape(-1, H, W)  # a view: the run is contiguous
+    if di < 0:
+        grid[:, :-di] = 0.0
+    elif di > 0:
+        grid[:, max(H - di, 0) :] = 0.0
+    if dj < 0:
+        grid[:, :, :-dj] = 0.0
+    elif dj > 0:
+        grid[:, :, max(W - dj, 0) :] = 0.0
 
 
 def _sigmoid(x: np.ndarray) -> np.ndarray:

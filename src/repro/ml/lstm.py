@@ -63,8 +63,9 @@ class LatencyLSTM(NeuralRegressor):
     def backward_batch(self, dout: np.ndarray) -> None:
         dconcat = self.head.backward(dout)
         a, _ = self._split
-        self.lstm.backward(dconcat[:, :a])
-        self.rc_branch.backward(dconcat[:, a:])
+        # Nothing reads the gradient of the input data itself.
+        self.lstm.backward(dconcat[:, :a], input_grad=False)
+        self.rc_branch.backward(dconcat[:, a:], input_grad=False)
 
 
 __all__ = ["LatencyLSTM"]

@@ -59,7 +59,7 @@ class LatencyMLP(NeuralRegressor):
         return self.net.forward(self.flatten_inputs(inputs), training)
 
     def backward_batch(self, dout: np.ndarray) -> None:
-        self.net.backward(dout)
+        self.net.backward(dout, input_grad=False)
 
 
 __all__ = ["LatencyMLP"]

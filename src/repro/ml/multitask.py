@@ -84,11 +84,7 @@ class MultiTaskNN(LatencyCNN):
         dlatency = dout[:, :m]
         # Both heads feed the shared latent: accumulate their gradients.
         dlatent = self.output_head.backward(dlatency) + dlatent_extra
-        dconcat = self.latent_head.backward(dlatent)
-        a, b, _ = self._split
-        self.rh_branch.backward(dconcat[:, :a])
-        self.lh_branch.backward(dconcat[:, a : a + b])
-        self.rc_branch.backward(dconcat[:, a + b :])
+        self._backward_branches(self.latent_head.backward(dlatent))
 
     def loss(self) -> MultiTaskLoss:
         """The joint training loss matching this model's output layout."""

@@ -36,10 +36,26 @@ class Sequential(Layer):
             x = layer.forward(x, training=training)
         return x
 
-    def backward(self, dout: np.ndarray) -> np.ndarray:
-        for layer in reversed(self.layers):
+    def backward(
+        self, dout: np.ndarray, *, input_grad: bool = True
+    ) -> np.ndarray | None:
+        """Backpropagate through the chain, last layer first.
+
+        With ``input_grad=False`` nothing reads the gradient with respect
+        to the chain's input: the pass stops at the first layer with
+        parameters, which fills its gradients only, and returns None.
+        """
+        if input_grad:
+            for layer in reversed(self.layers):
+                dout = layer.backward(dout)
+            return dout
+        weighted = [i for i, layer in enumerate(self.layers) if layer.params()]
+        if not weighted:
+            return None
+        first = weighted[0]
+        for layer in reversed(self.layers[first + 1 :]):
             dout = layer.backward(dout)
-        return dout
+        return self.layers[first].backward(dout, input_grad=False)
 
 
 @dataclass

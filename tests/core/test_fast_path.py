@@ -39,6 +39,7 @@ from tests.oracles.engine import use_reference_engine
 from tests.oracles.training import (
     ReferenceBoostedTrees,
     assert_same_structure,
+    use_padded_training,
     use_reference_training,
 )
 from tests.sim.test_fast_sim import assert_stats_equal
@@ -310,6 +311,27 @@ class TestTrainingEquivalenceUnderFaults:
         np.testing.assert_allclose(
             fast.train_loss, ref.train_loss, rtol=0, atol=1e-8
         )
+
+    def test_predictor_training_bitwise_matches_padded_oracle(self, collected):
+        """A whole ``HybridPredictor.train``, production vs the bit-exact
+        CNN oracles: equal CNN bits, equal compiled trees, and an equal
+        report but for the wall-clock epoch times."""
+        fast = HybridPredictor(make_tiny_graph(), QOS, FAST, seed=0)
+        ref = use_padded_training(
+            HybridPredictor(make_tiny_graph(), QOS, FAST, seed=0)
+        )
+        report_fast, report_ref = fast.train(collected), ref.train(collected)
+        for a, b in zip(fast.cnn.params(), ref.cnn.params()):
+            assert a.tobytes() == b.tobytes()
+        trees_fast, trees_ref = fast.trees._compiled, ref.trees._compiled
+        assert trees_fast.max_depth == trees_ref.max_depth
+        for name in ("feature", "threshold", "children", "value", "roots"):
+            assert (
+                getattr(trees_fast, name).tobytes()
+                == getattr(trees_ref, name).tobytes()
+            ), name
+        report_fast.cnn_fit.epoch_time_s = report_ref.cnn_fit.epoch_time_s = []
+        assert repr(report_fast) == repr(report_ref)
 
     def test_predictor_training_quality_matches_reference(self, collected):
         """A whole ``HybridPredictor.train`` on collected data, production

@@ -5,6 +5,7 @@ import copy
 import numpy as np
 import pytest
 
+from repro.ml import layers
 from repro.ml.layers import (
     Conv2D,
     Dense,
@@ -14,7 +15,8 @@ from repro.ml.layers import (
     Sigmoid,
     Tanh,
 )
-from tests.oracles.training import use_reference_training
+from repro.ml.network import Sequential
+from tests.oracles.training import use_padded_training, use_reference_training
 
 EPS = 1e-6
 TOL = 1e-4
@@ -242,8 +244,11 @@ class TestConv2DFastPath:
             (lambda rng: Dense(3, 2, rng), (2, 3), (2, 2)),
             (lambda rng: ReLU(), (2, 3), (2, 3)),
             (lambda rng: Flatten(), (2, 2, 4, 4), (2, 32)),
+            (lambda rng: LSTMCell(3, 4, rng), (2, 5, 3), (2, 4)),
+            (lambda rng: Sigmoid(), (2, 3), (2, 3)),
+            (lambda rng: Tanh(), (2, 3), (2, 3)),
         ],
-        ids=["Conv2D", "Dense", "ReLU", "Flatten"],
+        ids=["Conv2D", "Dense", "ReLU", "Flatten", "LSTMCell", "Sigmoid", "Tanh"],
     )
     def test_backward_follows_forward_mode(self, rng, make, x_shape, dout_shape):
         """Backward differentiates the most recent forward: after an
@@ -264,7 +269,7 @@ class TestLSTMFastPath:
     """Fused single-GEMM gate projections vs the per-gate reference."""
 
     def _run(self, cell, x):
-        out = cell.forward(x)
+        out = cell.forward(x, training=True)
         dout = np.random.default_rng(2).normal(size=out.shape)
         dx = cell.backward(dout)
         return out, dx, cell.dW.copy(), cell.db.copy()
@@ -295,6 +300,149 @@ class TestLSTMFastPath:
         ref = reference_copy(cell)
         for shape in ((4, 5, 3), (2, 5, 3), (4, 3, 3), (4, 5, 3)):
             x = rng.normal(size=shape)
-            out = cell.forward(x)
+            out = cell.forward(x, training=True)
             cell.backward(np.ones_like(out))
             np.testing.assert_allclose(out, ref.forward(x), atol=1e-10)
+
+    def test_inference_forward_leaves_training_buffers(self, rng):
+        """A validation forward of another batch size neither reallocates
+        the training buffers nor computes anything differently."""
+        cell = LSTMCell(3, 4, rng)
+        x = rng.normal(size=(4, 5, 3))
+        out = cell.forward(x, training=True)
+        buffers = cell._gate_acts
+        cell.forward(x[:2])
+        assert cell._gate_acts is buffers
+        assert np.array_equal(cell.forward(x), out)
+
+
+def assert_same_bytes(actual, expected, name=""):
+    """Equal shape, dtype and bytes: -0.0 and NaN payloads included."""
+    actual, expected = np.asarray(actual), np.asarray(expected)
+    assert actual.shape == expected.shape, name
+    assert actual.dtype == expected.dtype, name
+    assert np.ascontiguousarray(actual).tobytes() == (
+        np.ascontiguousarray(expected).tobytes()
+    ), name
+
+
+def conv_case(rng, kernel, hw, batch, special):
+    """A 3 -> 4 channel layer, an input and an upstream gradient for the
+    bitwise suite.  ``special`` plants -0.0, NaN and ±inf in both, and
+    gives one image an all -0.0 gradient.
+    """
+    layer = Conv2D(3, 4, kernel, rng)
+    x = rng.normal(size=(batch, 3, *hw))
+    dout = rng.normal(size=(batch, 4, *hw))
+    if special:
+        for arr, values in (
+            (x, [-0.0, -0.0, np.nan, np.inf, -np.inf]),
+            (dout, [-0.0, -0.0, np.nan, np.inf, -np.inf]),
+        ):
+            arr.flat[rng.choice(arr.size, len(values))] = values
+        dout[-1] = -0.0
+    return layer, x, dout
+
+
+def run_conv(layer, x, dout):
+    """Training forward + backward: (out, cols, dx, dW, db) copies."""
+    out = layer.forward(x, training=True)
+    dx = layer.backward(dout)
+    return out, layer._cols.copy(), dx, layer.dW.copy(), layer.db.copy()
+
+
+def hw_id(hw):
+    return "x".join(map(str, hw))
+
+
+class TestConv2DBitwise:
+    """Shifted-run im2col/col2im vs the padded im2col oracle, byte for
+    byte: the faster path may not move a single trained bit."""
+
+    @pytest.mark.parametrize("special", [False, True], ids=["finite", "special"])
+    @pytest.mark.parametrize("batch", [1, 7, 256])
+    @pytest.mark.parametrize("hw", [(28, 5), (1, 1), (2, 6), (4, 3)], ids=hw_id)
+    @pytest.mark.parametrize("kernel", [1, 3, 5])
+    def test_matches_padded_oracle(self, rng, kernel, hw, batch, special):
+        layer, x, dout = conv_case(rng, kernel, hw, batch, special)
+        oracle = use_padded_training(copy.deepcopy(layer))
+        with np.errstate(all="ignore"):  # inf - inf in the GEMMs
+            got = run_conv(layer, x, dout)
+            want = run_conv(oracle, x, dout)
+        for name, a, b in zip(("out", "cols", "dx", "dW", "db"), got, want):
+            assert_same_bytes(a, b, name)
+
+    @pytest.mark.parametrize("kernel", [3, 5])
+    @pytest.mark.parametrize("hw", [(28, 5), (2, 6), (1, 1)], ids=hw_id)
+    def test_every_cols_element_is_written(self, rng, monkeypatch, kernel, hw):
+        """With np.empty poisoned to NaN inside the layer module, the
+        column matrix and the fold still match the oracle: no entry is
+        left to whatever the allocator hands back."""
+
+        class PoisonedNumpy:
+            def __getattr__(self, name):
+                return getattr(np, name)
+
+            @staticmethod
+            def empty(shape, dtype=float, **kwargs):
+                return np.full(shape, np.nan, dtype=dtype, **kwargs)
+
+        layer, x, dout = conv_case(rng, kernel, hw, 7, special=False)
+        want = run_conv(use_padded_training(copy.deepcopy(layer)), x, dout)
+        monkeypatch.setattr(layers, "np", PoisonedNumpy())
+        got = run_conv(layer, x, dout)
+        for a, b in zip(got, want):
+            assert_same_bytes(a, b)
+
+
+class TestSkippedInputGradient:
+    """``backward(..., input_grad=False)``: parameter gradients byte for
+    byte those of a full backward, and no input gradient."""
+
+    @pytest.mark.parametrize(
+        "make, x_shape, dout_shape",
+        [
+            (lambda rng: Dense(3, 2, rng), (5, 3), (5, 2)),
+            (lambda rng: LSTMCell(3, 4, rng), (2, 5, 3), (2, 4)),
+            (lambda rng: Conv2D(3, 4, 3, rng), (7, 3, 6, 5), (7, 4, 6, 5)),
+            (lambda rng: Conv2D(3, 4, 5, rng), (7, 3, 6, 5), (7, 4, 6, 5)),
+        ],
+        ids=["Dense", "LSTMCell", "Conv2D-3", "Conv2D-5"],
+    )
+    def test_layer(self, rng, make, x_shape, dout_shape):
+        layer = make(rng)
+        x = rng.normal(size=x_shape)
+        dout = rng.normal(size=dout_shape)
+        layer.forward(x, training=True)
+        assert layer.backward(dout) is not None
+        full = [g.copy() for g in layer.grads()]
+        layer.forward(x, training=True)
+        assert layer.backward(dout, input_grad=False) is None
+        for a, b in zip(layer.grads(), full):
+            assert_same_bytes(a, b)
+
+    def test_sequential_stops_at_first_weighted_layer(self, rng):
+        called = []
+
+        class Spy(Flatten):
+            def backward(self, dout):
+                called.append(self)
+                return super().backward(dout)
+
+        net = Sequential(Spy(), Dense(6, 4, rng), ReLU(), Dense(4, 2, rng))
+        twin = copy.deepcopy(net)
+        x = rng.normal(size=(3, 2, 3))
+        dout = rng.normal(size=(3, 2))
+        net.forward(x, training=True)
+        twin.forward(x, training=True)
+        assert twin.backward(dout).shape == x.shape
+        assert called == [twin.layers[0]]
+        assert net.backward(dout, input_grad=False) is None
+        assert called == [twin.layers[0]]
+        for a, b in zip(net.grads(), twin.grads()):
+            assert_same_bytes(a, b)
+
+    def test_sequential_without_parameters_does_nothing(self, rng):
+        net = Sequential(Flatten(), ReLU())
+        net.forward(rng.normal(size=(2, 3, 2)), training=True)
+        assert net.backward(rng.normal(size=(2, 6)), input_grad=False) is None

@@ -9,7 +9,7 @@ from repro.ml.mlp import LatencyMLP
 from repro.ml.multitask import MultiTaskLoss, MultiTaskNN
 from repro.ml.network import Sequential
 from repro.ml.layers import Dense, ReLU
-from tests.oracles.training import use_reference_training
+from tests.oracles.training import use_padded_training, use_reference_training
 
 N, T, F, M = 6, 4, 6, 5
 SMALL = CNNConfig(conv_channels=(4,), rh_embed=16, lh_embed=8, rc_embed=8, latent_dim=16)
@@ -180,3 +180,81 @@ class TestFitInstrumentation:
         np.testing.assert_allclose(
             fast.train_loss, ref.train_loss, rtol=0, atol=1e-8
         )
+
+
+TWO_CONV = CNNConfig(
+    conv_channels=(4, 3), rh_embed=16, lh_embed=8, rc_embed=8, latent_dim=16
+)
+
+
+def cnn_input_layers(model):
+    return [
+        model.rh_branch.layers[0], model.lh_branch.layers[1], model.rc_branch.layers[0]
+    ]
+
+
+# factory, and the layers that read the model's input data
+LOCKSTEP_MODELS = {
+    "cnn": (lambda: LatencyCNN(N, T, F, M, config=TWO_CONV, seed=0), cnn_input_layers),
+    "mlp": (
+        lambda: LatencyMLP(N, T, F, M, hidden=(32, 16), seed=0),
+        lambda model: [model.net.layers[0]],
+    ),
+    "lstm": (
+        lambda: LatencyLSTM(N, T, F, M, hidden=16, seed=0),
+        lambda model: [model.lstm, model.rc_branch.layers[0]],
+    ),
+    "multitask": (
+        lambda: MultiTaskNN(N, T, F, M, config=TWO_CONV, seed=0),
+        cnn_input_layers,
+    ),
+}
+
+
+def lockstep_fit(model):
+    """A short fit with validation; 65 samples at batch 32 end every
+    epoch on a batch of one."""
+    inputs, y = synthetic(65, seed=3)
+    val_inputs, val_y = synthetic(20, seed=4)
+    kwargs = {}
+    if isinstance(model, MultiTaskNN):
+        y = model.pack_targets(y, (y[:, 0] > 100.0).astype(float))
+        val_y = model.pack_targets(val_y, (val_y[:, 0] > 100.0).astype(float))
+        kwargs["loss"] = model.loss()
+    return model.fit(
+        inputs, y, val_inputs, val_y, epochs=4, lr=0.003, batch_size=32,
+        seed=5, **kwargs
+    )
+
+
+@pytest.mark.parametrize(
+    "make, input_layers", LOCKSTEP_MODELS.values(), ids=LOCKSTEP_MODELS
+)
+class TestBitwiseTraining:
+    """Whole fits on the production path vs the bit-exact oracles (padded
+    im2col, every layer computing its input gradient): the same bits."""
+
+    def test_fit_matches_padded_oracle(self, make, input_layers):
+        fast, ref = make(), use_padded_training(make())
+        fast_fit, ref_fit = lockstep_fit(fast), lockstep_fit(ref)
+        assert fast_fit.train_loss == ref_fit.train_loss
+        assert fast_fit.val_rmse == ref_fit.val_rmse
+        assert fast_fit.val_rmse_final == ref_fit.val_rmse_final
+        for a, b in zip(fast.params(), ref.params()):
+            assert a.tobytes() == b.tobytes()
+
+    def test_input_layers_skip_input_gradient(self, make, input_layers, monkeypatch):
+        """The layers reading the input data are asked for their
+        parameter gradients only: nothing reads the data's gradient."""
+        model = make()
+        asked = []
+        for layer in input_layers(model):
+            def spy(dout, *, input_grad=True, _backward=layer.backward):
+                asked.append(input_grad)
+                return _backward(dout, input_grad=input_grad)
+
+            monkeypatch.setattr(layer, "backward", spy, raising=False)
+        inputs, _ = synthetic(8)
+        out = model.forward_batch(inputs, training=True)
+        model.backward_batch(np.ones_like(out))
+        assert asked == [False] * len(input_layers(model))

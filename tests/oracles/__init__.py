@@ -12,8 +12,9 @@ Nothing under ``src/`` imports this package.
 * :mod:`tests.oracles.decision` — candidate encoding with materialized
   history copies, the recursive tree walk, and the scoring path built
   on them.
-* :mod:`tests.oracles.training` — the recursive tree grower and the
-  einsum / per-step Conv2D and LSTMCell training paths.
+* :mod:`tests.oracles.training` — the recursive tree grower, the
+  padded im2col Conv2D with every input gradient computed (bit-exact),
+  and the einsum / per-step Conv2D and LSTMCell training paths.
 * :mod:`tests.oracles.control` — the ``Action``-list candidate
   generator and the list-based selection.
 * :mod:`tests.oracles.collection` — the bandit explorer that scores

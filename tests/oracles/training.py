@@ -4,11 +4,21 @@
   depth-first grower that re-scans each (node, feature) pair; the
   production level-wise histogram grower must match it split for split
   (:func:`assert_same_structure`, on the compiled arrays).
+* :class:`PaddedConv2D` trains with the padded im2col path: ``np.pad``
+  and one strided copy per kernel tap build the column matrix, and a
+  scatter-add onto a padded gradient folds it back.  It is the
+  bit-exact oracle: the production shifted-run im2col/col2im must match
+  its output, column matrix, ``dW``, ``db`` and input gradient byte for
+  byte, on any input (``-0.0``, NaN and ±inf included).
 * :class:`ReferenceConv2D` trains with the einsum forward and the
   tap-loop einsum backward; the production im2col path must match its
   outputs and gradients to 1e-10.
 * :class:`ReferenceLSTMCell` runs the per-step concatenated forward and
   backward; the production fused path must match it to 1e-10.
+* :func:`use_padded_training` puts a whole model on the bit-exact
+  training path: :class:`PaddedConv2D`, and every layer computing the
+  gradient with respect to its input (production skips it for a
+  network's input layers).  Fits must then match production bitwise.
 
 ``tests/ml/test_boosted_trees.py``, ``tests/ml/test_layers.py``,
 ``tests/ml/test_models.py`` and ``tests/core/test_fast_path.py`` hold
@@ -21,7 +31,7 @@ import numpy as np
 
 from repro.core.predictor import HybridPredictor
 from repro.ml.boosted_trees import BoostedTrees, _Node
-from repro.ml.layers import Conv2D, Layer, LSTMCell, _sigmoid
+from repro.ml.layers import Conv2D, Dense, Layer, LSTMCell, _sigmoid
 from repro.ml.network import Sequential
 
 
@@ -112,6 +122,64 @@ def assert_same_structure(fast: BoostedTrees, ref: BoostedTrees) -> None:
     np.testing.assert_allclose(a.value[leaf], b.value[leaf], rtol=0, atol=1e-10)
 
 
+class PaddedConv2D(Conv2D):
+    """Conv2D trained with the padded im2col path (bit-exact oracle).
+
+    It always computes the input gradient, whatever ``input_grad`` asks.
+    """
+
+    def backward(self, dout: np.ndarray, *, input_grad: bool = True) -> np.ndarray:
+        if self._cols is None:
+            raise self._needs_training_forward()
+        return self._backward_im2col(dout)
+
+    def _forward_im2col(self, x: np.ndarray) -> np.ndarray:
+        B, C, H, W = x.shape
+        k = self.kernel
+        pad = k // 2
+        self._x_shape = x.shape
+        xp = np.pad(x, ((0, 0), (0, 0), (pad, pad), (pad, pad)))
+        # im2col matrix (C*k*k, B*H*W), filled one kernel tap at a time:
+        # each tap is a (C, B, H, W) slice copy with a contiguous
+        # destination, which on these small feature maps is much faster
+        # than one big transpose of the 6D sliding-window view.  Rows
+        # follow the (c, i, j) order of W.reshape(C*k*k, O); BLAS
+        # handles the transposed GEMM operand without a copy.
+        cols = np.empty((C, k, k, B, H, W))
+        for i in range(k):
+            for j in range(k):
+                np.copyto(
+                    cols[:, i, j],
+                    xp[:, :, i : i + H, j : j + W].transpose(1, 0, 2, 3),
+                )
+        self._cols = cols.reshape(C * k * k, B * H * W)
+        out = self._cols.T @ self.W.reshape(C * k * k, self.out_ch)
+        out += self.b
+        return out.reshape(B, H, W, self.out_ch).transpose(0, 3, 1, 2)
+
+    def _backward_im2col(self, dout: np.ndarray) -> np.ndarray:
+        B, C, H, W = self._x_shape
+        k = self.kernel
+        pad = k // 2
+        O = self.out_ch
+        dout_mat = dout.transpose(0, 2, 3, 1).reshape(B * H * W, O)
+        self.dW[...] = (self._cols @ dout_mat).reshape(C, k, k, O)
+        self.db[...] = dout_mat.sum(axis=0)
+        # dx: one GEMM back to column space, then fold the k*k taps
+        # onto the padded input (col2im).
+        dcols = (self.W.reshape(C * k * k, O) @ dout_mat.T).reshape(
+            C, k, k, B, H, W
+        )
+        dxp = np.zeros((B, C, H + 2 * pad, W + 2 * pad), dtype=dout.dtype)
+        dst = dxp.transpose(1, 0, 2, 3)
+        for i in range(k):
+            for j in range(k):
+                dst[:, :, i : i + H, j : j + W] += dcols[:, i, j]
+        if pad:
+            return dxp[:, :, pad:-pad, pad:-pad]
+        return dxp
+
+
 class ReferenceConv2D(Conv2D):
     """Conv2D trained with the einsum forward and einsum backward."""
 
@@ -121,7 +189,7 @@ class ReferenceConv2D(Conv2D):
             raise ValueError(f"expected {self.in_ch} channels, got {C}")
         return self._forward_einsum(x)
 
-    def backward(self, dout: np.ndarray) -> np.ndarray:
+    def backward(self, dout: np.ndarray, *, input_grad: bool = True) -> np.ndarray:
         return self._backward_einsum(dout)
 
     def _forward_einsum(self, x: np.ndarray) -> np.ndarray:
@@ -172,7 +240,7 @@ class ReferenceLSTMCell(LSTMCell):
     def forward(self, x: np.ndarray, training: bool = False) -> np.ndarray:
         return self._forward_reference(x)
 
-    def backward(self, dout: np.ndarray) -> np.ndarray:
+    def backward(self, dout: np.ndarray, *, input_grad: bool = True) -> np.ndarray:
         return self._backward_reference(dout)
 
     def _forward_reference(self, x: np.ndarray) -> np.ndarray:
@@ -230,7 +298,45 @@ class ReferenceLSTMCell(LSTMCell):
         return dx
 
 
+class _AlwaysInputGrad:
+    """Mixin: ``backward`` computes the input gradient even when the
+    caller says nobody reads it."""
+
+    def backward(self, dout: np.ndarray, *, input_grad: bool = True) -> np.ndarray:
+        return super().backward(dout)
+
+
+class FullGradDense(_AlwaysInputGrad, Dense):
+    """Dense whose backward always returns ``dx``."""
+
+
+class FullGradLSTMCell(_AlwaysInputGrad, LSTMCell):
+    """LSTMCell whose backward always returns ``dx``."""
+
+
+class FullGradSequential(_AlwaysInputGrad, Sequential):
+    """Sequential that backpropagates through every layer, first included."""
+
+
 _LAYER_ORACLES = {Conv2D: ReferenceConv2D, LSTMCell: ReferenceLSTMCell}
+_PADDED_ORACLES = {
+    Conv2D: PaddedConv2D,
+    Dense: FullGradDense,
+    LSTMCell: FullGradLSTMCell,
+    Sequential: FullGradSequential,
+}
+
+
+def _switch_layers(model, oracles: dict) -> None:
+    """Switch every layer ``model`` holds — as an attribute, or inside a
+    (nested) :class:`Sequential` — whose exact type has an oracle."""
+    items = model.layers if isinstance(model, Sequential) else vars(model).values()
+    for item in items:
+        if isinstance(item, Layer):
+            if isinstance(item, Sequential):
+                _switch_layers(item, oracles)
+            if type(item) in oracles:
+                item.__class__ = oracles[type(item)]
 
 
 def use_reference_training(model):
@@ -249,9 +355,25 @@ def use_reference_training(model):
     elif isinstance(model, BoostedTrees):
         model.__class__ = ReferenceBoostedTrees
     else:
-        for attr in vars(model).values():
-            layers = attr.layers if isinstance(attr, Sequential) else [attr]
-            for layer in layers:
-                if isinstance(layer, Layer) and type(layer) in _LAYER_ORACLES:
-                    layer.__class__ = _LAYER_ORACLES[type(layer)]
+        _switch_layers(model, _LAYER_ORACLES)
+    return model
+
+
+def use_padded_training(model):
+    """Switch a model to the bit-exact training oracles, in place.
+
+    ``model`` is a layer, a network or a :class:`HybridPredictor` (its
+    CNN; the trees have no second path).  Every :class:`Conv2D` trains
+    on :class:`PaddedConv2D`, and every :class:`Dense`,
+    :class:`LSTMCell` and :class:`Sequential` computes its input
+    gradient even where production skips it.
+    """
+    if type(model) in _PADDED_ORACLES:
+        if isinstance(model, Sequential):
+            _switch_layers(model, _PADDED_ORACLES)
+        model.__class__ = _PADDED_ORACLES[type(model)]
+    elif isinstance(model, HybridPredictor):
+        use_padded_training(model.cnn)
+    else:
+        _switch_layers(model, _PADDED_ORACLES)
     return model
