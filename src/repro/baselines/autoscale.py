@@ -83,6 +83,11 @@ class AutoScale(Manager):
         self.min_alloc = np.asarray(min_alloc, dtype=float)
         self.max_alloc = np.asarray(max_alloc, dtype=float)
         self.rules = rules
+        # Whether a rule moves the allocation is a property of the rule,
+        # fixed here instead of per decision over the tier vector.
+        self._rule_moves = tuple(
+            not np.isclose(rule.factor, 1.0) for rule in rules
+        )
         self.name = name
         self.cooldown = cooldown
         self.reset()
@@ -127,12 +132,14 @@ class AutoScale(Manager):
 
         factor = np.ones_like(alloc)
         matched = np.zeros(len(alloc), dtype=bool)
-        for rule in self.rules:
+        moving = np.zeros(len(alloc), dtype=bool)
+        for rule, moves in zip(self.rules, self._rule_moves):
             hits = rule.applies(util) & ~matched
             factor[hits] = rule.factor
             matched |= hits
-        ready = self._since_change >= self.cooldown
-        apply = matched & ready & ~np.isclose(factor, 1.0)
+            if moves:
+                moving |= hits
+        apply = moving & (self._since_change >= self.cooldown)
         alloc[apply] = alloc[apply] * factor[apply]
         self._since_change[apply] = 0
         return np.clip(alloc, self.min_alloc, self.max_alloc)

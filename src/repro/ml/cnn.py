@@ -19,12 +19,16 @@ Online, the scheduler scores B candidate allocations that all share one
 telemetry history, so the RH/LH inputs of the batch are B identical
 copies.  :meth:`LatencyCNN.predict_candidates` exploits this: the conv
 trunk runs once on the single shared history and its activations are
-repeated across the candidate batch before the dense stack.  The split
-point is deliberate — convolution via ``einsum`` is batch-invariant
-down to the bit, while BLAS GEMM results depend on the batch dimension,
-so the dense layers run at the full batch size in both paths and the
-fast path reproduces :meth:`predict_with_latent` on the equivalent
-broadcast batch *exactly*.
+repeated across the candidate batch before the dense stack.  The trunk
+half of the equality rests on one fact about the installed BLAS: numpy
+evaluates the inference conv einsum as one matmul over ``B*H*W`` rows,
+and that GEMM gives each row the same bits whatever the row count.
+That is how the BLAS kernels behave, not something numpy or BLAS
+promises, so ``tests/ml/test_layers.py`` pins it at the served conv
+shapes.  The dense layers are not asked for it: they run at the full
+batch size in both paths, so the fast path reproduces
+:meth:`predict_with_latent` on the equivalent broadcast batch
+*exactly*.
 """
 
 from __future__ import annotations

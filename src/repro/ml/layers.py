@@ -184,10 +184,14 @@ class Conv2D(_Weighted):
     The forward pass depends on the mode:
 
     * **Inference** (``training=False``) uses sliding-window views and
-      ``einsum``.  The einsum contraction is batch-invariant down to the
-      bit, which the shared-trunk decision path depends on (see
-      :meth:`repro.ml.cnn.LatencyCNN.predict_candidates`) — it must not
-      be swapped for a GEMM, whose rounding depends on the batch size.
+      ``einsum``, which numpy evaluates as one matmul of the
+      ``(B*H*W, C*k*k)`` windows against the kernel.  The shared-trunk
+      decision path (:meth:`repro.ml.cnn.LatencyCNN.predict_candidates`)
+      needs one window's output to equal every row of the output on B
+      copies of it.  That holds because the BLAS gives each row of the
+      product the same bits whatever the row count: a property of its
+      kernels, not a guarantee, pinned at the served shapes in
+      ``tests/ml/test_layers.py``.
     * **Training** (``training=True``) materializes the im2col matrix
       once and runs a single GEMM forward; backward is one GEMM for
       ``dW`` (against the saved im2col matrix) and one GEMM back to

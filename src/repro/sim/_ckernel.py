@@ -1,29 +1,41 @@
-"""Optional compiled tick kernel for the batched simulation path.
+"""Optional compiled kernel for the batched simulation path.
 
 The batched interval path spends its residual time in the sequential
-tick recurrence (queue, busy EWMA, the sojourn level sweep): ~50 numpy
-calls per tick over vectors of a few dozen tiers, where per-call
-dispatch costs more than the arithmetic it performs.  This module
-compiles that recurrence into a tiny C kernel at first use (cffi ABI
-mode plus the system C compiler) and caches the shared object under the
-user's temp directory, keyed by a digest of the source.  Everything is
-best-effort: any failure — no ``cffi``, no compiler, an unwritable temp
-directory — degrades silently to the pure-numpy loop in
+tick recurrence (queue, busy EWMA, the sojourn level sweep) and in the
+interval's random draws: ~50 numpy calls per tick over vectors of a few
+dozen tiers, and ~15 ``Generator`` calls per interval on vectors of a
+few elements, where per-call dispatch and argument checking cost more
+than the arithmetic or the draws.  This module compiles the recurrence
+and the draws into a tiny C kernel at first use (cffi ABI mode plus the
+system C compiler) and caches the shared object under the user's temp
+directory, keyed by a digest of the source.  Everything is best-effort
+and all-or-nothing: any failure — no ``cffi``, no compiler, an
+unwritable temp directory, a numpy whose distribution functions do not
+resolve — degrades silently to the numpy code in
 :meth:`repro.sim.engine.QueueingEngine._run_interval_fast`, which
 computes the identical bitstream.
 
-Bitwise equality with the numpy recurrence relies on two things:
+Bitwise equality with the numpy code relies on three things:
 
 * the kernel mirrors the reference expression trees operation for
   operation (same association order; comparison-based min/max, exact
-  for the finite non-NaN values the engine produces), and
+  for the finite non-NaN values the engine produces),
 * compilation uses ``-ffp-contract=off`` so no multiply-add pair is
-  contracted into an FMA.
+  contracted into an FMA, and
+* every random value comes from the C function numpy's own
+  ``Generator`` method calls (``random_poisson``, ``random_normal``,
+  ``random_lognormal``, ``random_bounded_uint64_fill``,
+  ``random_standard_uniform``), resolved from
+  ``numpy.random._generator`` — the route numpy documents in
+  ``numpy/random/_examples/cffi`` — and called on the engine
+  generator's own ``bitgen_t`` under its lock, in the order the numpy
+  code calls the methods.  Values and ``bit_generator.state`` are
+  therefore identical by construction; the kernel repeats the methods'
+  argument checks (:data:`DRAW_ERRORS`) before it draws.
 
-The kernel roughly halves the wall time of simulator-bound runs (see
-``docs/architecture.md``).  Tests reach the numpy recurrence by making
-:func:`load_kernel` return ``None``; the equivalence suite exercises
-both.
+Measured gains are in ``docs/architecture.md``.  Tests reach the numpy
+code by making :func:`load_kernel` return ``None``; the equivalence
+suite exercises both.
 """
 
 from __future__ import annotations
@@ -34,20 +46,28 @@ import shutil
 import subprocess
 import tempfile
 
+import numpy as np
+
 _CDEF = """
+void sinan_bind_numpy(
+    void *poisson, void *normal, void *lognormal,
+    void *bounded_uint64_fill, void *standard_uniform);
+int sinan_draw_tick(
+    void *bitgen, int t, int n_types, const double *rates,
+    double mod, double tick, double lam_max,
+    double *counts_rows, int n_z, double *z_rows);
+int sinan_sample_latencies(
+    void *bitgen, int n_types, const int64_t *k_per_type,
+    int n_ticks, int n, const double *soj,
+    const int *col_off, const int *cols, const double *base,
+    const int *seg_off, const int *seg_size,
+    double mu_ln, double sigma,
+    const double *p_drop, double drop_latency,
+    uint64_t *ticks, double *latency);
 void sinan_demand_ewma(
     int n_ticks, int n, double tick,
     const double *arrival_rows,
     double *demand, double *demand_rows);
-void sinan_sample_stages(
-    long k, int n, int n_segs,
-    const double *soj,
-    const long long *ticks,
-    const long long *cols,
-    const double *base,
-    const double *flat,
-    const int *seg_off, const int *seg_size,
-    double *latency);
 void sinan_run_ticks(
     int n_ticks, int n,
     const double *infl, const double *cap,
@@ -63,13 +83,131 @@ void sinan_run_ticks(
     double *sojourn_rows);
 """
 
-# Tiers arrive permuted into dependency-level order, so iterating
-# i = 0..n-1 *is* the level sweep: every child index is < i.  The queue
-# phase is fused into the same per-tier pass — it only touches tier-local
-# state, and the reference's "any tier overflowed" drop branch reduces to
-# per-tier ``max(q - max_queue, 0)`` arithmetic whose no-drop case is the
-# IEEE identity ``q - 0.0 == q``.
+# ``sinan_run_ticks``: tiers arrive permuted into dependency-level order,
+# so iterating i = 0..n-1 *is* the level sweep: every child index is < i.
+# The queue phase is fused into the same per-tier pass — it only touches
+# tier-local state, and the reference's "any tier overflowed" drop branch
+# reduces to per-tier ``max(q - max_queue, 0)`` arithmetic whose no-drop
+# case is the IEEE identity ``q - 0.0 == q``.
 _SOURCE = r"""
+#include <math.h>
+#include <stdbool.h>
+#include <stdint.h>
+
+/* numpy's distribution functions (numpy/random/distributions.h), bound
+ * once per process by sinan_bind_numpy. */
+typedef struct bitgen bitgen_t;
+static int64_t (*np_poisson)(bitgen_t *, double);
+static double (*np_normal)(bitgen_t *, double, double);
+static double (*np_lognormal)(bitgen_t *, double, double);
+static void (*np_bounded_uint64_fill)(
+    bitgen_t *, uint64_t, uint64_t, intptr_t, bool, uint64_t *);
+static double (*np_standard_uniform)(bitgen_t *);
+
+void sinan_bind_numpy(
+    void *poisson, void *normal, void *lognormal,
+    void *bounded_uint64_fill, void *standard_uniform)
+{
+    np_poisson = (int64_t (*)(bitgen_t *, double))poisson;
+    np_normal = (double (*)(bitgen_t *, double, double))normal;
+    np_lognormal = (double (*)(bitgen_t *, double, double))lognormal;
+    np_bounded_uint64_fill = (void (*)(
+        bitgen_t *, uint64_t, uint64_t, intptr_t, bool, uint64_t *))
+        bounded_uint64_fill;
+    np_standard_uniform = (double (*)(bitgen_t *))standard_uniform;
+}
+
+/* Tick t's draws after its rate-modulation draws, in the reference
+ * tick's order: rng.poisson((rates * mod) * tick) into counts row t, then
+ * rng.normal(0.0, 1.0, size=n_z) into z row t.  The means are checked as
+ * a whole before the first draw, as Generator.poisson checks its mean
+ * array: 1 when one is not <= lam_max (numpy's POISSON_LAM_MAX; NaN
+ * fails this first), else 2 when one is not >= 0.  Nothing is drawn
+ * then. */
+int sinan_draw_tick(
+    void *bitgen, int t, int n_types, const double *rates,
+    double mod, double tick, double lam_max,
+    double *counts_rows, int n_z, double *z_rows)
+{
+    bitgen_t *bg = (bitgen_t *)bitgen;
+    double *counts = counts_rows + (long)t * n_types;
+    double *z = z_rows + (long)t * n_z;
+    int r;
+    for (r = 0; r < n_types; r++)
+        if (!((rates[r] * mod) * tick <= lam_max)) return 1;
+    for (r = 0; r < n_types; r++)
+        if (!((rates[r] * mod) * tick >= 0.0)) return 2;
+    for (r = 0; r < n_types; r++)
+        counts[r] = (double)np_poisson(bg, (rates[r] * mod) * tick);
+    for (int i = 0; i < n_z; i++)
+        z[i] = np_normal(bg, 0.0, 1.0);
+    return 0;
+}
+
+/* One interval's latency samples, request type by request type, with
+ * the reference sampler's draws in its order.  For type r (k samples):
+ *   - k tick indices: random_bounded_uint64_fill(0, n_ticks - 1, k,
+ *     use_masked=false) is Generator.integers(0, n_ticks, k);
+ *   - stage by stage, the stage's (k, size) lognormal block row-major;
+ *     sample i adds, in stage order, the maximum over the stage's tiers
+ *     of base + (sojourn - base) * noise at its tick;
+ *   - when p_drop[r] > 0, k uniforms; a sample whose uniform is below
+ *     p_drop[r] times out at drop_latency;
+ *   - the clamp at drop_latency, NaN-propagating like np.minimum.
+ * ``soj`` holds the permuted sojourn rows.  Type r's stage tiers
+ * (permuted indices) and base latencies are cols/base[col_off[r] ..
+ * col_off[r + 1]), its stage sizes seg_size[seg_off[r] .. seg_off[r + 1]).
+ * ``ticks`` holds at least max(k) entries.  Returns 3 when sigma fails
+ * Generator.lognormal's check (sign bit set, not NaN), having drawn, as
+ * numpy does, only the first sampled type's ticks. */
+int sinan_sample_latencies(
+    void *bitgen, int n_types, const int64_t *k_per_type,
+    int n_ticks, int n, const double *soj,
+    const int *col_off, const int *cols, const double *base,
+    const int *seg_off, const int *seg_size,
+    double mu_ln, double sigma,
+    const double *p_drop, double drop_latency,
+    uint64_t *ticks, double *latency)
+{
+    bitgen_t *bg = (bitgen_t *)bitgen;
+    int bad_sigma = !isnan(sigma) && signbit(sigma);
+    for (int r = 0; r < n_types; r++) {
+        long k = (long)k_per_type[r];
+        if (k <= 0) continue;
+        np_bounded_uint64_fill(
+            bg, 0, (uint64_t)(n_ticks - 1), (intptr_t)k, false, ticks);
+        if (bad_sigma) return 3;
+        for (long i = 0; i < k; i++) latency[i] = 0.0;
+        int c = col_off[r];
+        for (int s = seg_off[r]; s < seg_off[r + 1]; s++) {
+            int sz = seg_size[s];
+            for (long i = 0; i < k; i++) {
+                const double *row = soj + (long)ticks[i] * n;
+                double m = 0.0;
+                for (int j = 0; j < sz; j++) {
+                    double b = base[c + j];
+                    double noise = np_lognormal(bg, mu_ln, sigma);
+                    double v = (row[cols[c + j]] - b) * noise + b;
+                    if (j == 0 || v > m) m = v;
+                }
+                latency[i] += m;
+            }
+            c += sz;
+        }
+        if (p_drop && p_drop[r] > 0.0) {
+            double p = p_drop[r];
+            for (long i = 0; i < k; i++)
+                if (np_standard_uniform(bg) < p) latency[i] = drop_latency;
+        }
+        for (long i = 0; i < k; i++) {
+            double v = latency[i];
+            latency[i] = (v <= drop_latency || isnan(v)) ? v : drop_latency;
+        }
+        latency += k;
+    }
+    return 0;
+}
+
 /* demand_t = (demand_{t-1} * 0.8) + ((arrivals_t / tick) * 0.2), the
  * same expression tree as the numpy in-place EWMA. */
 void sinan_demand_ewma(
@@ -85,41 +223,6 @@ void sinan_demand_ewma(
             demand[i] = d;
             out_t[i] = d;
         }
-    }
-}
-
-/* Latency synthesis inner loop: per sample, per stage, the maximum of
- * base + (sojourn - base) * noise over the stage's tiers, summed across
- * stages.  ``flat`` holds the per-stage lognormal blocks row-major —
- * sample i, stage s (offset o, size sz) lives at flat[o*k + i*sz .. +sz].
- * Left-to-right comparisons mirror np.maximum.reduce, and the stage sums
- * accumulate in stage order like the numpy adds. */
-void sinan_sample_stages(
-    long k, int n, int n_segs,
-    const double *soj,
-    const long long *ticks,
-    const long long *cols,
-    const double *base,
-    const double *flat,
-    const int *seg_off, const int *seg_size,
-    double *latency)
-{
-    for (long i = 0; i < k; i++) {
-        const double *row = soj + ticks[i] * (long)n;
-        double lat = 0.0;
-        for (int s = 0; s < n_segs; s++) {
-            int o = seg_off[s];
-            int sz = seg_size[s];
-            const double *noise = flat + (long)o * k + i * sz;
-            double m = 0.0;
-            for (int j = 0; j < sz; j++) {
-                double b = base[o + j];
-                double v = (row[cols[o + j]] - b) * noise[j] + b;
-                if (j == 0 || v > m) m = v;
-            }
-            lat += m;
-        }
-        latency[i] = lat;
     }
 }
 
@@ -189,8 +292,40 @@ void sinan_run_ticks(
 
 _CFLAGS = ["-O2", "-fPIC", "-shared", "-ffp-contract=off"]
 
+#: The numpy functions the kernel draws through, in ``sinan_bind_numpy``
+#: order, with their ``numpy/random/distributions.h`` prototypes.
+_NUMPY_DRAWS = (
+    "random_poisson", "random_normal", "random_lognormal",
+    "random_bounded_uint64_fill", "random_standard_uniform",
+)
+_NUMPY_CDEF = """
+typedef struct bitgen bitgen_t;
+int64_t random_poisson(bitgen_t *, double);
+double random_normal(bitgen_t *, double, double);
+double random_lognormal(bitgen_t *, double, double);
+void random_bounded_uint64_fill(
+    bitgen_t *, uint64_t, uint64_t, intptr_t, _Bool, uint64_t *);
+double random_standard_uniform(bitgen_t *);
+"""
+
+#: numpy's ``POISSON_LAM_MAX`` (``numpy/random/_common.pyx``), the
+#: largest mean ``Generator.poisson`` accepts, by its own expression.
+POISSON_LAM_MAX = (
+    float(np.iinfo("l").max) - float(np.sqrt(np.iinfo("l").max)) * 10
+)
+
+#: ``ValueError`` messages for the kernel's non-zero returns: the ones
+#: ``Generator.poisson`` and ``Generator.lognormal`` raise for the same
+#: arguments.
+DRAW_ERRORS = {
+    1: "lam value too large",
+    2: "lam < 0 or lam contains NaNs",
+    3: "sigma < 0",
+}
+
 _cached: tuple | None = None
 _failed = False
+_numpy_lib = None
 
 
 def load_kernel() -> tuple | None:
@@ -212,6 +347,7 @@ def load_kernel() -> tuple | None:
 
 
 def _build() -> tuple | None:
+    global _numpy_lib
     import cffi  # gated: absent in minimal environments
 
     cc = shutil.which("cc") or shutil.which("gcc") or shutil.which("clang")
@@ -246,8 +382,17 @@ def _build() -> tuple | None:
                     pass
     ffi = cffi.FFI()
     ffi.cdef(_CDEF)
+    ffi.cdef(_NUMPY_CDEF)
     lib = ffi.dlopen(so_path)
+    # numpy's own Generator code, already loaded (kept referenced for
+    # the process): resolving a missing symbol raises, and then there is
+    # no kernel at all.
+    _numpy_lib = ffi.dlopen(np.random._generator.__file__)
+    lib.sinan_bind_numpy(
+        *(ffi.cast("void *", getattr(_numpy_lib, name))
+          for name in _NUMPY_DRAWS)
+    )
     return ffi, lib
 
 
-__all__ = ["load_kernel"]
+__all__ = ["load_kernel", "DRAW_ERRORS", "POISSON_LAM_MAX"]

@@ -278,11 +278,18 @@ class QueueingEngine:
         allocs = np.asarray(allocs, dtype=float)
         if allocs.shape != (n,):
             raise ValueError(f"allocs must have shape ({n},)")
-        if np.any(allocs <= 0):
+        # Checked before any draw.  A NaN or infinite allocation would
+        # otherwise run, and the compiled and numpy recurrences do not
+        # agree on non-finite values.
+        if not np.isfinite(allocs).all():
+            raise ValueError("all CPU allocations must be finite")
+        if (allocs <= 0).any():
             raise ValueError("all CPU allocations must be positive")
         type_rates = np.asarray(type_rates, dtype=float)
         if type_rates.shape != (graph.n_types,):
             raise ValueError(f"type_rates must have shape ({graph.n_types},)")
+        if not np.isfinite(type_rates).all() or (type_rates < 0).any():
+            raise ValueError("type_rates must be finite and non-negative")
         return allocs, type_rates
 
     def run_interval(
@@ -378,7 +385,10 @@ class QueueingEngine:
 
         The interval's full RNG plan (AR(1)/burst modulation, Poisson
         counts, capacity-jitter normals) is drawn in a prepass that
-        replicates the reference tick loop's exact consumption order;
+        replicates the reference tick loop's exact consumption order (the
+        compiled kernel, when loaded, makes the Poisson and jitter draws
+        through numpy's own distribution functions; see
+        :mod:`repro.sim._ckernel`);
         behavior multipliers are hoisted alongside (they are functions of
         simulated time only and never touch the engine RNG).  Everything
         without a tick-to-tick dependency is then computed as
@@ -401,7 +411,9 @@ class QueueingEngine:
         if plan is None or plan.n_ticks != n_ticks:
             plan = self._fast_plan = _FastPlan(self, n_ticks)
 
-        # --- prepass: RNG plan + behaviors, reference consumption order.
+        # --- prepass: RNG plan + behaviors, reference consumption order:
+        # per tick the modulation draws, the Poisson counts by type, then
+        # the capacity-jitter normals.
         visit_T = self._visit_T
         counts_rows = plan.counts_rows
         demand_rows = plan.demand_rows
@@ -411,16 +423,38 @@ class QueueingEngine:
         has_behaviors = bool(self.behaviors)
         cap_beh_rows = plan.cap_beh_rows if has_behaviors else None
         rep_rows = plan.rep_rows if has_behaviors else None
+        clib = plan.clib
+        if clib is not None:
+            # The kernel makes the Poisson and jitter draws through
+            # numpy's own functions on this generator's bitgen_t (re-read
+            # each interval: reset(seed) replaces the generator), under
+            # its lock like the Generator methods.  The modulation stays
+            # here: its np.exp differs from libm's exp in the last bit on
+            # some inputs.
+            plan.rates[:] = type_rates
+            bitgen = rng.bit_generator.cffi.bit_generator
+            lock = rng.bit_generator.lock
+            n_types = graph.n_types
+            n_z = n if draw_jitter else 0
         for t in range(n_ticks):
-            # The reference tick's own vector Poisson call, verbatim.
-            counts_rows[t] = rng.poisson(
-                (type_rates * self._rate_modulation()) * tick
-            )
+            mod = self._rate_modulation()
+            if clib is not None:
+                with lock:
+                    err = clib.sinan_draw_tick(
+                        bitgen, t, n_types, plan.ptr_rates, mod, tick,
+                        _ckernel.POISSON_LAM_MAX, plan.ptr_counts, n_z,
+                        plan.ptr_z,
+                    )
+                if err:
+                    raise ValueError(_ckernel.DRAW_ERRORS[err])
+            else:
+                # The reference tick's own draw calls, verbatim.
+                counts_rows[t] = rng.poisson((type_rates * mod) * tick)
+                if draw_jitter:
+                    z_rows[t] = rng.normal(0.0, 1.0, size=n)
             if has_behaviors:
                 cap_beh_rows[t] = self._behavior_capacity(n)
                 rep_rows[t] = self._behavior_replicas(n)
-            if draw_jitter:
-                z_rows[t] = rng.normal(0.0, 1.0, size=n)
             self.time += tick
         # Axis-0 add.reduce accumulates row by row, bitwise the same as
         # the reference's per-tick ``+=``.
@@ -807,9 +841,10 @@ class QueueingEngine:
         flat lognormal draw whose stage blocks match the reference's
         successive per-stage draws, the conditional drop coin-flips) and
         computes the same per-stage maxima over the same elements, so the
-        samples are bitwise equal to the reference sampler's.  The stage
-        pass runs in the compiled kernel when available and otherwise in
-        :meth:`_sample_type_numpy`.
+        samples are bitwise equal to the reference sampler's.  With the
+        compiled kernel, one call makes every type's draws and stage pass
+        (``sinan_sample_latencies``); otherwise the per-type loop below
+        runs on the Generator methods and :meth:`_sample_type_numpy`.
         """
         cfg = self.config
         rng = self._rng
@@ -822,65 +857,66 @@ class QueueingEngine:
         budget = cfg.max_latency_samples
         weights = type_counts / total
         samples_per_type = np.maximum(
-            (weights * budget).astype(int), (type_counts > 0).astype(int) * 3
+            (weights * budget).astype(int), (type_counts > 0).astype(int) * 3,
+            out=plan.k_per_type,
         )
+        n_samples = int(samples_per_type.sum())
         sigma = cfg.noise_sigma
         mu_ln = -0.5 * sigma * sigma
         drop_latency = cfg.drop_latency
         # With zero drops every per-type p_drop is exactly 0.0 and the
         # reference draws no drop coin-flips, so the whole block can be
         # skipped without touching the bitstream.
-        any_drops = bool(np.maximum.reduce(drops_total) > 0.0)
-        if any_drops:
+        p_drop = None
+        if np.maximum.reduce(drops_total) > 0.0:
+            # The reference's per-type np.prod(1 - np.clip(frac, 0, 1))
+            # minus the dispatch wrappers; the clip is elementwise, so it
+            # runs once over every tier.
             drop_frac = drops_total / np.maximum(arrivals_total, _EPS)
+            keep = 1.0 - np.minimum(np.maximum(drop_frac, 0), 1)
+            p_drop = plan.p_drop
+            for r, tiers in enumerate(self._type_tiers):
+                p_drop[r] = 1.0 - np.multiply.reduce(keep[tiers])
 
-        use_c = plan.clib is not None
-        n = self.graph.n_tiers
-        out = np.empty(int(samples_per_type.sum()))
+        out = np.empty(n_samples)
+        clib = plan.clib
+        if clib is not None:
+            ffi = plan.ffi
+            # Tick-index scratch: n_samples bounds every type's count.
+            ticks = np.empty(n_samples, dtype=np.uint64)
+            with rng.bit_generator.lock:
+                err = clib.sinan_sample_latencies(
+                    rng.bit_generator.cffi.bit_generator,
+                    self.graph.n_types, plan.ptr_k_per_type, n_ticks,
+                    self.graph.n_tiers, plan.ptr_sojourn,
+                    plan.ptr_sample_col_off, plan.ptr_sample_cols,
+                    plan.ptr_sample_base, plan.ptr_sample_seg_off,
+                    plan.ptr_sample_seg_size, mu_ln, sigma,
+                    ffi.NULL if p_drop is None else plan.ptr_p_drop,
+                    drop_latency, ffi.from_buffer("uint64_t[]", ticks),
+                    ffi.from_buffer("double[]", out),
+                )
+            if err:
+                raise ValueError(_ckernel.DRAW_ERRORS[err])
+            return out
+
         pos = 0
         for r, k in enumerate(samples_per_type):
             if k <= 0:
                 continue
             k = int(k)
             ticks = rng.integers(0, n_ticks, size=k)
-            cols = plan.type_cols[r]
             # One lognormal draw covers every stage: successive size-m
             # draws and one size-sum draw consume the bitstream element
             # for element identically, so the reference's per-stage
             # (k, s) blocks are contiguous row-major runs of ``flat``.
-            flat = rng.lognormal(mu_ln, sigma, size=k * cols.size)
-            if use_c:
-                # Stage gathers, noise application, and stage maxima in
-                # one compiled pass over the permuted sojourn rows,
-                # writing straight into the output slice.
-                ffi = plan.ffi
-                cols_ptr, base_ptr, off_ptr, size_ptr, n_segs = (
-                    plan.type_cptrs[r]
-                )
-                plan.clib.sinan_sample_stages(
-                    k, n, n_segs,
-                    plan.ptr_sojourn,
-                    ffi.cast("long long *", ticks.ctypes.data),
-                    cols_ptr, base_ptr,
-                    ffi.cast("double *", flat.ctypes.data),
-                    off_ptr, size_ptr,
-                    ffi.cast("double *", out.ctypes.data + pos * 8),
-                )
-                latency = out[pos:pos + k]
-            else:
-                latency = self._sample_type_numpy(
-                    sojourn_ticks, ticks, flat, plan, r, k
-                )
-            if any_drops:
-                # multiply.reduce/minimum/maximum are the reference's
-                # np.prod/np.clip minus the dispatch wrappers.
-                frac = drop_frac[self._type_tiers[r]]
-                p_drop = 1.0 - np.multiply.reduce(
-                    1.0 - np.minimum(np.maximum(frac, 0), 1)
-                )
-                if p_drop > 0:
-                    dropped = rng.random(k) < p_drop
-                    latency[dropped] = drop_latency
+            flat = rng.lognormal(mu_ln, sigma, size=k * plan.type_cols[r].size)
+            latency = self._sample_type_numpy(
+                sojourn_ticks, ticks, flat, plan, r, k
+            )
+            if p_drop is not None and p_drop[r] > 0:
+                dropped = rng.random(k) < p_drop[r]
+                latency[dropped] = drop_latency
             np.minimum(latency, drop_latency, out=out[pos:pos + k])
             pos += k
         return out
@@ -1011,12 +1047,10 @@ class _FastPlan:
         # every stage; ``type_segs`` records each stage's (offset, size)
         # within the concatenation for the per-stage maxima.
         base_lat = engine._base_lat
+        n_types = engine.graph.n_types
         self.type_cols: list[np.ndarray] = []
         self.type_base: list[np.ndarray] = []
         self.type_segs: list[list[tuple[int, int]]] = []
-        self.type_cols_p: list[np.ndarray] = []
-        self.type_seg_off: list[np.ndarray] = []
-        self.type_seg_size: list[np.ndarray] = []
         for stages in engine.graph.stage_indices:
             cols = np.concatenate(
                 [np.asarray(s, dtype=np.intp) for s in stages]
@@ -1029,13 +1063,8 @@ class _FastPlan:
             self.type_cols.append(cols)
             self.type_base.append(base_lat[cols])
             self.type_segs.append(segs)
-            self.type_cols_p.append(self.inv[cols].astype(np.int64))
-            self.type_seg_off.append(
-                np.asarray([o for o, _ in segs], dtype=np.int32)
-            )
-            self.type_seg_size.append(
-                np.asarray([s for _, s in segs], dtype=np.int32)
-            )
+        self.k_per_type = np.empty(n_types, dtype=np.int64)
+        self.p_drop = np.empty(n_types)
 
         # CSR child lists in permuted index space for the C kernel: row i
         # (permuted order) holds children at child_idx[child_off[i] :
@@ -1095,19 +1124,41 @@ class _FastPlan:
             self.ptr_child_idx = self.ffi.cast(
                 "int *", self.child_idx.ctypes.data
             )
-            self.type_cptrs = [
-                (
-                    self.ffi.cast("long long *", cp.ctypes.data),
-                    dptr(b),
-                    self.ffi.cast("int *", so.ctypes.data),
-                    self.ffi.cast("int *", ss.ctypes.data),
-                    len(ss),
-                )
-                for cp, b, so, ss in zip(
-                    self.type_cols_p, self.type_base,
-                    self.type_seg_off, self.type_seg_size,
-                )
-            ]
+            # The sampler's stage tables, every type's concatenated into
+            # one: type r's permuted columns and base latencies at
+            # [col_off[r], col_off[r + 1]), its stage sizes at
+            # [seg_off[r], seg_off[r + 1]).
+            self.sample_cols = self.inv[
+                np.concatenate(self.type_cols)
+            ].astype(np.int32)
+            self.sample_base = np.concatenate(self.type_base)
+            self.sample_col_off = np.zeros(n_types + 1, dtype=np.int32)
+            np.cumsum(
+                [c.size for c in self.type_cols], out=self.sample_col_off[1:]
+            )
+            self.sample_seg_size = np.asarray(
+                [s for segs in self.type_segs for _, s in segs],
+                dtype=np.int32,
+            )
+            self.sample_seg_off = np.zeros(n_types + 1, dtype=np.int32)
+            np.cumsum(
+                [len(s) for s in self.type_segs], out=self.sample_seg_off[1:]
+            )
+            self.rates = np.empty(n_types)
+            self.ptr_rates = dptr(self.rates)
+            self.ptr_counts = dptr(self.counts_rows)
+            self.ptr_z = dptr(self.z_rows)
+            self.ptr_k_per_type = self.ffi.cast(
+                "int64_t *", self.k_per_type.ctypes.data
+            )
+            self.ptr_p_drop = dptr(self.p_drop)
+            self.ptr_sample_base = dptr(self.sample_base)
+            (self.ptr_sample_cols, self.ptr_sample_col_off,
+             self.ptr_sample_seg_size, self.ptr_sample_seg_off) = (
+                self.ffi.cast("int *", a.ctypes.data)
+                for a in (self.sample_cols, self.sample_col_off,
+                          self.sample_seg_size, self.sample_seg_off)
+            )
 
 
 def _fast_percentiles(values: np.ndarray) -> np.ndarray:

@@ -98,6 +98,74 @@ class TestAutoScale:
         assert AutoScale.conservative(MIN, MAX).name == "AutoScaleCons"
 
 
+class _PerCallIscloseAutoScale(AutoScale):
+    """``decide`` as it was written before the per-rule move flags: an
+    ``np.isclose(factor, 1.0)`` over the tier vector on every call."""
+
+    def decide(self, log):
+        if len(log) == 0:
+            return None
+        latest = log.latest
+        util = latest.cpu_util
+        alloc = latest.cpu_alloc.copy()
+        self._since_change += 1
+        factor = np.ones_like(alloc)
+        matched = np.zeros(len(alloc), dtype=bool)
+        for rule in self.rules:
+            hits = rule.applies(util) & ~matched
+            factor[hits] = rule.factor
+            matched |= hits
+        ready = self._since_change >= self.cooldown
+        apply = matched & ready & ~np.isclose(factor, 1.0)
+        alloc[apply] = alloc[apply] * factor[apply]
+        self._since_change[apply] = 0
+        return np.clip(alloc, self.min_alloc, self.max_alloc)
+
+
+class TestAutoScaleMatchesPerCallIsclose:
+    """The per-rule move flags decide exactly what the per-call
+    ``np.isclose`` over the factor vector decided."""
+
+    RULE_SETS = {
+        "opt": AUTOSCALE_OPT_RULES,
+        "cons": AUTOSCALE_CONS_RULES,
+        # 1.000001 is within isclose's rtol of 1.0: matched, never moved,
+        # and it shadows the band below it.
+        "near-one": (
+            StepRule(0.40, 0.60, 1.000001),
+            StepRule(0.30, 0.70, 1.2),
+            StepRule(0.00, 0.30, 0.8),
+        ),
+    }
+
+    @pytest.mark.parametrize("cooldown", [1, 15])
+    @pytest.mark.parametrize("rules", sorted(RULE_SETS))
+    def test_random_utilizations(self, rules, cooldown):
+        n = 12
+        lo, hi = np.full(n, 0.2), np.full(n, 8.0)
+        args = (lo, hi, self.RULE_SETS[rules], rules, cooldown)
+        fast, ref = AutoScale(*args), _PerCallIscloseAutoScale(*args)
+        rng = np.random.default_rng(cooldown)
+        alloc = np.full(n, 2.0)
+        moved = 0
+        for _ in range(300):
+            util = rng.uniform(-0.05, 1.05, n)
+            util[rng.random(n) < 0.1] = np.nan
+            log = TelemetryLog()
+            stats = make_stats(alloc=1.0, n=n)
+            stats.cpu_alloc[:] = alloc
+            stats.cpu_util[:] = util
+            log.append(stats)
+            got, want = fast.decide(log), ref.decide(log)
+            np.testing.assert_array_equal(got, want)
+            np.testing.assert_array_equal(
+                fast._since_change, ref._since_change
+            )
+            moved += int(np.count_nonzero(got != alloc))
+            alloc = want
+        assert moved > 0
+
+
 class TestPowerChief:
     def test_boosts_longest_queue_tier(self):
         mgr = PowerChief(MIN, MAX, top_k=1)

@@ -237,6 +237,24 @@ class TestConv2DFastPath:
         assert np.array_equal(before, oracle)
         assert np.array_equal(after, oracle)
 
+    @pytest.mark.parametrize("batch", [2, 7, 236])
+    @pytest.mark.parametrize("in_ch", [6, 12])
+    def test_inference_is_batch_invariant_at_served_shapes(
+        self, rng, in_ch, batch
+    ):
+        """The shared trunk runs the conv on one window and repeats it;
+        the oracle runs it on B copies.  Numpy evaluates the inference
+        einsum as one matmul over B*H*W rows, so the two agree only if
+        that GEMM computes every row the same way whatever the row
+        count: pinned here at the served predictor's conv shapes (6 and
+        12 channels in, 12 out, 28 tiers x 5 intervals)."""
+        layer = Conv2D(in_ch, 12, 3, rng)
+        x = rng.normal(size=(1, in_ch, 28, 5))
+        one = layer.forward(x, training=False)
+        many = layer.forward(np.repeat(x, batch, axis=0), training=False)
+        for row in many:
+            assert np.array_equal(row, one[0])
+
     @pytest.mark.parametrize(
         "make, x_shape, dout_shape",
         [

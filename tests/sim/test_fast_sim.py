@@ -57,10 +57,16 @@ def _engine_pair(overrides, seed=7, graph=None):
     return graph, fast, ref
 
 
-def _drive(graph, fast, ref, intervals=25, rps=140.0, base_alloc=2.0):
+def _drive(
+    graph, fast, ref, intervals=25, rps=140.0, base_alloc=2.0,
+    type_weights=None,
+):
     n = graph.n_tiers
     base = np.full(n, base_alloc)
-    rates = np.full(graph.n_types, rps / graph.n_types)
+    if type_weights is None:
+        rates = np.full(graph.n_types, rps / graph.n_types)
+    else:
+        rates = rps * np.asarray(type_weights, dtype=float)
     phase = np.arange(n)
     total_drops = 0.0
     for i in range(intervals):
@@ -147,6 +153,83 @@ class TestEngineEquivalence:
             {"tick": 0.05, **scenario[1]}, seed=13, graph=graph
         )
         _drive(graph, fast, ref, intervals=30, rps=900.0, base_alloc=1.5)
+
+
+class TestDrawOrderEdgeCases:
+    """Intervals in which a draw call draws nothing, against the oracle
+    with and without the compiled kernel."""
+
+    def test_one_tick_interval(self, backend):
+        # One tick per interval: integers(0, 1) returns zeros without
+        # touching the generator.
+        graph, fast, ref = _engine_pair({"tick": 1.0})
+        _drive(graph, fast, ref)
+        assert fast._fast_plan.n_ticks == 1
+        assert (fast._fast_plan.clib is None) == (backend == "numpy")
+
+    def test_zero_rate_request_type(self, backend):
+        # poisson(0) draws nothing, and the sampler skips the type (no
+        # ticks, lognormals or drop flips), while drops make the other
+        # type flip coins.
+        graph, fast, ref = _engine_pair({"max_queue": 40.0})
+        drops = _drive(graph, fast, ref, rps=900.0, type_weights=[1.0, 0.0])
+        assert drops > 0
+        assert fast._fast_plan.k_per_type[1] == 0
+        assert (fast._fast_plan.clib is None) == (backend == "numpy")
+
+
+class TestInvalidIntervalArgs:
+    """Bad allocations and rates are refused before any draw, so both
+    backends and the oracle leave the generator where it was."""
+
+    def _refuse(self, allocs_of, rates_of, message):
+        graph, fast, ref = _engine_pair({})
+        allocs = allocs_of(np.full(graph.n_tiers, 2.0))
+        rates = rates_of(np.full(graph.n_types, 70.0))
+        for engine in (fast, ref):
+            state = engine._rng.bit_generator.state
+            with pytest.raises(ValueError, match=message):
+                engine.run_interval(allocs, rates)
+            assert engine._rng.bit_generator.state == state
+            assert engine.time == 0.0
+        assert fast._fast_plan is None  # refused before the batched path
+
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+    def test_non_finite_allocation(self, backend, bad):
+        def allocs_of(a):
+            a[1] = bad
+            return a
+
+        self._refuse(allocs_of, lambda r: r, "must be finite")
+
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -1.0, -np.inf])
+    def test_non_finite_or_negative_rate(self, backend, bad):
+        def rates_of(r):
+            r[0] = bad
+            return r
+
+        self._refuse(lambda a: a, rates_of, "finite and non-negative")
+
+    def test_cluster_step_with_a_nan_tier(self, backend):
+        """A manager's NaN for one tier passes ``clip_alloc``; the step
+        must refuse it rather than simulate it."""
+        graph = app_spec("social_network").graph_factory()
+        mix = RequestMix.from_ratios(
+            {name: 1.0 for name in graph.type_names}
+        )
+        cluster = ClusterSimulator(
+            graph, Workload(graph, ConstantLoad(200), mix), seed=1
+        )
+        cluster.step()
+        allocs = cluster.current_alloc.copy()
+        allocs[3] = np.nan
+        state = cluster.engine._rng.bit_generator.state
+        with pytest.raises(ValueError, match="must be finite"):
+            cluster.step(allocs)
+        assert cluster.engine._rng.bit_generator.state == state
+        assert (cluster.engine._fast_plan.clib is None) == (
+            backend == "numpy"
+        )
 
 
 class TestReset:
