@@ -15,15 +15,16 @@ formulation, equivalent to a sigmoid over the margin difference).
 Inference is *compiled*: ``fit`` grows recursive ``_Node`` trees, then
 flattens them into feature / threshold / children / leaf-value arrays
 (:class:`_CompiledEnsemble`) and drops the nodes, so the arrays are the
-only form a fitted ensemble keeps.  ``predict_margin`` moves every
-(tree, row) lane one level down per step with flat ``np.take`` gathers
-— no Python recursion and no per-level masking on the predict path,
-which sits inside every scheduler decision: leaves point at themselves,
-so a lane that reaches one early stays put.  The descent performs the
-same comparisons as a recursive walk and accumulates leaf values
-tree-by-tree in the same order, so its output is bit-identical to
-walking the trees (the oracle in ``tests/oracles/decision.py`` rebuilds
-them from the arrays).
+only form a fitted ensemble keeps.  ``predict_margin``, which sits
+inside every scheduler decision, walks those arrays in the compiled
+kernel of :mod:`repro.sim._ckernel`: per tree, rows step a level down
+at a time, 16 side by side.  Leaves point at themselves, so a row that
+reaches one early stays put.  Without the kernel the same descent runs
+on numpy, every (tree, row) lane a level down per step with flat
+``np.take`` gathers.  Both perform the same comparisons as a recursive
+walk and add leaf values tree by tree in the same order, so margins
+are bit-identical to walking the trees (the oracle in
+``tests/oracles/decision.py`` rebuilds them from the arrays).
 
 Training is *level-wise over histograms*: :meth:`BoostedTrees._build_tree`
 replaces a per-(node, feature) Python re-scan with one fused
@@ -47,6 +48,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from repro.ml.metrics import accuracy
+from repro.sim import _ckernel
 
 
 @dataclass(frozen=True)
@@ -566,31 +568,45 @@ class BoostedTrees:
     def predict_margin(self, X: np.ndarray) -> np.ndarray:
         """Accumulated score (the paper's s_V - s_NV margin).
 
-        Runs on the compiled arrays: one lane per (tree, row) steps down
-        ``max_depth`` levels, each a handful of flat gathers — the
-        row's feature value out of ``X.ravel()``, the node's threshold,
-        then the child picked by ``~(x <= threshold)`` (so NaN goes
-        right, as in the recursive walk).  Lanes at a leaf loop on it.
-        Leaf values are then summed tree-by-tree in tree order, which
-        keeps the margin bit-identical to summing recursive walks.
+        Runs on the compiled arrays: every row steps ``max_depth``
+        levels down every tree, to the child picked by ``~(x <=
+        threshold)`` (so NaN goes right, as in the recursive walk);
+        a row at a leaf loops on it.  Leaf values are summed into each
+        row's margin tree by tree in tree order, which keeps it
+        bit-identical to summing recursive walks.  The descent runs in
+        the compiled kernel (:mod:`repro.sim._ckernel`), or on numpy
+        when none loads.  ``X`` needs a column for every feature the
+        trees split on.
         """
-        X = np.atleast_2d(np.asarray(X, dtype=float))
+        X = np.atleast_2d(np.ascontiguousarray(X, dtype=np.float64))
         n, d = X.shape
         margin = np.full(n, self.base_margin)
         compiled = self._compiled
         if compiled is None:
             return margin
-        flat_x = X.ravel()
-        row_base = np.arange(n) * d  # flat offset of each row
-        children = compiled.children.ravel()
-        node = np.repeat(compiled.roots[:, None], n, axis=1)  # (trees, rows)
-        for _ in range(compiled.max_depth):
-            x = flat_x.take(compiled.feature.take(node) + row_base)
-            right = ~(x <= compiled.threshold.take(node))
-            node = children.take(2 * node + right)
-        leaf_values = compiled.value.take(node)
-        for leaf in leaf_values:  # per-tree order, see docstring
-            margin += leaf
+        if compiled.max_depth and d <= compiled.feature.max():
+            raise ValueError(
+                f"X has {d} feature columns; the trees split on column "
+                f"{compiled.feature.max()}"
+            )
+        kernel = _ckernel.load_kernel()
+        if kernel is None:
+            _descend_numpy(compiled, X, margin)
+        else:
+            ffi, lib = kernel
+
+            def buf(ctype: str, a: np.ndarray):
+                return ffi.from_buffer(f"{ctype}[]", a)
+
+            lib.sinan_tree_margin(
+                len(compiled.roots), compiled.max_depth,
+                buf("intptr_t", compiled.roots),
+                buf("intptr_t", compiled.feature),
+                buf("double", compiled.threshold),
+                buf("intptr_t", compiled.children),
+                buf("double", compiled.value),
+                n, d, buf("double", X), buf("double", margin),
+            )
         return margin
 
     def predict_proba(self, X: np.ndarray) -> np.ndarray:
@@ -604,6 +620,26 @@ class BoostedTrees:
     def n_trees_used(self) -> int:
         """Number of trees kept after early stopping (Table 3 column)."""
         return 0 if self._compiled is None else len(self._compiled.roots)
+
+
+def _descend_numpy(
+    compiled: _CompiledEnsemble, X: np.ndarray, margin: np.ndarray
+) -> None:
+    """:meth:`BoostedTrees.predict_margin` without the kernel: one lane
+    per (tree, row) moves a level down per step, each a handful of flat
+    gathers (the row's feature value out of ``X.ravel()``, the node's
+    threshold, the child); then leaf values are added tree by tree."""
+    n, d = X.shape
+    flat_x = X.ravel()
+    row_base = np.arange(n) * d  # flat offset of each row
+    children = compiled.children.ravel()
+    node = np.repeat(compiled.roots[:, None], n, axis=1)  # (trees, rows)
+    for _ in range(compiled.max_depth):
+        x = flat_x.take(compiled.feature.take(node) + row_base)
+        right = ~(x <= compiled.threshold.take(node))
+        node = children.take(2 * node + right)
+    for leaf in compiled.value.take(node):  # tree order
+        margin += leaf
 
 
 def _sigmoid(x: np.ndarray) -> np.ndarray:

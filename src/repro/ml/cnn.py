@@ -20,12 +20,12 @@ telemetry history, so the RH/LH inputs of the batch are B identical
 copies.  :meth:`LatencyCNN.predict_candidates` exploits this: the conv
 trunk runs once on the single shared history and its activations are
 repeated across the candidate batch before the dense stack.  The trunk
-half of the equality rests on one fact about the installed BLAS: numpy
-evaluates the inference conv einsum as one matmul over ``B*H*W`` rows,
-and that GEMM gives each row the same bits whatever the row count.
-That is how the BLAS kernels behave, not something numpy or BLAS
-promises, so ``tests/ml/test_layers.py`` pins it at the served conv
-shapes.  The dense layers are not asked for it: they run at the full
+half of the equality rests on one fact about the installed BLAS: an
+inference conv is one GEMM, ``W.T @ cols``, with a column per output
+position (``B*H*W`` of them), and that GEMM gives each column the same
+bits whatever the column count.  That is how the BLAS kernels behave,
+not something numpy or BLAS promises, so ``tests/ml/test_layers.py``
+pins it at the served conv shapes.  The dense layers are not asked for it: they run at the full
 batch size in both paths, so the fast path reproduces
 :meth:`predict_with_latent` on the equivalent broadcast batch
 *exactly*.

@@ -181,38 +181,47 @@ class Conv2D(_Weighted):
     so a k x k kernel fuses k adjacent tiers over k adjacent intervals —
     how the paper's CNN learns inter-tier dependencies (Section 3.1).
 
-    The forward pass depends on the mode:
+    Both modes build the same ``(C*k*k, B*H*W)`` im2col matrix ``cols``
+    and run one GEMM against ``K = W.reshape(C*k*k, O)``; they differ
+    in its orientation:
 
-    * **Inference** (``training=False``) uses sliding-window views and
-      ``einsum``, which numpy evaluates as one matmul of the
-      ``(B*H*W, C*k*k)`` windows against the kernel.  The shared-trunk
-      decision path (:meth:`repro.ml.cnn.LatencyCNN.predict_candidates`)
-      needs one window's output to equal every row of the output on B
-      copies of it.  That holds because the BLAS gives each row of the
-      product the same bits whatever the row count: a property of its
-      kernels, not a guarantee, pinned at the served shapes in
+    * **Training** (``training=True``) runs ``cols.T @ K`` and keeps
+      ``cols``; backward is one GEMM for ``dW`` (against ``cols``) and
+      one GEMM back to column space followed by a col2im fold for
+      ``dx``.
+    * **Inference** (``training=False``) runs ``K.T @ cols`` and keeps
+      nothing.  These are the operands, in the same layouts, that
+      numpy's ``einsum`` hands to ``matmul`` for the padded
+      sliding-window contraction (an ``(O, C*k*k)`` view of ``W`` with
+      strides ``(8, 8*O)`` and C-contiguous windows), and the
+      ``(O, B*H*W)`` product is viewed as ``(B, H, W, O)`` as einsum
+      views it: outputs equal the einsum oracle in
+      ``tests/oracles/training.py`` byte for byte, memory layout
+      included, at every batch size.  The shared-trunk decision path
+      (:meth:`repro.ml.cnn.LatencyCNN.predict_candidates`) needs one
+      window's output to equal every image of the output on B copies
+      of it.  That holds because the BLAS gives each column of this
+      product the same bits whatever the column count: a property of
+      its kernels, not a guarantee, pinned at the served shapes in
       ``tests/ml/test_layers.py``.
-    * **Training** (``training=True``) materializes the im2col matrix
-      once and runs a single GEMM forward; backward is one GEMM for
-      ``dW`` (against the saved im2col matrix) and one GEMM back to
-      column space followed by a col2im fold for ``dx``.
 
     Both folds work on shifted runs.  With the input copied channel-major
     to ``(C, B*H*W)``, the kernel tap ``(di, dj)`` (offsets from the
     centre) reads row ``c`` shifted by ``s = di*W + dj``: one contiguous
-    copy per channel fills the tap's rows of the column matrix.  The
-    entries whose source ``(h+di, w+dj)`` falls off the grid — exactly
-    those the shift pulled from a neighbouring row or image — are then
-    set to 0.0, the value "same" padding supplies.  col2im zeroes the
-    same entries of each ``dcols`` tap (their gradient belongs to the
+    copy per block of channels fills the tap's rows of the column
+    matrix.  The entries whose source ``(h+di, w+dj)`` falls off the
+    grid — exactly those the shift pulled from a neighbouring row or
+    image — are then set to 0.0, the value "same" padding supplies, so
+    ``cols`` holds the padded windows' values.  col2im zeroes the same
+    entries of each ``dcols`` tap (their gradient belongs to the
     padding) and adds the tap's run, shifted back, into a zeroed
     ``(C, B*H*W)`` gradient, taps in ``(i, j)`` order.  Every input
     gradient is the padded scatter-add's sequence of sums plus extra
     ``+0.0`` terms, which are exact no-ops (a sum started at +0.0 never
     becomes -0.0), and the three GEMMs see the same operands, in the
-    same layouts, as the padded version, so outputs and gradients match
-    the padded oracle in ``tests/oracles/training.py`` byte for byte
-    (and the einsum oracle there to ~1e-10).
+    same layouts, as the padded version, so training outputs and
+    gradients match the padded oracle in ``tests/oracles/training.py``
+    byte for byte (and the einsum oracle there to ~1e-10).
 
     :meth:`backward` needs a training-mode forward first: an inference
     forward keeps no state to differentiate.  ``input_grad=False`` skips
@@ -233,15 +242,23 @@ class Conv2D(_Weighted):
         self.kernel = kernel
         self.in_ch = in_ch
         self.out_ch = out_ch
-        self._fwd_path: tuple[tuple, list] | None = None
 
     def forward(self, x: np.ndarray, training: bool = False) -> np.ndarray:
         B, C, H, W = x.shape
         if C != self.in_ch:
             raise ValueError(f"expected {self.in_ch} channels, got {C}")
+        O = self.out_ch
+        cols = self._im2col(x)
+        kernel = self.W.reshape(len(cols), O)
         if training:
-            return self._forward_im2col(x)
-        return self._forward_einsum(x)
+            self._x_shape = x.shape
+            self._cols = cols
+            out = (cols.T @ kernel).reshape(B, H, W, O)
+        else:
+            self._cols = None
+            out = (kernel.T @ cols).reshape(O, B, H, W).transpose(1, 2, 3, 0)
+        out += self.b
+        return out.transpose(0, 3, 1, 2)
 
     def backward(
         self, dout: np.ndarray, *, input_grad: bool = True
@@ -250,35 +267,36 @@ class Conv2D(_Weighted):
             raise self._needs_training_forward()
         return self._backward_im2col(dout, input_grad)
 
-    # -- im2col training path ------------------------------------------
+    # -- shifted-run im2col / col2im -------------------------------------
 
-    def _forward_im2col(self, x: np.ndarray) -> np.ndarray:
+    def _im2col(self, x: np.ndarray) -> np.ndarray:
+        """The ``(C*k*k, B*H*W)`` column matrix of ``x``, C-contiguous,
+        rows in the ``(c, i, j)`` order of ``W.reshape(C*k*k, O)``."""
         B, C, H, W = x.shape
         k = self.kernel
         n = B * H * W
-        self._x_shape = x.shape
         # The input once, channel-major.  32 images at a time: a ReLU
-        # hands x over (B, H, W, C)-ordered, and transposing the whole
-        # batch at once runs out of cache.
+        # hands a training forward's x over (B, H, W, C)-ordered, and
+        # transposing the whole batch at once runs out of cache.
         src = np.empty((C, B, H, W))
         for b in range(0, B, 32):
             src[:, b : b + 32] = x[b : b + 32].transpose(1, 0, 2, 3)
         src = src.reshape(C, n)
-        # im2col matrix (C*k*k, B*H*W): rows follow the (c, i, j) order
-        # of W.reshape(C*k*k, O); BLAS handles the transposed GEMM
-        # operand without a copy.  One channel at a time, so each run is
-        # still in cache when its off-grid entries are zeroed.
+        # Channels go in blocks whose k*k runs are still in cache when
+        # their off-grid entries are zeroed; one copy per tap fills a
+        # block.  The served model's single window is one block, a
+        # training batch takes a channel per block.
         cols = np.empty((C, k * k, n))
+        step = max(1, _IM2COL_BLOCK_BYTES // max(1, cols[0].nbytes))
         taps = _tap_shifts(k, B, H, W)
-        for c in range(C):
-            for run, (di, dj, s, lo, hi) in zip(cols[c], taps):
-                run[lo:hi] = src[c, lo + s : hi + s]
+        for c in range(0, C, step):
+            for run, (di, dj, s, lo, hi) in zip(
+                cols[c : c + step].swapaxes(0, 1), taps
+            ):
+                run[:, lo:hi] = src[c : c + step, lo + s : hi + s]
                 # Entries outside [lo, hi) are off the grid too.
                 _zero_off_grid(run, H, W, di, dj)
-        self._cols = cols.reshape(C * k * k, n)
-        out = self._cols.T @ self.W.reshape(C * k * k, self.out_ch)
-        out += self.b
-        return out.reshape(B, H, W, self.out_ch).transpose(0, 3, 1, 2)
+        return cols.reshape(C * k * k, n)
 
     def _backward_im2col(
         self, dout: np.ndarray, input_grad: bool
@@ -306,30 +324,6 @@ class Conv2D(_Weighted):
         # still multiplies it into a C-contiguous gradient, so the next
         # conv's dout_mat keeps its layout (and its GEMMs their bits).
         return dx.reshape(C, B, H, W).transpose(1, 0, 2, 3)
-
-    # -- einsum inference path ----------------------------------------
-
-    def _forward_einsum(self, x: np.ndarray) -> np.ndarray:
-        pad = self.kernel // 2
-        self._cols = None
-        xp = np.pad(x, ((0, 0), (0, 0), (pad, pad), (pad, pad)))
-        # (B, C, H, W, k, k) zero-copy view of all kernel positions.
-        windows = np.lib.stride_tricks.sliding_window_view(
-            xp, (self.kernel, self.kernel), axis=(2, 3)
-        )
-        # The greedy contraction-path search is a per-call cost worth
-        # skipping on the decision hot path: memoize it per input shape.
-        cached = self.__dict__.get("_fwd_path")
-        if cached is None or cached[0] != windows.shape:
-            path = np.einsum_path(
-                "bchwij,cijo->bhwo", windows, self.W, optimize=True
-            )[0]
-            self._fwd_path = cached = (windows.shape, path)
-        out = np.einsum(
-            "bchwij,cijo->bhwo", windows, self.W, optimize=cached[1]
-        )
-        out += self.b
-        return out.transpose(0, 3, 1, 2)
 
 
 class LSTMCell(_Weighted):
@@ -448,6 +442,11 @@ class LSTMCell(_Weighted):
         return (flat @ self.W[:D].T).reshape(B, T, D)
 
 
+#: Bytes of column matrix one im2col channel block may span: a block's
+#: k*k runs stay in cache between their copy and their zeroing.
+_IM2COL_BLOCK_BYTES = 1 << 17
+
+
 def _tap_shifts(
     k: int, B: int, H: int, W: int
 ) -> list[tuple[int, int, int, int, int]]:
@@ -467,17 +466,18 @@ def _tap_shifts(
 
 
 def _zero_off_grid(run: np.ndarray, H: int, W: int, di: int, dj: int) -> None:
-    """Set to 0.0 the entries of one tap's ``(B*H*W,)`` run whose source
-    ``(h+di, w+dj)`` lies off the ``H x W`` grid."""
-    grid = run.reshape(-1, H, W)  # a view: the run is contiguous
+    """Set to 0.0 the entries of one tap's ``(..., B*H*W)`` runs whose
+    source ``(h+di, w+dj)`` lies off the ``H x W`` grid."""
+    # A view: each run is contiguous.
+    grid = run.reshape(*run.shape[:-1], -1, H, W)
     if di < 0:
-        grid[:, :-di] = 0.0
+        grid[..., :-di, :] = 0.0
     elif di > 0:
-        grid[:, max(H - di, 0) :] = 0.0
+        grid[..., max(H - di, 0) :, :] = 0.0
     if dj < 0:
-        grid[:, :, :-dj] = 0.0
+        grid[..., :-dj] = 0.0
     elif dj > 0:
-        grid[:, :, max(W - dj, 0) :] = 0.0
+        grid[..., max(W - dj, 0) :] = 0.0
 
 
 def _sigmoid(x: np.ndarray) -> np.ndarray:

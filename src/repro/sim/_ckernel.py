@@ -1,25 +1,29 @@
-"""Optional compiled kernel for the batched simulation path.
+"""Optional compiled kernel for the batched simulation path and the
+boosted-tree descent.
 
 The batched interval path spends its residual time in the sequential
 tick recurrence (queue, busy EWMA, the sojourn level sweep) and in the
 interval's random draws: ~50 numpy calls per tick over vectors of a few
 dozen tiers, and ~15 ``Generator`` calls per interval on vectors of a
 few elements, where per-call dispatch and argument checking cost more
-than the arithmetic or the draws.  This module compiles the recurrence
-and the draws into a tiny C kernel at first use (cffi ABI mode plus the
-system C compiler) and caches the shared object under the user's temp
-directory, keyed by a digest of the source.  Everything is best-effort
-and all-or-nothing: any failure — no ``cffi``, no compiler, an
-unwritable temp directory, a numpy whose distribution functions do not
-resolve — degrades silently to the numpy code in
-:meth:`repro.sim.engine.QueueingEngine._run_interval_fast`, which
-computes the identical bitstream.
+than the arithmetic or the draws.  The trees' flat descent
+(:meth:`repro.ml.boosted_trees.BoostedTrees.predict_margin`) likewise
+pays about nine numpy passes per tree level.  This module compiles the
+recurrence, the draws and the descent into a tiny C kernel at first use
+(cffi ABI mode plus the system C compiler) and caches the shared object
+under the user's temp directory, keyed by a digest of the source.
+Everything is best-effort and all-or-nothing: any failure — no
+``cffi``, no compiler, an unwritable temp directory, a numpy whose
+distribution functions do not resolve — degrades silently to the numpy
+code in :meth:`repro.sim.engine.QueueingEngine._run_interval_fast` and
+in the trees' numpy descent, which compute the identical bits.
 
 Bitwise equality with the numpy code relies on three things:
 
 * the kernel mirrors the reference expression trees operation for
   operation (same association order; comparison-based min/max, exact
-  for the finite non-NaN values the engine produces),
+  for the finite non-NaN values the engine produces; the trees' ``!(x
+  <= threshold)`` and each row's margin summed in tree order),
 * compilation uses ``-ffp-contract=off`` so no multiply-add pair is
   contracted into an FMA, and
 * every random value comes from the C function numpy's own
@@ -81,6 +85,11 @@ void sinan_run_ticks(
     double *queue, double *be, double *bf,
     double *cpu_used, double *comp_total, double *drops_total,
     double *sojourn_rows);
+void sinan_tree_margin(
+    int n_trees, int max_depth, const intptr_t *roots,
+    const intptr_t *feature, const double *threshold,
+    const intptr_t *children, const double *value,
+    intptr_t n, intptr_t d, const double *X, double *margin);
 """
 
 # ``sinan_run_ticks``: tiers arrive permuted into dependency-level order,
@@ -285,6 +294,39 @@ void sinan_run_ticks(
             bf[i] = bfi;
             cpu_used[i] += tu;
             comp_total[i] += comp;
+        }
+    }
+}
+
+/* Boosted-tree margins over a compiled ensemble (repro.ml.boosted_trees):
+ * per tree in order, each row of the C-contiguous (n, d) matrix X steps
+ * max_depth levels down -- right when !(x <= threshold), so NaN goes
+ * right; leaves point at themselves -- and margin[row] += the leaf's
+ * value.  Every row's sums run in tree order, as in the numpy descent.
+ * Rows go TREE_LANES at a time, level by level, so that the lanes'
+ * independent loads overlap.  The caller checks d against the split
+ * features. */
+#define TREE_LANES 16
+
+void sinan_tree_margin(
+    int n_trees, int max_depth, const intptr_t *roots,
+    const intptr_t *feature, const double *threshold,
+    const intptr_t *children, const double *value,
+    intptr_t n, intptr_t d, const double *X, double *margin)
+{
+    intptr_t node[TREE_LANES];
+    for (int t = 0; t < n_trees; t++) {
+        for (intptr_t r0 = 0; r0 < n; r0 += TREE_LANES) {
+            int m = n - r0 < TREE_LANES ? (int)(n - r0) : TREE_LANES;
+            const double *x = X + r0 * d;
+            for (int l = 0; l < m; l++) node[l] = roots[t];
+            for (int level = 0; level < max_depth; level++)
+                for (int l = 0; l < m; l++) {
+                    intptr_t i = node[l];
+                    double v = x[l * d + feature[i]];
+                    node[l] = children[2 * i + !(v <= threshold[i])];
+                }
+            for (int l = 0; l < m; l++) margin[r0 + l] += value[node[l]];
         }
     }
 }

@@ -10,6 +10,7 @@ from __future__ import annotations
 import numpy as np
 import pytest
 
+from repro.sim import _ckernel
 from repro.sim.graph import AppGraph, RequestType
 from repro.sim.tier import TierKind, TierSpec
 from repro.workload.generator import RequestMix, Workload
@@ -65,3 +66,14 @@ def tiny_cluster() -> ClusterSimulator:
 @pytest.fixture
 def rng() -> np.random.Generator:
     return np.random.default_rng(12345)
+
+
+@pytest.fixture(params=["kernel", "numpy"])
+def backend(request, monkeypatch):
+    """Run a test once on the compiled kernel (skipped when none loads)
+    and once on the numpy code that runs without it."""
+    if request.param == "numpy":
+        monkeypatch.setattr(_ckernel, "load_kernel", lambda: None)
+    elif _ckernel.load_kernel() is None:
+        pytest.skip("no compiled kernel")
+    return request.param

@@ -189,7 +189,9 @@ class TestClosedLoopTrace:
     generation and selection, or every layer including the fluid
     engine.  Decisions feed back into the simulator, so a single
     divergence would compound; allocations, the scheduler's prediction
-    trace, and every interval's telemetry must be bitwise equal."""
+    trace, and every interval's telemetry must be bitwise equal.  The
+    loops run with the compiled kernel (simulator and tree descent) and
+    again on the numpy code that runs without it."""
 
     ORACLES = {
         "predictor": (use_reference_predictor,),
@@ -224,11 +226,22 @@ class TestClosedLoopTrace:
                 allocs.append(np.asarray(alloc, dtype=float).copy())
         return allocs, scheduler.prediction_trace, list(cluster.telemetry)
 
-    @pytest.mark.parametrize(
-        "profile", ["clean", "chaos", "telemetry-dropout", "crash-storm"]
-    )
+    PROFILES = ["clean", "chaos", "telemetry-dropout", "crash-storm"]
+
+    @pytest.mark.parametrize("profile", PROFILES)
     @pytest.mark.parametrize("oracles", ["predictor", "control", "all"])
     def test_matches_oracles(self, trained, oracles, profile):
+        self._check(trained, oracles, profile)
+
+    @pytest.mark.parametrize("backend", ["numpy"], indirect=True)
+    @pytest.mark.parametrize("profile", PROFILES)
+    @pytest.mark.parametrize("oracles", ["predictor", "control", "all"])
+    def test_matches_oracles_without_kernel(
+        self, backend, trained, oracles, profile
+    ):
+        self._check(trained, oracles, profile)
+
+    def _check(self, trained, oracles, profile):
         allocs, records, telemetry = self._run(trained, (), profile)
         ref_allocs, ref_records, ref_telemetry = self._run(
             trained, self.ORACLES[oracles], profile

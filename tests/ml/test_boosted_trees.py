@@ -7,7 +7,13 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from repro.harness.bench import _grow_tree
-from repro.ml.boosted_trees import BoostedTrees, BoostedTreesConfig, _compile_trees
+from repro.ml.boosted_trees import (
+    BoostedTrees,
+    BoostedTreesConfig,
+    _compile_trees,
+    _Node,
+)
+from tests.ml.test_layers import assert_same_bytes
 from tests.oracles.decision import predict_margin_reference
 from tests.oracles.training import ReferenceBoostedTrees, assert_same_structure
 
@@ -125,20 +131,7 @@ class TestInference:
         """The flat descent over compiled random trees of mixed depth
         (leaves above ``max_depth`` self-loop) sums exactly the
         recursive walks of the original nodes, NaN queries included."""
-        rng = np.random.default_rng(11)
-        trees = [_grow_tree(rng, 5, depth) for depth in (0, 3, 1, 6, 2, 6, 4)]
-        bt = BoostedTrees(seed=0)
-        bt.base_margin = -0.3
-        bt._compiled = _compile_trees(trees)
-        assert bt._compiled.max_depth == 6
-        assert bt.n_trees_used == len(trees)
-        queries = rng.normal(0.0, 1.0, size=(200, 5))
-        queries[::9, 1] = np.nan
-        queries[4] = np.nan
-        want = np.full(len(queries), bt.base_margin)
-        for tree in trees:
-            want += bt._predict_tree(tree, queries)
-        assert np.array_equal(bt.predict_margin(queries), want)
+        assert_random_trees_match_walks()
 
     def test_fitted_model_holds_compiled_arrays_only(self):
         """Growth state and ``_Node`` trees stay inside ``fit``."""
@@ -178,6 +171,143 @@ class TestInference:
         low = bt.predict_proba(np.array([[-2.0, 0.0]]))[0]
         high = bt.predict_proba(np.array([[2.0, 0.0]]))[0]
         assert high >= low
+
+
+def assert_random_trees_match_walks():
+    """Compiled random trees of depths 0 to 6 against the recursive
+    walks of their ``_Node`` originals."""
+    rng = np.random.default_rng(11)
+    trees = [_grow_tree(rng, 5, depth) for depth in (0, 3, 1, 6, 2, 6, 4)]
+    bt = BoostedTrees(seed=0)
+    bt.base_margin = -0.3
+    bt._compiled = _compile_trees(trees)
+    assert bt._compiled.max_depth == 6
+    assert bt.n_trees_used == len(trees)
+    queries = rng.normal(0.0, 1.0, size=(200, 5))
+    queries[::9, 1] = np.nan
+    queries[4] = np.nan
+    want = np.full(len(queries), bt.base_margin)
+    for tree in trees:
+        want += bt._predict_tree(tree, queries)
+    assert np.array_equal(bt.predict_margin(queries), want)
+
+
+def hand_tree(threshold=0.0):
+    """Splits on feature 0 at ``threshold``; the left child splits on
+    feature 5 at 0.5."""
+    return _Node(
+        feature=0,
+        threshold=threshold,
+        left=_Node(
+            feature=5, threshold=0.5, left=_Node(value=1.0), right=_Node(value=2.0)
+        ),
+        right=_Node(value=0.5),
+    )
+
+
+def ensemble(trees, base_margin=-0.3):
+    bt = BoostedTrees(seed=0)
+    bt.base_margin = base_margin
+    bt._compiled = _compile_trees(trees)
+    return bt
+
+
+def assert_margins_match_walks(bt, X):
+    """``predict_margin`` on ``X`` equals the recursive walks byte for
+    byte (the walks see ``X`` as a float64 array)."""
+    want = predict_margin_reference(bt, np.asarray(X, dtype=float))
+    assert_same_bytes(bt.predict_margin(X), want)
+
+
+class TestDescentBackends:
+    """The kernel's descent and the numpy descent (one ``backend`` each)
+    against the recursive walks: byte for byte, on every input the
+    decision path can hand them."""
+
+    @pytest.fixture(scope="class")
+    def fitted(self):
+        X, y = blobs(600)
+        bt = BoostedTrees(BoostedTreesConfig(n_trees=30), seed=4).fit(X, y)
+        return bt, X[:64]
+
+    def test_random_trees_match_recursive_walks(self, backend):
+        assert_random_trees_match_walks()
+
+    def test_fitted_ensemble_matches_walks(self, backend, fitted):
+        bt, X = fitted
+        assert_margins_match_walks(bt, np.concatenate([X, X[:3] * 100.0]))
+
+    def test_missing_feature_columns_raise(self, backend):
+        """Row 0 reaches the split on feature 5, which a 5-column X does
+        not have: an error, not the next row's first value."""
+        bt = ensemble([hand_tree()], base_margin=0.0)
+        X = np.array([[-1.0, 0, 0, 0, 0], [9.0, 0, 0, 0, 0]])
+        with pytest.raises(ValueError, match="split on column 5"):
+            bt.predict_margin(X)
+        with pytest.raises(ValueError, match="split on column 5"):
+            bt.predict_margin(X[:1])
+        wide = np.hstack([X, np.full((2, 1), 0.7)])
+        assert_same_bytes(bt.predict_margin(wide), np.array([2.0, 0.5]))
+
+    def test_leaf_only_ensemble_needs_no_columns(self, backend):
+        bt = ensemble([_Node(value=0.25), _Node(value=-1.5)])
+        assert bt._compiled.max_depth == 0
+        assert_margins_match_walks(bt, np.empty((3, 0)))
+        assert_margins_match_walks(bt, np.ones((2, 4)))
+
+    def test_special_values(self, backend, fitted):
+        """NaN goes right, ±inf like any number, -0.0 like 0.0."""
+        bt, X = fitted
+        X = X.copy()
+        X[::5, 0] = np.nan
+        X[1::5, 1] = np.inf
+        X[2::5, 2] = -np.inf
+        X[3::5] = -0.0
+        X[4] = np.nan
+        assert_margins_match_walks(bt, X)
+        signed_zeros = ensemble([hand_tree(0.0), hand_tree(-0.0)])
+        assert_margins_match_walks(
+            signed_zeros, [[-0.0] * 6, [0.0] * 6, [np.nan] * 6]
+        )
+
+    def test_value_equal_to_threshold_goes_left(self, backend, fitted):
+        bt, X = fitted
+        c = bt._compiled
+        split = np.flatnonzero(c.children[:, 0] != np.arange(len(c.children)))
+        X = np.repeat(X[:1], len(split), axis=0)
+        X[np.arange(len(split)), c.feature[split]] = c.threshold[split]
+        assert_margins_match_walks(bt, X)
+        got = ensemble([hand_tree(2.0)]).predict_margin([[2.0, 0, 0, 0, 0, 0.5]])
+        assert_same_bytes(got, np.array([-0.3 + 1.0]))
+
+    @pytest.mark.parametrize("n", [0, 1, 15, 16, 17])
+    def test_row_counts(self, backend, fitted, n):
+        bt, X = fitted
+        assert_margins_match_walks(bt, X[:n])
+
+    def test_single_row_as_vector(self, backend, fitted):
+        bt, X = fitted
+        assert_same_bytes(bt.predict_margin(X[7]), bt.predict_margin(X[7:8]))
+
+    def test_depth_zero_tree_among_deeper_ones(self, backend):
+        rng = np.random.default_rng(3)
+        trees = [_Node(value=0.125)] + [_grow_tree(rng, 6, d) for d in (2, 0, 4)]
+        bt = ensemble(trees)
+        assert_margins_match_walks(bt, rng.normal(size=(40, 6)))
+
+    @pytest.mark.parametrize(
+        "layout",
+        [
+            np.asfortranarray,
+            lambda X: np.repeat(X, 2, axis=1)[:, ::2],
+            lambda X: X[::3],
+            lambda X: np.round(X * 3).astype(np.int64),
+        ],
+        ids=["fortran", "column-slice", "row-slice", "integer"],
+    )
+    def test_input_layouts(self, backend, fitted, layout):
+        bt, X = fitted
+        assert_margins_match_walks(bt, layout(X))
 
 
 def _fit_pair(config, X, y, X_val=None, y_val=None, seed=0):

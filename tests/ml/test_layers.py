@@ -226,8 +226,8 @@ class TestConv2DFastPath:
             assert abs(num - dx[index]) < TOL, (index, num, dx[index])
 
     def test_inference_matches_einsum_oracle(self, rng):
-        """The decision path (training=False) stays on einsum: bitwise
-        the oracle's forward, and unchanged by a training forward."""
+        """The decision path (training=False) is bitwise the einsum
+        oracle's forward, and unchanged by a training forward."""
         layer = Conv2D(3, 4, 3, rng)
         x = rng.normal(size=(2, 3, 6, 5))
         before = layer.forward(x, training=False)
@@ -237,17 +237,17 @@ class TestConv2DFastPath:
         assert np.array_equal(before, oracle)
         assert np.array_equal(after, oracle)
 
-    @pytest.mark.parametrize("batch", [2, 7, 236])
+    @pytest.mark.parametrize("batch", [2, 7, 40, 236])
     @pytest.mark.parametrize("in_ch", [6, 12])
     def test_inference_is_batch_invariant_at_served_shapes(
         self, rng, in_ch, batch
     ):
         """The shared trunk runs the conv on one window and repeats it;
-        the oracle runs it on B copies.  Numpy evaluates the inference
-        einsum as one matmul over B*H*W rows, so the two agree only if
-        that GEMM computes every row the same way whatever the row
-        count: pinned here at the served predictor's conv shapes (6 and
-        12 channels in, 12 out, 28 tiers x 5 intervals)."""
+        the oracle runs it on B copies.  Inference is one GEMM, ``W.T @
+        cols``, with a column per output position, so the two agree
+        only if that GEMM computes every column the same way whatever
+        the column count: pinned here at the served predictor's conv
+        shapes (6 and 12 channels in, 12 out, 28 tiers x 5 intervals)."""
         layer = Conv2D(in_ch, 12, 3, rng)
         x = rng.normal(size=(1, in_ch, 28, 5))
         one = layer.forward(x, training=False)
@@ -396,21 +396,80 @@ class TestConv2DBitwise:
         """With np.empty poisoned to NaN inside the layer module, the
         column matrix and the fold still match the oracle: no entry is
         left to whatever the allocator hands back."""
-
-        class PoisonedNumpy:
-            def __getattr__(self, name):
-                return getattr(np, name)
-
-            @staticmethod
-            def empty(shape, dtype=float, **kwargs):
-                return np.full(shape, np.nan, dtype=dtype, **kwargs)
-
         layer, x, dout = conv_case(rng, kernel, hw, 7, special=False)
         want = run_conv(use_padded_training(copy.deepcopy(layer)), x, dout)
         monkeypatch.setattr(layers, "np", PoisonedNumpy())
         got = run_conv(layer, x, dout)
         for a, b in zip(got, want):
             assert_same_bytes(a, b)
+
+
+def assert_same_layout(actual, expected, name=""):
+    """Equal strides on every axis longer than 1 (a size-1 axis has no
+    layout to keep)."""
+    for axis, size in enumerate(expected.shape):
+        if size > 1:
+            assert actual.strides[axis] == expected.strides[axis], (name, axis)
+
+
+class PoisonedNumpy:
+    """``numpy`` with ``np.empty`` handing back NaN-filled arrays."""
+
+    def __getattr__(self, name):
+        return getattr(np, name)
+
+    @staticmethod
+    def empty(shape, dtype=float, **kwargs):
+        return np.full(shape, np.nan, dtype=dtype, **kwargs)
+
+
+class TestConv2DInferenceBitwise:
+    """Inference (``training=False``) builds the training column matrix
+    and runs the einsum's GEMM on it: output bytes and memory layout
+    must be the einsum oracle's, at every batch size (the next layer,
+    and the shared-trunk decision path, see that layout)."""
+
+    def _check(self, layer, x):
+        want = reference_copy(layer).forward(x, training=False)
+        got = layer.forward(x, training=False)
+        assert_same_bytes(got, want)
+        assert_same_layout(got, want)
+
+    @pytest.mark.parametrize("special", [False, True], ids=["finite", "special"])
+    @pytest.mark.parametrize("batch", [1, 2, 7, 40, 400])
+    @pytest.mark.parametrize("hw", [(28, 5), (1, 1), (2, 6), (4, 3)], ids=hw_id)
+    @pytest.mark.parametrize("kernel", [1, 3, 5])
+    def test_matches_einsum_oracle(self, rng, kernel, hw, batch, special):
+        layer, x, _ = conv_case(rng, kernel, hw, batch, special)
+        with np.errstate(all="ignore"):  # inf - inf in the GEMM
+            self._check(layer, x)
+
+    @pytest.mark.parametrize("batch", [1, 4, 40])
+    @pytest.mark.parametrize("in_ch", [6, 12])
+    def test_matches_einsum_oracle_at_served_shapes(self, rng, in_ch, batch):
+        """The served trunk's layers, whose channels split into several
+        multi-channel blocks at middling batch sizes; the 12-channel
+        layer reads a previous inference forward's output."""
+        first = Conv2D(6, in_ch, 3, rng)
+        x = rng.normal(size=(batch, 6, 28, 5))
+        self._check(first, x)
+        layer = Conv2D(in_ch, 12, 3, rng)
+        self._check(layer, np.maximum(first.forward(x), 0.0))
+
+    def test_every_cols_element_is_written(self, rng, monkeypatch):
+        layer, x, _ = conv_case(rng, 3, (28, 5), 7, special=False)
+        want = reference_copy(layer).forward(x)
+        monkeypatch.setattr(layers, "np", PoisonedNumpy())
+        for batch in (1, 7):
+            got = layer.forward(x[:batch])
+            assert_same_bytes(got, want[:batch])
+
+    def test_keeps_no_column_matrix(self, rng):
+        layer, x, _ = conv_case(rng, 3, (4, 3), 2, special=False)
+        layer.forward(x, training=True)
+        assert layer._cols is not None
+        layer.forward(x)
+        assert layer._cols is None
 
 
 class TestSkippedInputGradient:
