@@ -90,6 +90,15 @@ RELATIVE_STEPS: tuple[float, ...] = (0.1, 0.3)
 SCALE_UP_ALL_RATIOS: tuple[float, ...] = (0.1, 0.3, 0.6, 1.0)
 
 
+def _isclose(x: np.ndarray, y: np.ndarray) -> np.ndarray:
+    """``np.isclose(x, y)`` for float arrays at its default tolerances
+    (``rtol=1e-5``, ``atol=1e-8``): numpy's own expression, without the
+    argument handling ``np.isclose`` repeats on every call."""
+    with np.errstate(invalid="ignore"):
+        close = np.abs(x - y) <= 1e-8 + 1e-5 * np.abs(y)
+        return close & np.isfinite(y) | (x == y)
+
+
 class ActionSpace:
     """Generates the Table 1 candidate set for one decision."""
 
@@ -182,7 +191,7 @@ class ActionSpace:
 
         if allow_scale_down:
             down_vals = np.maximum(cur_t - flat_steps, self.min_alloc[tiers])
-            moved = ~np.isclose(down_vals, cur_t)
+            moved = ~_isclose(down_vals, cur_t)
             shrunk = down_vals < cur_t - 1e-12
             util_fine = ~shrunk | (
                 busy[tiers] / np.maximum(down_vals, 1e-9) <= self.util_cap
@@ -211,7 +220,7 @@ class ActionSpace:
                 batch[row, chosen] = np.maximum(current[chosen] - 0.2, floor)
                 batch[row + 1, chosen] = np.maximum(current[chosen] * 0.9, floor)
                 row += 2
-            near = np.isclose(batch, current[None, :]).all(axis=1)
+            near = _isclose(batch, current[None, :]).all(axis=1)
             b_shrunk = batch < current[None, :] - 1e-12
             b_fine = (
                 ~b_shrunk
@@ -231,7 +240,7 @@ class ActionSpace:
         up_valid = (
             flat_fresh
             & (cur_t < self.max_alloc[tiers])
-            & ~np.isclose(up_vals, cur_t)
+            & ~_isclose(up_vals, cur_t)
         )
         blocks.append(one_tier_block(tiers[up_valid], up_vals[up_valid]))
         codes.append(
@@ -243,7 +252,7 @@ class ActionSpace:
 
         ratios = np.asarray(SCALE_UP_ALL_RATIOS)
         up_all = self._clip(current[None, :] * (1.0 + ratios)[:, None])
-        a_valid = ~np.isclose(up_all, current[None, :]).all(axis=1)
+        a_valid = ~_isclose(up_all, current[None, :]).all(axis=1)
         blocks.append(up_all[a_valid])
         codes.append(
             np.full(
@@ -257,7 +266,7 @@ class ActionSpace:
             v_alloc[victims] = np.minimum(
                 v_alloc[victims] + 0.6, self.max_alloc[victims]
             )
-            if not np.isclose(v_alloc, current).all():
+            if not _isclose(v_alloc, current).all():
                 blocks.append(v_alloc[None, :])
                 codes.append(
                     np.full(

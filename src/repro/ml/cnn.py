@@ -17,18 +17,37 @@ small and overfit-resistant (paper Section 3.2).
 
 Online, the scheduler scores B candidate allocations that all share one
 telemetry history, so the RH/LH inputs of the batch are B identical
-copies.  :meth:`LatencyCNN.predict_candidates` exploits this: the conv
-trunk runs once on the single shared history and its activations are
-repeated across the candidate batch before the dense stack.  The trunk
-half of the equality rests on one fact about the installed BLAS: an
-inference conv is one GEMM, ``W.T @ cols``, with a column per output
-position (``B*H*W`` of them), and that GEMM gives each column the same
-bits whatever the column count.  That is how the BLAS kernels behave,
-not something numpy or BLAS promises, so ``tests/ml/test_layers.py``
-pins it at the served conv shapes.  The dense layers are not asked for it: they run at the full
-batch size in both paths, so the fast path reproduces
-:meth:`predict_with_latent` on the equivalent broadcast batch
-*exactly*.
+copies, and so is every row of a layer that reads only them.
+:meth:`LatencyCNN.predict_candidates` exploits this.  The conv trunk
+runs once on the single shared history.  The trunk's ``Flatten -> Dense
+-> ReLU`` and the ``lh`` branch run on a block of a few copies, and the
+first row of each is broadcast into the concatenation.  Only the ``rc``
+branch and the two heads run at the full batch.  The result equals
+:meth:`predict_with_latent` on B materialized copies of the history
+byte for byte, which rests on two facts about the installed BLAS
+(OpenBLAS 0.3.31, SkylakeX kernels), not on anything numpy or BLAS
+promises:
+
+* An inference conv is one GEMM, ``W.T @ cols``, with a column per
+  output position (``B*H*W`` of them), and that GEMM gives each column
+  the same bits whatever the column count.  This holds at the served
+  shapes on two BLAS threads, not on one (see
+  :class:`~repro.ml.layers.Conv2D`).
+* The rows of an ``(M, K) @ (K, N)`` product fall into three bit
+  classes: ``M = 1`` (numpy calls gemv), ``M*N*K <= 10**6`` (OpenBLAS's
+  small-matrix kernel) and anything larger (its blocked GEMM).  The last
+  two differ only when K exceeds the GEMM's K block of 384.  Every row
+  of one product has the same bits, at one thread or two.  So the block
+  holds ``m = min(B, max(2, ceil(2**21 / (K*N))))`` copies.  It is never
+  a single row.  When it is smaller than the batch it does at least
+  ``2**21`` multiply-adds, past the small-matrix kernel's ``10**6``, so
+  it and the B-row product are both blocked GEMMs; otherwise it is the
+  batch.  That is 27 rows at the served 1680 x 48 trunk Dense.  A fixed
+  block does not do: 32 rows at 8 tiers (K = 480) is a small-matrix
+  product, and every batch of 44 or more is not.
+
+``tests/ml/test_layers.py`` pins both facts at the served shapes, and
+``tests/ml/test_models.py`` the whole model at 4 to 28 tiers.
 """
 
 from __future__ import annotations
@@ -39,6 +58,21 @@ import numpy as np
 
 from repro.ml.layers import Conv2D, Dense, Flatten, ReLU
 from repro.ml.network import NeuralRegressor, Sequential
+
+#: Multiply-adds in the block of identical rows that
+#: :meth:`LatencyCNN.predict_candidates` runs through a candidate-invariant
+#: dense layer.  A product this large takes the BLAS path that the full
+#: candidate batch's product takes (see the module docstring).
+_SHARED_BLOCK_MACS = 1 << 21
+
+
+def _shared_block_rows(batch: int, dense: Dense) -> int:
+    """Rows of the block that stands in for ``batch`` identical rows
+    through ``dense``: at least two (one row is a matrix-vector
+    product, with other bits) and enough for ``_SHARED_BLOCK_MACS``,
+    but never more than the batch."""
+    k, n = dense.W.shape
+    return min(batch, max(2, -(-_SHARED_BLOCK_MACS // (k * n))))
 
 
 @dataclass(frozen=True)
@@ -188,16 +222,18 @@ class LatencyCNN(NeuralRegressor):
     def predict_candidates(
         self, inputs: tuple[np.ndarray, ...]
     ) -> tuple[np.ndarray, np.ndarray]:
-        """Shared-trunk inference for one history x B candidates.
+        """Shared-history inference for one history x B candidates.
 
         ``inputs`` is ``(x_rh, x_lh, x_rc)`` where the history tensors
         have a leading batch dimension of 1 (the shared telemetry
         window) and ``x_rc`` holds the B candidate-branch feature rows.
-        The conv trunk runs once; its activations are repeated across
-        the batch before the dense layers, which run at the full batch
-        size so the result is bit-identical to
-        :meth:`predict_with_latent` on B broadcast copies of the
-        history.  Returns ``(latency (B, M), latent L_f (B, latent))``.
+        The conv trunk runs once; the trunk's dense layer and the ``lh``
+        branch run on a block of ``_shared_block_rows`` copies, and the
+        first row of each stands in for all B.  The ``rc`` branch and
+        the heads run at the full batch.  The result is bit-identical to
+        :meth:`predict_with_latent` on B copies of the history (see the
+        module docstring for why).  Returns ``(latency (B, M), latent
+        L_f (B, latent))``.
         """
         x_rh, x_lh, x_rc = inputs
         if len(x_rh) != 1 or len(x_lh) != 1:
@@ -207,18 +243,24 @@ class LatencyCNN(NeuralRegressor):
         h_rh = x_rh
         for layer in self.rh_branch.layers[:trunk_len]:
             h_rh = layer.forward(h_rh, training=False)
-        # A contiguous copy, not a stride-0 view: numpy's matmul cannot
-        # hand a stride-0 operand to BLAS, and the copy plus the GEMM
-        # (the one the oracle's materialized batch runs) costs less than
-        # its fallback loop.
-        h_rh = np.repeat(h_rh, b, axis=0)
+        m = _shared_block_rows(b, self.rh_branch.layers[trunk_len + 1])
+        # A contiguous block: matmul gives a stride-0 view the same bits
+        # but runs it more slowly at 1680 columns.
+        h_rh = np.repeat(h_rh, m, axis=0)
         for layer in self.rh_branch.layers[trunk_len:]:
             h_rh = layer.forward(h_rh, training=False)
+        # A stride-0 block: matmul gives it the bits of a materialized
+        # copy (pinned in tests/ml/test_layers.py).
         h_lh = self.lh_branch.forward(
-            np.broadcast_to(x_lh, (b, *x_lh.shape[1:])), training=False
+            np.broadcast_to(x_lh, (m, *x_lh.shape[1:])), training=False
         )
         h_rc = self.rc_branch.forward(x_rc, training=False)
-        return self._heads(h_rh, h_lh, h_rc, training=False)
+        return self._heads(
+            np.broadcast_to(h_rh[:1], (b, h_rh.shape[1])),
+            np.broadcast_to(h_lh[:1], (b, h_lh.shape[1])),
+            h_rc,
+            training=False,
+        )
 
 
 __all__ = ["LatencyCNN", "CNNConfig"]

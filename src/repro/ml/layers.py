@@ -203,7 +203,13 @@ class Conv2D(_Weighted):
       of it.  That holds because the BLAS gives each column of this
       product the same bits whatever the column count: a property of
       its kernels, not a guarantee, pinned at the served shapes in
-      ``tests/ml/test_layers.py``.
+      ``tests/ml/test_layers.py``.  It holds on two OpenBLAS threads
+      and not on one: under ``OPENBLAS_NUM_THREADS=1`` some windows of
+      a B-window product get other bits than its first window (the
+      12-channel conv at B = 7, 13, 27 and 93 of the sizes tried), so
+      the pin fails there, and the served 236-candidate scores differ
+      between one thread and two.  Decisions are bitwise for one
+      thread count, not across thread counts.
 
     Both folds work on shifted runs.  With the input copied channel-major
     to ``(C, B*H*W)``, the kernel tap ``(di, dj)`` (offsets from the

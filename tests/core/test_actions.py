@@ -3,7 +3,7 @@
 import numpy as np
 import pytest
 
-from repro.core.actions import Action, ActionKind, ActionSpace
+from repro.core.actions import Action, ActionKind, ActionSpace, _isclose
 
 
 @pytest.fixture
@@ -154,3 +154,56 @@ class TestCandidateGeneration:
     def test_total_cpu(self):
         action = Action(ActionKind.HOLD, np.array([1.0, 2.0]), "hold")
         assert action.total_cpu == pytest.approx(3.0)
+
+
+class TestIsClose:
+    """The candidate generator's ``_isclose`` is ``np.isclose`` at the
+    default tolerances, element for element."""
+
+    @staticmethod
+    def assert_same(x, y):
+        want = np.isclose(x, y)
+        got = _isclose(x, y)
+        assert got.dtype == bool
+        assert got.shape == want.shape
+        assert np.array_equal(got, want)
+
+    def test_tolerance_boundary_and_one_ulp_either_side(self):
+        y = np.array([0.0, 1e-3, 0.2, 0.6, 1.0, 3.7, 8.0, 320.0, 1e6, -2.5])
+        tol = 1e-8 + 1e-5 * np.abs(y)
+        # Three ulps either way around y +/- tol cover the point where
+        # |x - y| crosses tol, whatever the rounding of the sums.
+        xs = []
+        for edge in (y + tol, y - tol):
+            below = above = edge
+            xs.append(edge)
+            for _ in range(3):
+                below = np.nextafter(below, -np.inf)
+                above = np.nextafter(above, np.inf)
+                xs += [below, above]
+        x = np.stack(xs)
+        assert (np.abs(x - y) == tol).any()  # some x sit on the boundary
+        want = np.isclose(x, y)
+        assert want.any() and not want.all()
+        self.assert_same(x, y)
+
+    def test_signed_zeros_infinities_and_nan(self):
+        values = np.array([0.0, -0.0, np.inf, -np.inf, np.nan, 1.0, -1.0, 1e-9])
+        self.assert_same(values[:, None], values[None, :])
+
+    @pytest.mark.parametrize(
+        "x_shape, y_shape",
+        [
+            ((6,), (6,)),
+            ((3, 4), (4,)),
+            ((3, 1), (1, 4)),
+            ((2, 3, 4), (3, 1)),
+            ((0, 4), (4,)),
+        ],
+    )
+    def test_broadcast_shapes(self, rng, x_shape, y_shape):
+        # Values a step, a rounding error or a near-tolerance apart.
+        pool = [0.2, 0.2 + 1e-9, 0.2 + 2.1e-6, 1.0, 1.0 + 1e-5, 1.0 + 1.1e-5, 1.2]
+        x = rng.choice(pool, size=x_shape)
+        y = rng.choice(pool, size=y_shape)
+        self.assert_same(x, y)

@@ -14,6 +14,7 @@ in ``tests/core/test_fast_path.py``.
 import numpy as np
 import pytest
 
+from repro.apps.social_network import social_network
 from repro.core.actions import ActionSpace, KINDS_BY_CODE
 from repro.core.data_collection import BanditExplorer, CollectionConfig
 from repro.core.scheduler import OnlineScheduler
@@ -120,6 +121,54 @@ class TestCandidateMatrixEquivalence:
             20,
             policy=BanditExplorer(config, seed=7),
         )
+
+
+class TestServedSizeCandidates:
+    """The same oracle check on the served 28-tier ``social_network``
+    space.  On the 4-tier graph the batch scale-downs of 4, 8 and
+    1,000,000 tiers all pick every tier; here each batch size picks its
+    own tiers, and most tiers' floors and ceilings differ."""
+
+    @pytest.mark.parametrize("allow_down", [True, False])
+    def test_seeded_states(self, allow_down):
+        graph = social_network()
+        space = ActionSpace(graph.min_alloc(), graph.max_alloc())
+        lo, hi = space.min_alloc, space.max_alloc
+        n = space.n_tiers
+        rng = np.random.default_rng(2020)
+        cap = space.util_cap
+        for trial in range(36):
+            kind = trial % 6
+            # 0.1, 0.3 or 0.5 cores off a bound: menu steps clip there.
+            off = rng.choice([0.1, 0.3, 0.5], size=n)
+            if kind == 0:
+                current = lo.copy()
+            elif kind == 1:
+                current = hi.copy()
+            elif kind == 2:
+                current = lo + off
+            elif kind == 3:
+                current = hi - off
+            else:
+                current = np.round(rng.uniform(lo, hi), 1)
+                if kind == 5:  # some tiers at a bound, the rest between
+                    current = np.select(
+                        [rng.random(n) < 0.3, rng.random(n) < 0.4], [lo, hi], current
+                    )
+            # Utilizations around the cap, some at the cap exactly for a
+            # 0.2-core or a 10% scale-down, so the projected-utilization
+            # test is decided on both sides of it.
+            near_cap = np.stack([
+                rng.uniform(cap - 0.05, cap + 0.05, n),
+                np.full(n, cap),
+                cap * np.maximum(current - 0.2, lo) / current,
+                np.full(n, cap * 0.9),
+            ])
+            cpu_util = near_cap[rng.integers(0, 4, n), np.arange(n)]
+            victims = (None, rng.random(n) < 0.3, np.ones(n, dtype=bool))[
+                trial // 6 % 3
+            ]
+            assert_candidates_equal(space, current, cpu_util, victims, allow_down)
 
 
 class TestSelectEquivalence:

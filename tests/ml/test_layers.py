@@ -6,6 +6,7 @@ import numpy as np
 import pytest
 
 from repro.ml import layers
+from repro.ml.cnn import _shared_block_rows
 from repro.ml.layers import (
     Conv2D,
     Dense,
@@ -281,6 +282,42 @@ class TestConv2DFastPath:
             layer.backward(dout)
         with pytest.raises(RuntimeError, match="training-mode forward"):
             make(rng).backward(dout)
+
+
+class TestDenseSharedBlock:
+    """The Dense twin of the conv's served-shape batch-invariance pin.
+
+    The shared-history decision path runs each candidate-invariant Dense
+    (the trunk's, 12 channels x tiers x 5 intervals in and 48 out, and
+    the ``lh`` branch's, 5 x 5 in and 16 out) on a block of
+    ``_shared_block_rows`` copies and broadcasts its first row; the
+    oracle runs it on B copies.  A 1-row product is a matrix-vector
+    product with other bits, and at more than 384 columns the BLAS's
+    small-matrix kernel and its blocked GEMM differ, so the two agree
+    only if the block falls in the B-row product's class: pinned here
+    at 4, 8, 17, 27 and 28 tiers for every B up to 320.  The trunk block
+    is a contiguous copy and the ``lh`` block a stride-0 view, as in
+    :meth:`repro.ml.cnn.LatencyCNN.predict_candidates`."""
+
+    @pytest.mark.parametrize("n_tiers", [4, 8, 17, 27, 28])
+    def test_block_row_matches_every_row_of_the_batch(self, rng, n_tiers):
+        trunk = Dense(12 * n_tiers * 5, 48, rng)
+        lh = Dense(25, 16, rng)
+        x_trunk = rng.normal(size=(1, trunk.W.shape[0]))
+        x_lh = rng.normal(size=(1, 25))
+        for layer in (trunk, lh):
+            layer.b[...] = rng.normal(0.0, 0.1, layer.b.shape)
+        for batch in range(1, 321):
+            m = _shared_block_rows(batch, trunk)
+            for layer, x, block in (
+                (trunk, x_trunk, np.repeat(x_trunk, m, axis=0)),
+                (lh, x_lh, np.broadcast_to(x_lh, (m, 25))),
+            ):
+                row = layer.forward(block)[0]
+                out = layer.forward(np.repeat(x, batch, axis=0))
+                assert out.tobytes() == np.tile(row, (batch, 1)).tobytes(), (
+                    layer.W.shape, batch, m,
+                )
 
 
 class TestLSTMFastPath:

@@ -114,6 +114,41 @@ class TestCNNSpecifics:
         assert model.predict(inputs).shape == (4, M)
 
 
+#: Candidate batch sizes around the block sizes of the served shapes
+#: (27 rows at 27 and 28 tiers, 43 at 17, 92 at 8, 183 at 4) and the
+#: BLAS's row classes at 1680 columns (2-12 and 13 up).
+SHARED_BLOCK_BATCHES = [1, 2, 12, 13, 26, 27, 28, 44, 64, 93, 236, 294, 320]
+
+
+class TestSharedCandidateBlock:
+    """``predict_candidates`` runs the candidate-invariant dense rows
+    (the trunk's Dense and the ``lh`` branch) on a block of a few copies
+    and broadcasts one row of each into the heads.  Pinned here, at the
+    default architecture's layer sizes, against ``predict_with_latent``
+    on B materialized copies of the history: the closed-loop suites' tiny
+    model has an 80-column trunk Dense, where every block of two or more
+    rows gives the same bits, so a wrong block size shows only here."""
+
+    @pytest.mark.parametrize("batch", SHARED_BLOCK_BATCHES)
+    @pytest.mark.parametrize("n_tiers", [4, 8, 17, 27, 28])
+    def test_matches_materialized_batch(self, n_tiers, batch):
+        rng = np.random.default_rng(1000 * n_tiers + batch)
+        model = LatencyCNN(n_tiers, seed=n_tiers, n_rc_features=2 * n_tiers)
+        for param in model.params():
+            if param.ndim == 1:  # biases start at zero
+                param[...] = rng.normal(0.0, 0.1, param.shape)
+        x_rh = rng.normal(size=(1, 6, n_tiers, 5))
+        x_lh = rng.normal(size=(1, 5, 5))
+        x_rc = rng.normal(size=(batch, 2 * n_tiers))
+        want = model.predict_with_latent(
+            (np.repeat(x_rh, batch, axis=0), np.repeat(x_lh, batch, axis=0), x_rc)
+        )
+        got = model.predict_candidates((x_rh, x_lh, x_rc))
+        for g, w in zip(got, want):
+            assert g.shape == w.shape
+            assert g.tobytes() == w.tobytes()
+
+
 class TestMultiTask:
     def test_output_layout(self):
         model = MultiTaskNN(N, T, F, M, config=SMALL, seed=0)
