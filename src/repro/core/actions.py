@@ -24,6 +24,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from repro.sim import _ckernel
+
 
 class ActionKind(enum.Enum):
     SCALE_DOWN = "scale_down"
@@ -39,6 +41,21 @@ class ActionKind(enum.Enum):
 #: int array instead of per-object enum references.
 KINDS_BY_CODE: tuple[ActionKind, ...] = tuple(ActionKind)
 KIND_CODES: dict[ActionKind, int] = {k: i for i, k in enumerate(KINDS_BY_CODE)}
+#: The kinds' codes in generation order, for the compiled generator.
+_GENERATION_CODES = np.array(
+    [
+        KIND_CODES[kind]
+        for kind in (
+            ActionKind.HOLD,
+            ActionKind.SCALE_DOWN,
+            ActionKind.SCALE_DOWN_BATCH,
+            ActionKind.SCALE_UP,
+            ActionKind.SCALE_UP_ALL,
+            ActionKind.SCALE_UP_VICTIM,
+        )
+    ],
+    dtype=np.int64,
+)
 
 
 @dataclass(frozen=True)
@@ -111,8 +128,13 @@ class ActionSpace:
         batch_sizes: tuple[int, ...] = (2, 4, 8, 1_000_000),
         util_cap: float = 0.6,
     ) -> None:
-        self.min_alloc = np.asarray(min_alloc, dtype=float)
-        self.max_alloc = np.asarray(max_alloc, dtype=float)
+        self.min_alloc = np.ascontiguousarray(min_alloc, dtype=float)
+        self.max_alloc = np.ascontiguousarray(max_alloc, dtype=float)
+        lo, hi = self.min_alloc, self.max_alloc
+        if lo.ndim != 1 or not lo.size or hi.shape != lo.shape:
+            raise ValueError(
+                "min_alloc and max_alloc must be 1-D, one entry per tier"
+            )
         self.absolute_steps = absolute_steps
         self.relative_steps = relative_steps
         self.batch_sizes = batch_sizes
@@ -138,30 +160,141 @@ class ActionSpace:
         (tier by tier, each tier's step menu ascending), the batch
         scale-downs, the per-tier scale-ups, the scale-up-all ratios,
         and the victim boost.  A candidate that would not change the
-        allocation is skipped, and rows that coincide after clipping
-        keep only their last occurrence.  The rows must match, in order,
-        the ``Action``-list oracle in ``tests/oracles/control.py``.
+        allocation is skipped, and rows that are equal after rounding to
+        9 decimals keep only their last occurrence.  The rows must
+        match, in order, the ``Action``-list oracle in
+        ``tests/oracles/control.py``.
+
+        The compiled kernel's ``sinan_candidates``
+        (:mod:`repro.sim._ckernel`) builds the rows when it loads, else
+        the numpy code in :meth:`_generate_numpy` does; both give the
+        same bits.  :attr:`CandidateSet.allocs` is a C-contiguous float64
+        matrix and its ``total_cpu`` numpy's own row sums.
 
         Parameters
         ----------
         current:
-            Current per-tier allocation.
+            Current per-tier allocation: ``n_tiers`` finite values.
         cpu_util:
-            Last interval's per-tier utilization; used to order the
-            batch scale-down and to enforce the paper's utilization cap
-            (downsizing must not push a tier's projected utilization
-            above the cap — the rule that avoids long queues and dropped
-            requests during data collection and deployment).  The cap
-            constrains only the tiers an action shrinks.
+            Last interval's per-tier utilization, ``n_tiers`` finite
+            values; used to order the batch scale-down and to enforce
+            the paper's utilization cap (downsizing must not push a
+            tier's projected utilization above the cap — the rule that
+            avoids long queues and dropped requests during data
+            collection and deployment).  The cap constrains only the
+            tiers an action shrinks.
         victims:
             Boolean mask of tiers scaled down within the last t cycles,
-            for the Scale Up Victim action.
+            for the Scale Up Victim action, or ``None``.
         allow_scale_down:
             The paper disables resource reclamation while tail latency
             exceeds the expected value; pass ``False`` to do the same.
+
+        Raises
+        ------
+        ValueError
+            If ``current`` or ``cpu_util`` is not 1-D with ``n_tiers``
+            finite values, or ``victims`` is neither ``None`` nor a
+            boolean mask of ``n_tiers`` entries.  The scheduler passes
+            sanitized telemetry, so only a caller's bug raises.
         """
+        n = self.n_tiers
         current = np.asarray(current, dtype=float)
         cpu_util = np.asarray(cpu_util, dtype=float)
+        if current.shape != (n,) or cpu_util.shape != (n,):
+            raise ValueError(
+                f"current and cpu_util need {n} entries, one per tier; "
+                f"got shapes {current.shape} and {cpu_util.shape}"
+            )
+        if not (np.isfinite(current).all() and np.isfinite(cpu_util).all()):
+            raise ValueError("current and cpu_util must be finite")
+        if victims is not None:
+            victims = np.asarray(victims)
+            if victims.dtype != bool or victims.shape != (n,):
+                raise ValueError(
+                    f"victims must be None or a boolean mask of {n} entries"
+                )
+        kernel = _ckernel.load_kernel()
+        if kernel is None:
+            allocs, kinds = self._generate_numpy(
+                current, cpu_util, victims, allow_scale_down
+            )
+        else:
+            allocs, kinds = self._generate_compiled(
+                kernel, current, cpu_util, victims, allow_scale_down
+            )
+        return CandidateSet(
+            allocs=allocs, kinds=kinds, total_cpu=allocs.sum(axis=1)
+        )
+
+    def _generate_compiled(
+        self,
+        kernel: tuple,
+        current: np.ndarray,
+        cpu_util: np.ndarray,
+        victims: np.ndarray | None,
+        allow_scale_down: bool,
+    ) -> tuple[np.ndarray, np.ndarray]:
+        """:meth:`candidates`' rows and kind codes from the kernel, into
+        buffers sized from this space's step menu, batch sizes and
+        ratios.  The batch scale-downs take numpy's ``argsort`` order, so
+        tied utilizations pick the tiers the numpy code picks."""
+        ffi, lib = kernel
+        n = self.n_tiers
+        n_abs, n_rel = len(self.absolute_steps), len(self.relative_steps)
+        n_ratios = len(SCALE_UP_ALL_RATIOS)
+        constants = np.array(
+            (*self.absolute_steps, *self.relative_steps, *SCALE_UP_ALL_RATIOS),
+            dtype=float,
+        )
+        # How many tiers ``order[:k]`` holds, for each batch size k.
+        batch_n = np.array(
+            [len(range(n)[:k]) for k in self.batch_sizes], dtype=np.intp
+        )
+        rows = 2 + 2 * n * (n_abs + n_rel) + 2 * batch_n.size + n_ratios
+        table_size = 1 << (2 * rows - 1).bit_length()
+        allocs = np.empty((rows, n))
+        kinds = np.empty(rows, dtype=np.int64)
+        menu = np.empty(n * (n_abs + n_rel))
+        work = np.empty(n + table_size + rows, dtype=np.uint64)
+
+        def buf(ctype: str, a: np.ndarray):
+            return ffi.from_buffer(f"{ctype}[]", a)
+
+        if allow_scale_down:
+            order = buf("intptr_t", np.argsort(cpu_util))
+        else:
+            order = ffi.NULL
+        if victims is None:
+            mask = ffi.NULL
+        else:
+            mask = buf("uint8_t", np.ascontiguousarray(victims).view(np.uint8))
+        b = lib.sinan_candidates(
+            n,
+            buf("double", np.ascontiguousarray(current)),
+            buf("double", np.ascontiguousarray(cpu_util)),
+            buf("double", self.min_alloc), buf("double", self.max_alloc),
+            n_abs, n_rel, n_ratios, buf("double", constants),
+            self.util_cap, 1 if allow_scale_down else 0, order,
+            batch_n.size, buf("intptr_t", batch_n), mask,
+            buf("int64_t", _GENERATION_CODES), buf("double", menu),
+            buf("uint64_t", work), table_size,
+            buf("double", allocs), buf("int64_t", kinds),
+        )
+        # A copy of the b rows: a caller keeping one row (the scheduler
+        # returns its pick as a row view) keeps b rows, not the capacity.
+        return allocs[:b].copy(), kinds[:b]
+
+    def _generate_numpy(
+        self,
+        current: np.ndarray,
+        cpu_util: np.ndarray,
+        victims: np.ndarray | None,
+        allow_scale_down: bool,
+    ) -> tuple[np.ndarray, np.ndarray]:
+        """:meth:`candidates`' rows and kind codes without the kernel:
+        each action family built as a block by flat array algebra, then
+        :meth:`_dedupe_rows`."""
         n = self.n_tiers
         busy = cpu_util * current
         blocks: list[np.ndarray] = [current[None, :].copy()]
@@ -278,20 +411,20 @@ class ActionSpace:
         allocs = np.concatenate(blocks, axis=0)
         kinds = np.concatenate(codes)
         keep = self._dedupe_rows(allocs)
-        allocs = np.ascontiguousarray(allocs[keep])
-        return CandidateSet(
-            allocs=allocs, kinds=kinds[keep], total_cpu=allocs.sum(axis=1)
-        )
+        return np.ascontiguousarray(allocs[keep]), kinds[keep]
 
     @staticmethod
     def _dedupe_rows(allocs: np.ndarray) -> np.ndarray:
         """Row indices that survive deduplication, in original order.
 
-        Rows equal after rounding to 9 decimals (distinct steps
-        clipping to the same ``min_alloc`` / ``max_alloc`` boundary) are
-        scored once, and the *last* occurrence wins: the most specific
-        kind (e.g. Scale Up Victim, generated after the generic per-tier
-        upscales it may coincide with) keeps its label.  Lexsorting the
+        Rows equal after rounding to 9 decimals are scored once: distinct
+        steps clipping to the same ``min_alloc`` / ``max_alloc``
+        boundary, near-equal menu steps (at 6.0 cores the 10% step is
+        0.6000000000000001), and batch rows whose other chosen tiers sit
+        at their floor, which equal a single-tier scale-down.  The
+        *last* occurrence wins: the most specific kind (e.g. Scale Up
+        Victim, generated after the generic per-tier upscales it may
+        coincide with) keeps its label.  Lexsorting the
         rounded rows puts duplicates adjacent (lexsort is stable, so a
         group's last element is its last occurrence); survivors are
         re-sorted into their original relative order.

@@ -1,29 +1,41 @@
-"""Optional compiled kernel for the batched simulation path and the
-boosted-tree descent.
+"""Optional compiled kernel: the simulator's interval, the boosted-tree
+descent and the Table 1 candidate set.
 
-The batched interval path spends its residual time in the sequential
-tick recurrence (queue, busy EWMA, the sojourn level sweep) and in the
-interval's random draws: ~50 numpy calls per tick over vectors of a few
-dozen tiers, and ~15 ``Generator`` calls per interval on vectors of a
-few elements, where per-call dispatch and argument checking cost more
-than the arithmetic or the draws.  The trees' flat descent
-(:meth:`repro.ml.boosted_trees.BoostedTrees.predict_margin`) likewise
-pays about nine numpy passes per tree level.  This module compiles the
-recurrence, the draws and the descent into a tiny C kernel at first use
-(cffi ABI mode plus the system C compiler) and caches the shared object
-under the user's temp directory, keyed by a digest of the source.
-Everything is best-effort and all-or-nothing: any failure — no
+Three layers run here, each with a numpy fallback that computes the
+identical bits:
+
+* the batched interval path's tick recurrence (queue, busy EWMA, the
+  sojourn level sweep) and its random draws, whose numpy code is
+  :meth:`repro.sim.engine.QueueingEngine._run_interval_fast`: ~50 numpy
+  calls per tick over vectors of a few dozen tiers, and ~15
+  ``Generator`` calls per interval on vectors of a few elements;
+* the trees' flat descent
+  (:meth:`repro.ml.boosted_trees.BoostedTrees.predict_margin`), whose
+  numpy code is ``_descend_numpy`` and pays about nine numpy passes per
+  tree level;
+* the control loop's candidate generation
+  (:meth:`repro.core.actions.ActionSpace.candidates`), whose numpy code
+  is ``ActionSpace._generate_numpy``: dozens of small numpy passes per
+  decision, the last a ``lexsort`` dedupe of the whole rounded matrix.
+
+In all three, per-call dispatch and argument checking cost more than the
+arithmetic or the draws.  This module compiles them into a tiny C kernel
+at first use (cffi ABI mode plus the system C compiler) and caches the
+shared object under the user's temp directory, keyed by a digest of the
+source.  Everything is best-effort and all-or-nothing: any failure — no
 ``cffi``, no compiler, an unwritable temp directory, a numpy whose
 distribution functions do not resolve — degrades silently to the numpy
-code in :meth:`repro.sim.engine.QueueingEngine._run_interval_fast` and
-in the trees' numpy descent, which compute the identical bits.
+code.
 
 Bitwise equality with the numpy code relies on three things:
 
 * the kernel mirrors the reference expression trees operation for
   operation (same association order; comparison-based min/max, exact
   for the finite non-NaN values the engine produces; the trees' ``!(x
-  <= threshold)`` and each row's margin summed in tree order),
+  <= threshold)`` and each row's margin summed in tree order; the
+  candidate generator's ``np.maximum``, ``np.minimum``, ``np.clip``,
+  ``_isclose`` and ``np.round(x, 9)`` by numpy's own expressions, its
+  batch scale-downs in the order of numpy's ``argsort``, passed in),
 * compilation uses ``-ffp-contract=off`` so no multiply-add pair is
   contracted into an FMA, and
 * every random value comes from the C function numpy's own
@@ -39,7 +51,7 @@ Bitwise equality with the numpy code relies on three things:
 
 Measured gains are in ``docs/architecture.md``.  Tests reach the numpy
 code by making :func:`load_kernel` return ``None``; the equivalence
-suite exercises both.
+suites exercise both.
 """
 
 from __future__ import annotations
@@ -90,6 +102,14 @@ void sinan_tree_margin(
     const intptr_t *feature, const double *threshold,
     const intptr_t *children, const double *value,
     intptr_t n, intptr_t d, const double *X, double *margin);
+intptr_t sinan_candidates(
+    intptr_t n, const double *current, const double *cpu_util,
+    const double *lo, const double *hi,
+    int n_abs, int n_rel, int n_ratios, const double *constants,
+    double util_cap, int allow_down, const intptr_t *order,
+    int n_batch, const intptr_t *batch_n, const uint8_t *victims,
+    const int64_t *codes, double *menu, uint64_t *work, intptr_t table_size,
+    double *allocs, int64_t *kinds);
 """
 
 # ``sinan_run_ticks``: tiers arrive permuted into dependency-level order,
@@ -102,6 +122,7 @@ _SOURCE = r"""
 #include <math.h>
 #include <stdbool.h>
 #include <stdint.h>
+#include <string.h>
 
 /* numpy's distribution functions (numpy/random/distributions.h), bound
  * once per process by sinan_bind_numpy. */
@@ -329,6 +350,266 @@ void sinan_tree_margin(
             for (int l = 0; l < m; l++) margin[r0 + l] += value[node[l]];
         }
     }
+}
+
+/* The Table 1 candidate set (repro.core.actions.ActionSpace.candidates),
+ * by the numpy generator's expressions and in its row order.  The
+ * comparisons below are numpy's own: np.maximum / np.minimum keep their
+ * first operand when it is NaN, np.clip is min(max(x, lo), hi) by
+ * strict comparisons, and _isclose is np.isclose's default-tolerance
+ * expression.  Where both operands are zeros of opposite sign, numpy's
+ * own SIMD and scalar loops disagree; here that takes a floor or a
+ * ceiling of zero cores. */
+static double np_maximum(double a, double b)
+{
+    return (a >= b || isnan(a)) ? a : b;
+}
+
+static double np_minimum(double a, double b)
+{
+    return (a <= b || isnan(a)) ? a : b;
+}
+
+static double np_clip(double x, double lo, double hi)
+{
+    double y = isnan(x) ? x : (x > lo ? x : lo);
+    return isnan(y) ? y : (y < hi ? y : hi);
+}
+
+static int is_close(double x, double y)
+{
+    return (fabs(x - y) <= 1e-8 + 1e-5 * fabs(y) && isfinite(y)) || x == y;
+}
+
+/* np.round(x, 9): numpy multiplies by 1e9, rounds half to even, divides. */
+static double round9(double x)
+{
+    return rint(x * 1e9) / 1e9;
+}
+
+/* Column j's share of a row's dedupe hash: a row's hash is the wrapping
+ * sum of its columns' shares, so rows equal after rounding hash alike
+ * (0.0 and -0.0 share a key), and a row that differs from the current
+ * allocation in a few columns is hashed from those columns alone. */
+static uint64_t column_hash(intptr_t j, double x)
+{
+    double r = round9(x);
+    uint64_t k = 0;
+    if (r != 0.0) memcpy(&k, &r, sizeof k);
+    k ^= (uint64_t)(j + 1) * 0x9E3779B97F4A7C15ULL;
+    k ^= k >> 30;
+    k *= 0xBF58476D1CE4E5B9ULL;
+    k ^= k >> 27;
+    k *= 0x94D049BB133111EBULL;
+    return k ^ (k >> 31);
+}
+
+/* Rows equal after np.round(., 9), compared as numpy compares them. */
+static int rows_match(const double *a, const double *b, intptr_t n)
+{
+    for (intptr_t j = 0; j < n; j++)
+        if (a[j] != b[j] && !(round9(a[j]) == round9(b[j]))) return 0;
+    return 1;
+}
+
+/* np.sort's order: ascending, NaN last. */
+static int sort_before(double a, double b)
+{
+    return a < b || (isnan(b) && !isnan(a));
+}
+
+/* Row b of allocs := current with tier t at v; returns b + 1. */
+static intptr_t put_single(
+    intptr_t b, intptr_t n, const double *current, intptr_t t, double v,
+    int64_t code, uint64_t hash_current, const uint64_t *hc,
+    double *allocs, int64_t *kinds, uint64_t *hash)
+{
+    double *row = allocs + b * n;
+    memcpy(row, current, (size_t)n * sizeof *row);
+    row[t] = v;
+    kinds[b] = code;
+    hash[b] = hash_current - hc[t] + column_hash(t, v);
+    return b + 1;
+}
+
+/* Writes the deduplicated candidate rows into the C-contiguous matrix
+ * allocs and their kind codes into kinds, and returns their number.
+ *
+ * constants holds the n_abs absolute steps, the n_rel relative steps and
+ * the n_ratios scale-up-all ratios; codes the kind codes of hold,
+ * scale-down, batch scale-down, scale-up, scale-up-all and victim boost.
+ * order is np.argsort(cpu_util) when allow_down (ties in numpy's order),
+ * and batch_n[i] the number of tiers batch i shrinks; victims is the
+ * boolean mask, or NULL for none.  Work space: menu holds n * (n_abs +
+ * n_rel) doubles; work holds n + table_size + rows entries, table_size a
+ * power of two at least twice rows, the capacity of allocs and kinds:
+ * 2 + 2 * n * (n_abs + n_rel) + 2 * n_batch + n_ratios rows.
+ *
+ * Rows come in the numpy generator's order: hold, the per-tier
+ * scale-downs, the batch scale-downs, the per-tier scale-ups, the
+ * scale-up-all ratios, the victim boost.  Rows equal after rounding to 9
+ * decimals keep their last occurrence: a hash table, filled from the last
+ * row back, marks every earlier repeat, and the survivors close up in
+ * order. */
+intptr_t sinan_candidates(
+    intptr_t n, const double *current, const double *cpu_util,
+    const double *lo, const double *hi,
+    int n_abs, int n_rel, int n_ratios, const double *constants,
+    double util_cap, int allow_down, const intptr_t *order,
+    int n_batch, const intptr_t *batch_n, const uint8_t *victims,
+    const int64_t *codes, double *menu, uint64_t *work, intptr_t table_size,
+    double *allocs, int64_t *kinds)
+{
+    const int m = n_abs + n_rel;
+    const double *rel = constants + n_abs, *ratios = constants + m;
+    const size_t row_bytes = (size_t)n * sizeof *allocs;
+    const uint64_t mask = (uint64_t)table_size - 1;
+    uint64_t *hc = work, *table = work + n, *hash = table + table_size;
+    uint64_t hash_current = 0;
+    intptr_t b, t, j, r, out;
+    int i, k;
+
+    for (j = 0; j < n; j++) hash_current += hc[j] = column_hash(j, current[j]);
+
+    /* Each tier's step menu, sorted; repeats are skipped where used. */
+    for (t = 0; t < n; t++) {
+        double *s = menu + t * m;
+        for (i = 0; i < n_abs; i++) s[i] = constants[i];
+        for (i = 0; i < n_rel; i++) s[n_abs + i] = current[t] * rel[i];
+        for (i = 1; i < m; i++) {
+            double v = s[i];
+            for (k = i; k > 0 && sort_before(v, s[k - 1]); k--) s[k] = s[k - 1];
+            s[k] = v;
+        }
+    }
+
+    memcpy(allocs, current, row_bytes);
+    kinds[0] = codes[0];
+    hash[0] = hash_current;
+    b = 1;
+
+    if (allow_down) {
+        for (t = 0; t < n; t++) {
+            const double *s = menu + t * m;
+            double c = current[t], busy = cpu_util[t] * c;
+            if (!(c > lo[t])) continue;
+            for (i = 0; i < m; i++) {
+                double v;
+                if (i > 0 && !(s[i] != s[i - 1])) continue;
+                v = np_maximum(c - s[i], lo[t]);
+                if (is_close(v, c)) continue;
+                if (v < c - 1e-12 && !(busy / np_maximum(v, 1e-9) <= util_cap))
+                    continue;
+                b = put_single(b, n, current, t, v, codes[1], hash_current, hc,
+                               allocs, kinds, hash);
+            }
+        }
+        for (i = 0; i < n_batch; i++) {
+            for (k = 0; k < 2; k++) {
+                double *row = allocs + b * n;
+                uint64_t h = hash_current;
+                int near = 1, fine = 1;
+                memcpy(row, current, row_bytes);
+                for (r = 0; r < batch_n[i]; r++) {
+                    double c, v;
+                    j = order[r];
+                    c = current[j];
+                    v = np_maximum(k == 0 ? c - 0.2 : c * 0.9, lo[j]);
+                    row[j] = v;
+                    near &= is_close(v, c);
+                    if (v < c - 1e-12
+                        && !((cpu_util[j] * c) / np_maximum(v, 1e-9) <= util_cap))
+                        fine = 0;
+                    if (v != c) h += column_hash(j, v) - hc[j];
+                }
+                if (!near && fine) {
+                    kinds[b] = codes[2];
+                    hash[b++] = h;
+                }
+            }
+        }
+    }
+
+    for (t = 0; t < n; t++) {
+        const double *s = menu + t * m;
+        double c = current[t];
+        if (!(c < hi[t])) continue;
+        for (i = 0; i < m; i++) {
+            double v;
+            if (i > 0 && !(s[i] != s[i - 1])) continue;
+            v = np_minimum(c + s[i], hi[t]);
+            if (is_close(v, c)) continue;
+            b = put_single(b, n, current, t, v, codes[3], hash_current, hc,
+                           allocs, kinds, hash);
+        }
+    }
+
+    for (i = 0; i < n_ratios; i++) {
+        double *row = allocs + b * n;
+        double f = 1.0 + ratios[i];
+        uint64_t h = hash_current;
+        int near = 1;
+        for (j = 0; j < n; j++) {
+            double c = current[j], v = np_clip(c * f, lo[j], hi[j]);
+            row[j] = v;
+            near &= is_close(v, c);
+            if (v != c) h += column_hash(j, v) - hc[j];
+        }
+        if (!near) {
+            kinds[b] = codes[4];
+            hash[b++] = h;
+        }
+    }
+
+    if (victims) {
+        int any = 0;
+        for (j = 0; j < n; j++) any |= victims[j];
+        if (any) {
+            double *row = allocs + b * n;
+            uint64_t h = hash_current;
+            int near = 1;
+            memcpy(row, current, row_bytes);
+            for (j = 0; j < n; j++) {
+                double c = current[j], v;
+                if (!victims[j]) continue;
+                v = np_minimum(c + 0.6, hi[j]);
+                row[j] = v;
+                near &= is_close(v, c);
+                if (v != c) h += column_hash(j, v) - hc[j];
+            }
+            if (!near) {
+                kinds[b] = codes[5];
+                hash[b++] = h;
+            }
+        }
+    }
+
+    memset(table, 0, (size_t)table_size * sizeof *table);
+    for (r = b - 1; r >= 0; r--) {
+        uint64_t p = hash[r] & mask;
+        for (;;) {
+            uint64_t s = table[p];
+            if (!s) {
+                table[p] = (uint64_t)r + 1;
+                break;
+            }
+            if (hash[s - 1] == hash[r]
+                && rows_match(allocs + (intptr_t)(s - 1) * n, allocs + r * n, n)) {
+                kinds[r] = -1;
+                break;
+            }
+            p = (p + 1) & mask;
+        }
+    }
+    for (r = 0, out = 0; r < b; r++) {
+        if (kinds[r] < 0) continue;
+        if (out < r) {
+            memcpy(allocs + out * n, allocs + r * n, row_bytes);
+            kinds[out] = kinds[r];
+        }
+        out++;
+    }
+    return out;
 }
 """
 

@@ -1,5 +1,8 @@
 """Action-space tests (paper Table 1)."""
 
+import copy
+import pickle
+
 import numpy as np
 import pytest
 
@@ -154,6 +157,76 @@ class TestCandidateGeneration:
     def test_total_cpu(self):
         action = Action(ActionKind.HOLD, np.array([1.0, 2.0]), "hold")
         assert action.total_cpu == pytest.approx(3.0)
+
+
+@pytest.mark.usefixtures("backend")
+class TestStateValidation:
+    """``candidates`` refuses a malformed state before it builds any
+    row, on the compiled kernel and on numpy alike."""
+
+    @pytest.mark.parametrize(
+        "current, cpu_util",
+        [
+            (np.full(4, 2.0), np.full(1, 0.3)),  # would broadcast
+            (np.full(3, 2.0), np.full(4, 0.3)),
+            (np.full(4, 2.0), np.full(5, 0.3)),
+            (np.full((1, 4), 2.0), np.full(4, 0.3)),
+            (np.full(4, 2.0), np.full((4, 1), 0.3)),
+            (np.float64(2.0), np.full(4, 0.3)),
+        ],
+    )
+    def test_wrong_shapes(self, space, current, cpu_util):
+        with pytest.raises(ValueError, match="entries"):
+            space.candidates(current, cpu_util)
+
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+    @pytest.mark.parametrize("which", ["current", "cpu_util"])
+    def test_non_finite_values(self, space, bad, which):
+        state = {"current": np.full(4, 2.0), "cpu_util": np.full(4, 0.3)}
+        state[which][2] = bad
+        with pytest.raises(ValueError, match="finite"):
+            space.candidates(**state)
+
+    @pytest.mark.parametrize(
+        "victims",
+        [
+            np.array([0, 1, 0, 0]),  # indices, not a mask
+            np.array([0.0, 1.0, 0.0, 0.0]),
+            np.array([False, True, False]),
+            np.array([[False, True, False, False]]),
+        ],
+    )
+    def test_victims_must_be_a_tier_mask(self, space, victims):
+        with pytest.raises(ValueError, match="victims"):
+            space.candidates(np.full(4, 2.0), np.full(4, 0.3), victims=victims)
+
+    def test_well_formed_state_passes(self, space):
+        cset = space.candidates(
+            [2.0, 2.0, 2.0, 2.0],
+            np.full(4, 0.3),
+            victims=[False, True, False, False],
+        )
+        boosted = allocs_of(cset, ActionKind.SCALE_UP_VICTIM)
+        assert len(boosted) == 1
+        np.testing.assert_array_equal(boosted[0], [2.0, 2.0 + 0.6, 2.0, 2.0])
+
+    def test_bounds_must_match(self):
+        with pytest.raises(ValueError, match="one entry per tier"):
+            ActionSpace(np.full(4, 0.2), np.full(3, 8.0))
+        with pytest.raises(ValueError, match="one entry per tier"):
+            ActionSpace(np.full((2, 2), 0.2), np.full((2, 2), 8.0))
+        with pytest.raises(ValueError, match="one entry per tier"):
+            ActionSpace(np.empty(0), np.empty(0))
+
+    def test_space_copies_after_use(self, space):
+        """Nothing of a call stays on the space: a pickled or deep-copied
+        space generates the same candidates."""
+        state = (np.full(4, 2.0), np.array([0.1, 0.2, 0.3, 0.4]))
+        first = space.candidates(*state)
+        for twin in (pickle.loads(pickle.dumps(space)), copy.deepcopy(space)):
+            again = twin.candidates(*state)
+            assert again.allocs.tobytes() == first.allocs.tobytes()
+            assert again.kinds.tobytes() == first.kinds.tobytes()
 
 
 class TestIsClose:

@@ -155,8 +155,10 @@ def candidates_reference(
 
 def _dedupe(actions: list[Action]) -> list[Action]:
     """Drop candidates whose resulting allocation duplicates another
-    (distinct steps clipping to the same ``min_alloc`` /
-    ``max_alloc`` boundary), so no allocation is scored twice.
+    after rounding to 9 decimals (distinct steps clipping to the same
+    ``min_alloc`` / ``max_alloc`` boundary, near-equal menu steps, batch
+    rows whose other chosen tiers sit at their floor), so no allocation
+    is scored twice.
 
     The *last* occurrence of each allocation wins: the most specific
     kind (e.g. Scale Up Victim, generated after the generic per-tier
