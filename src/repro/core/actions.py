@@ -169,7 +169,8 @@ class ActionSpace:
         (:mod:`repro.sim._ckernel`) builds the rows when it loads, else
         the numpy code in :meth:`_generate_numpy` does; both give the
         same bits.  :attr:`CandidateSet.allocs` is a C-contiguous float64
-        matrix and its ``total_cpu`` numpy's own row sums.
+        matrix and its ``total_cpu`` numpy's own row sums: the kernel
+        adds each row in numpy's pairwise order.
 
         Parameters
         ----------
@@ -219,13 +220,12 @@ class ActionSpace:
             allocs, kinds = self._generate_numpy(
                 current, cpu_util, victims, allow_scale_down
             )
+            total_cpu = allocs.sum(axis=1)
         else:
-            allocs, kinds = self._generate_compiled(
+            allocs, kinds, total_cpu = self._generate_compiled(
                 kernel, current, cpu_util, victims, allow_scale_down
             )
-        return CandidateSet(
-            allocs=allocs, kinds=kinds, total_cpu=allocs.sum(axis=1)
-        )
+        return CandidateSet(allocs=allocs, kinds=kinds, total_cpu=total_cpu)
 
     def _generate_compiled(
         self,
@@ -234,10 +234,10 @@ class ActionSpace:
         cpu_util: np.ndarray,
         victims: np.ndarray | None,
         allow_scale_down: bool,
-    ) -> tuple[np.ndarray, np.ndarray]:
-        """:meth:`candidates`' rows and kind codes from the kernel, into
-        buffers sized from this space's step menu, batch sizes and
-        ratios.  The batch scale-downs take numpy's ``argsort`` order, so
+    ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+        """:meth:`candidates`' rows, kind codes and row sums from the
+        kernel, into buffers sized from this space's step menu, batch
+        sizes and ratios.  The batch scale-downs take numpy's ``argsort`` order, so
         tied utilizations pick the tiers the numpy code picks."""
         ffi, lib = kernel
         n = self.n_tiers
@@ -255,6 +255,7 @@ class ActionSpace:
         table_size = 1 << (2 * rows - 1).bit_length()
         allocs = np.empty((rows, n))
         kinds = np.empty(rows, dtype=np.int64)
+        total_cpu = np.empty(rows)
         menu = np.empty(n * (n_abs + n_rel))
         work = np.empty(n + table_size + rows, dtype=np.uint64)
 
@@ -280,10 +281,11 @@ class ActionSpace:
             buf("int64_t", _GENERATION_CODES), buf("double", menu),
             buf("uint64_t", work), table_size,
             buf("double", allocs), buf("int64_t", kinds),
+            buf("double", total_cpu),
         )
-        # A copy of the b rows: a caller keeping one row (the scheduler
-        # returns its pick as a row view) keeps b rows, not the capacity.
-        return allocs[:b].copy(), kinds[:b]
+        # Copies of the b rows: a caller keeping them keeps b rows, not
+        # the capacity.
+        return allocs[:b].copy(), kinds[:b], total_cpu[:b].copy()
 
     def _generate_numpy(
         self,

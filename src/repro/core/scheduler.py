@@ -322,7 +322,8 @@ class OnlineScheduler(Manager):
         chosen_idx = self._select(cset, pred_qos_lat, prob)
         if chosen_idx is not None:
             chosen_kind = cset.kind_of(chosen_idx)
-            chosen_alloc = candidates[chosen_idx]
+            # A copy: a kept decision must not pin the candidate matrix.
+            chosen_alloc = candidates[chosen_idx].copy()
             self._last_predicted_safe = prob[chosen_idx] < self.p_up
             self._record(measured, float(pred_qos_lat[chosen_idx]), float(prob[chosen_idx]))
             if note is not None:

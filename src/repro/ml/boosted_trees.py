@@ -12,33 +12,41 @@ probability is the logistic of the accumulated margin
 (``p_V = e^{s_V} / (e^{s_V} + e^{s_{NV}})`` in the paper's two-score
 formulation, equivalent to a sigmoid over the margin difference).
 
-Inference is *compiled*: ``fit`` grows recursive ``_Node`` trees, then
-flattens them into feature / threshold / children / leaf-value arrays
-(:class:`_CompiledEnsemble`) and drops the nodes, so the arrays are the
-only form a fitted ensemble keeps.  ``predict_margin``, which sits
-inside every scheduler decision, walks those arrays in the compiled
-kernel of :mod:`repro.sim._ckernel`: per tree, rows step a level down
-at a time, 16 side by side.  Leaves point at themselves, so a row that
-reaches one early stays put.  Without the kernel the same descent runs
-on numpy, every (tree, row) lane a level down per step with flat
-``np.take`` gathers.  Both perform the same comparisons as a recursive
-walk and add leaf values tree by tree in the same order, so margins
-are bit-identical to walking the trees (the oracle in
+The fitted ensemble is *compiled*: feature / threshold / children /
+leaf-value arrays (:class:`_CompiledEnsemble`), trees in pre-order, are
+the only form it keeps.  ``predict_margin``, which sits inside every
+scheduler decision, walks those arrays in the compiled kernel of
+:mod:`repro.sim._ckernel`: per tree, rows step a level down at a time,
+16 side by side.  Leaves point at themselves, so a row that reaches one
+early stays put.  Without the kernel the same descent runs on numpy,
+every (tree, row) lane a level down per step with flat ``np.take``
+gathers.  Both perform the same comparisons as a recursive walk and add
+leaf values tree by tree in the same order, so margins are
+bit-identical to walking the trees (the oracle in
 ``tests/oracles/decision.py`` rebuilds them from the arrays).
 
-Training is *level-wise over histograms*: :meth:`BoostedTrees._build_tree`
-replaces a per-(node, feature) Python re-scan with one fused
-``np.bincount`` per tree level over the key ``(node_slot * n_features +
-feature) * n_bins + bin``, plus the classic histogram-subtraction trick
-(only the smaller child of a split is scanned; its sibling's histogram
-is the parent's minus the child's).  Node gradient/hessian totals — and
-therefore every leaf weight — are computed with the exact
-``grad[rows].sum()`` arithmetic of the recursive reference grower kept
-in ``tests/oracles/training.py``, and the split argmax replicates that
-grower's first-strict-maximum tie-breaking, so the grown trees must
-match it split for split (histogram subtraction perturbs *gains* by
-float epsilon, which can only matter on exact ties between structurally
-different splits).
+Training grows each tree from exact per-node gradient/hessian
+histograms over binned features.  The kernel's ``sinan_grow_tree``
+grows a tree depth first in one call and writes it straight into the
+arrays; without the kernel, :meth:`BoostedTrees._build_tree` grows it
+level by level (one fused ``np.bincount`` per level over the key
+``(node_slot * n_features + feature) * n_bins + bin``) as ``_Node``
+objects that :func:`_compile_trees` flattens.  Both repeat the
+recursive reference grower kept in ``tests/oracles/training.py``
+operation for operation: histogram cells add their rows in row order,
+prefix sums run left to right, gains use the same expression, the split
+is the first strict maximum in (feature, bin) order, and node sums —
+hence every leaf weight — are ``grad[rows].sum()`` in numpy's pairwise
+order.  So every backend grows the same trees bit for bit.  No
+histogram is derived by subtracting a sibling's from its parent's: the
+difference is off by rounding, and rounding decides near-ties between
+structurally different splits.
+
+A training row is routed by its bin (``bins[r, f] <= b``, that is ``x <
+edges[f][b]``) while ``predict_margin`` routes by ``x <= threshold``; a
+row whose value equals a threshold is fit into the right leaf and
+predicted from the left one.  Changing either rule changes model bits,
+so both stay until a model-quality gate can judge the change.
 """
 
 from __future__ import annotations
@@ -166,19 +174,44 @@ class BoostedTrees:
     ) -> "BoostedTrees":
         """Fit with optional early stopping on validation error.
 
-        Trees grow as ``_Node`` objects local to this call; the fitted
-        ensemble keeps only their compiled arrays.
+        Each tree grows in one call of the compiled kernel's
+        ``sinan_grow_tree`` (:mod:`repro.sim._ckernel`), straight into
+        the flat arrays the fitted ensemble keeps; without the kernel,
+        :meth:`_build_tree` grows ``_Node`` trees local to this call and
+        :func:`_compile_trees` flattens them.  Both give the same bits.
+        Gradients, hessians, the sigmoid, the validation log-loss and
+        early stopping stay in numpy.
+
+        Raises
+        ------
+        ValueError
+            Before any work, when ``X`` is not ``(B, D)`` aligned with
+            ``y``, ``y`` or ``y_val`` holds a label that is not a finite
+            value in [0, 1], or ``X_val`` is not ``(B_val, D)`` aligned
+            with ``y_val``.
         """
         X = np.asarray(X, dtype=float)
         y = np.asarray(y, dtype=float).ravel()
         if X.ndim != 2 or len(X) != len(y):
             raise ValueError("X must be (B, D) aligned with y")
+        _check_labels("y", y)
+        if y_val is not None:
+            y_val = np.asarray(y_val, dtype=float).ravel()
+            _check_labels("y_val", y_val)
+        validate = X_val is not None and y_val is not None
+        if validate:
+            X_val = np.asarray(X_val, dtype=float)
+            if X_val.shape != (len(y_val), X.shape[1]):
+                raise ValueError(
+                    "X_val must be (B_val, D) aligned with y_val, with the "
+                    f"{X.shape[1]} columns of X; got shape {X_val.shape}"
+                )
         if len(np.unique(y)) < 2:
             # Degenerate training set: constant prediction.
             self.base_margin = _logit(np.clip(y.mean(), 1e-6, 1 - 1e-6))
             self._compiled = None
             self.train_accuracy = accuracy(self.predict(X), y)
-            if X_val is not None and y_val is not None:
+            if validate:
                 self.val_accuracy = accuracy(self.predict(X_val), y_val)
             return self
 
@@ -186,60 +219,59 @@ class BoostedTrees:
         self._compiled = None
         self._bin_edges = self._make_bins(X)
         bins = self._binize(X)
-        # Per-row scan keys are identical for every tree: fold the
-        # feature offsets into the bin codes once, so each histogram
-        # scan only adds the per-level node-slot offset.
-        if X.shape[1]:
-            nb_fit = max(len(e) + 1 for e in self._bin_edges)
-            self._keybase = (
-                np.arange(X.shape[1], dtype=np.int64) * nb_fit + bins
-            )
-        else:
-            self._keybase = None
 
         pos = np.clip(y.mean(), 1e-6, 1 - 1e-6)
         self.base_margin = _logit(pos)
         margin = np.full(len(y), self.base_margin)
-        trees: list[_Node] = []
+        val_margin = np.full(len(y_val), self.base_margin) if validate else None
+        grower = self._grower(bins, X, margin, X_val, val_margin)
 
         best_val = float("inf")
         best_n = 0
         stale = 0
-        val_margin = None
-        if X_val is not None and y_val is not None:
-            y_val = np.asarray(y_val, dtype=float).ravel()
-            val_margin = np.full(len(y_val), self.base_margin)
-
-        for _ in range(cfg.n_trees):
+        for n_grown in range(1, cfg.n_trees + 1):
             prob = _sigmoid(margin)
             grad = prob - y
             hess = np.maximum(prob * (1.0 - prob), 1e-12)
-            tree = self._build_tree(bins, grad, hess)
-            trees.append(tree)
-            margin += self._predict_tree(tree, X)
+            grower.add_tree(grad, hess)
 
             if val_margin is not None:
-                val_margin += self._predict_tree(tree, X_val)
                 val_loss = _logloss(val_margin, y_val)
                 if val_loss < best_val - 1e-7:
                     best_val = val_loss
-                    best_n = len(trees)
+                    best_n = n_grown
                     stale = 0
                 else:
                     stale += 1
                     if stale >= cfg.early_stopping_rounds:
                         break
 
-        if val_margin is not None and best_n:
-            trees = trees[:best_n]
+        # Early stopping keeps the trees up to the best validation loss.
+        self._compiled = grower.compile(best_n or None)
         # Growth state is fit-time only: the model keeps the arrays.
         for name in ("_bin_edges", "_keybase", "_hist_scratch"):
             self.__dict__.pop(name, None)
-        self._compiled = _compile_trees(trees)
         self.train_accuracy = accuracy(self.predict(X), y)
-        if X_val is not None and y_val is not None:
+        if validate:
             self.val_accuracy = accuracy(self.predict(X_val), y_val)
         return self
+
+    def _grower(
+        self,
+        bins: np.ndarray,
+        X: np.ndarray,
+        margin: np.ndarray,
+        X_val: np.ndarray | None,
+        val_margin: np.ndarray | None,
+    ) -> "_KernelGrower | _NodeGrower":
+        """The compiled grower when the kernel loads, else the numpy one."""
+        kernel = _ckernel.load_kernel()
+        if kernel is None:
+            return _NodeGrower(self, bins, X, margin, X_val, val_margin)
+        return _KernelGrower(
+            kernel, self.config, bins, self._bin_edges,
+            X, margin, X_val, val_margin,
+        )
 
     def _make_bins(self, X: np.ndarray) -> list[np.ndarray]:
         qs = np.linspace(0, 100, self.config.n_bins + 1)[1:-1]
@@ -284,47 +316,33 @@ class BoostedTrees:
                 dest[nan] = np.broadcast_to(counts, block.shape)[nan]
         return out
 
-    #: Ambiguity margin of the histogram grower: a subtracted node whose
-    #: split decision is within this tolerance of flipping (tied gains
-    #: with unequal histogram values, best gain near ``gamma``, child
-    #: weight near ``min_child_weight``) is rescanned exactly.  Vastly
-    #: larger than the ~1e-10 float noise subtraction can introduce.
-    _HIST_TOL = 1e-6
-
     def _build_tree(
         self, bins: np.ndarray, grad: np.ndarray, hess: np.ndarray
     ) -> _Node:
-        """Level-wise growth over fused gradient/hessian histograms.
+        """Level-wise growth over fused gradient/hessian histograms (the
+        numpy route, when no kernel loads).
 
         Per level, one pair of ``np.bincount`` calls over the key
         ``(node_slot * D + feature) * n_bins + bin`` builds every
-        scanned node's (D, n_bins) histograms at once; a split's larger
-        child is never scanned — its histogram is the parent's minus its
-        (scanned) smaller sibling's.  ``np.bincount`` accumulates in
-        element order and node row sets stay sorted, so scanned
-        histograms are bit-identical to the recursive reference grower's
-        per-feature bincounts.  Gains replicate the reference's exact
-        expressions and its first-strict-maximum tie-breaking (row-major
-        argmax == first feature, then first bin, attaining the maximum);
-        leaf values use the reference's own ``grad[rows].sum()``
-        arithmetic rather than histogram totals.  Empty bins under
-        ``reg_lambda == 0`` score 0/0; those entries are masked to
-        ``-inf`` below, so the division runs with its warnings off.
+        frontier node's exact (D, n_bins) histograms at once.
+        ``np.bincount`` accumulates in element order and node row sets
+        stay sorted, so each histogram is bit-identical to the recursive
+        reference grower's per-feature bincounts.  Gains replicate the
+        reference's exact expressions and its first-strict-maximum
+        tie-breaking (row-major argmax == first feature, then first bin,
+        attaining the maximum); leaf values use the reference's own
+        ``grad[rows].sum()`` arithmetic.  Empty bins under ``reg_lambda
+        == 0`` score 0/0; those entries are masked to ``-inf`` below, so
+        the division runs with its warnings off.
 
-        Histogram subtraction perturbs a subtracted node's gains by
-        float epsilon, which matters exactly when the split decision is
-        a near-tie (common in early trees, where every row carries one
-        of two gradient values and structurally different splits score
-        identically).  Such nodes are detected (:attr:`_HIST_TOL`) and
-        rescanned exactly — the same work the reference grower spends on
-        *every* node — so the grown tree still matches the reference
-        split for split.
+        No histogram is derived by subtracting a sibling's from its
+        parent's: the difference is off by rounding, which decides
+        near-ties between structurally different splits.
         """
         cfg = self.config
         n, d = bins.shape
         edges = self._bin_edges
         lam, mcw, lr = cfg.reg_lambda, cfg.min_child_weight, cfg.learning_rate
-        tol = self._HIST_TOL
         n_bins = np.array([len(e) + 1 for e in edges], dtype=np.int64)
         nb = int(n_bins.max()) if d else 1
 
@@ -381,12 +399,13 @@ class BoostedTrees:
             return scratch
 
         def split_scores(Gb, Hb, gs, hs):
-            """(gain, g_left, h_left, h_right) for a histogram block.
+            """Gains (m, D, nb - 1) of a histogram block, ``-inf`` where
+            a split is invalid.
 
             In-place arithmetic over reusable scratch; every operand
             sequence matches the reference expressions, so results are
-            bit-identical to the naive formulation.  Returned arrays
-            are views into scratch: consumed before the next call.
+            bit-identical to the naive formulation.  The returned array
+            is a view into scratch: consumed before the next call.
             """
             m = len(Gb)
             s = buffers(m)
@@ -421,68 +440,24 @@ class BoostedTrees:
             np.logical_and(vb, pos_valid[None], out=vb)
             np.logical_not(vb, out=vb2)
             np.copyto(t1, -np.inf, where=vb2)
-            return t1, g_left, h_left, h_right
+            return t1
 
-        def ambiguous(i) -> bool:
-            """Could float noise flip node i's split decision?"""
-            hl, hr = h_left[i], h_right[i]
-            if (np.abs(hl - mcw) <= tol).any() or (np.abs(hr - mcw) <= tol).any():
-                return True  # a child weight sits on the validity edge
-            bg = best_gain[i]
-            if not np.isfinite(bg):
-                return False  # every split invalid, by a clear margin
-            if abs(bg - cfg.gamma) <= tol:
-                return True  # leaf-vs-split decision is a coin toss
-            near = gain[i] >= bg - tol * (1.0 + abs(bg))
-            if np.count_nonzero(near) == 1:
-                return False
-            # Tied candidates with identical histogram values carry
-            # identical noise — first-occurrence argmax resolves them
-            # the same way the reference does.  Unequal values mean the
-            # noise decides the winner: rescan.
-            f, b = divmod(int(best[i]), nb - 1)
-            return not (
-                (g_left[i][near] == g_left[i][f, b]).all()
-                and (h_left[i][near] == h_left[i][f, b]).all()
-            )
-
-        G, H = scan([rows0])
-        # One frontier entry per still-growing node: [node, rows, g_sum,
-        # h_sum, exact]; G[i]/H[i] are entry i's histograms, and exact
-        # records whether they were scanned (vs derived by subtraction).
-        frontier: list[list] = [[root, rows0, g0, h0, True]]
+        # One frontier entry per still-growing node: (node, rows, g_sum,
+        # h_sum).
+        frontier: list[tuple] = [(root, rows0, g0, h0)]
         depth = 0
         while frontier:
             m = len(frontier)
+            G, H = scan([e[1] for e in frontier])
             g_sums = np.array([e[2] for e in frontier])
             h_sums = np.array([e[3] for e in frontier])
-            gain, g_left, h_left, h_right = split_scores(G, H, g_sums, h_sums)
-            flat = gain.reshape(m, -1)
+            flat = split_scores(G, H, g_sums, h_sums).reshape(m, -1)
             best = np.argmax(flat, axis=1)
             best_gain = flat[np.arange(m), best]
 
-            redo = [i for i in range(m) if not frontier[i][4] and ambiguous(i)]
-            if redo:
-                Rg, Rh = scan([frontier[i][1] for i in redo])
-                for slot, i in enumerate(redo):
-                    G[i], H[i] = Rg[slot], Rh[slot]
-                    frontier[i][4] = True
-                sub = np.array(redo)
-                gain_r, gl_r, hl_r, hr_r = split_scores(
-                    Rg, Rh, g_sums[sub], h_sums[sub]
-                )
-                flat_r = gain_r.reshape(len(sub), -1)
-                best_r = np.argmax(flat_r, axis=1)
-                best[sub] = best_r
-                best_gain[sub] = flat_r[np.arange(len(sub)), best_r]
-
             child_depth = depth + 1
-            next_frontier: list[list] = []
-            scan_rows: list[np.ndarray] = []
-            # (next_frontier index, 'scan' slot) or
-            # (next_frontier index, parent frontier index, sibling slot)
-            fills: list[tuple] = []
-            for i, (node, rows, g_sum, h_sum, _exact) in enumerate(frontier):
+            next_frontier: list[tuple] = []
+            for i, (node, rows, g_sum, h_sum) in enumerate(frontier):
                 if not best_gain[i] > cfg.gamma:
                     node.value = -lr * g_sum / (h_sum + lam)
                     continue
@@ -497,8 +472,6 @@ class BoostedTrees:
                 node.threshold = float(edges[f][b])
                 node.left = _Node()
                 node.right = _Node()
-
-                live = []
                 for child, child_rows in (
                     (node.left, left_rows),
                     (node.right, right_rows),
@@ -508,43 +481,8 @@ class BoostedTrees:
                     if child_depth >= cfg.max_depth or len(child_rows) < 2:
                         child.value = -lr * cg / (ch + lam)
                     else:
-                        live.append([child, child_rows, cg, ch, True])
-                if len(live) == 2:
-                    # Histogram subtraction: scan the smaller child, the
-                    # sibling's histogram is parent minus child.
-                    small, big = (
-                        (live[0], live[1])
-                        if len(live[0][1]) <= len(live[1][1])
-                        else (live[1], live[0])
-                    )
-                    slot = len(scan_rows)
-                    scan_rows.append(small[1])
-                    fills.append((len(next_frontier), slot))
-                    next_frontier.append(small)
-                    fills.append((len(next_frontier), i, slot))
-                    next_frontier.append(big)
-                elif live:
-                    slot = len(scan_rows)
-                    scan_rows.append(live[0][1])
-                    fills.append((len(next_frontier), slot))
-                    next_frontier.append(live[0])
-
-            if not next_frontier:
-                break
-            Sg, Sh = scan(scan_rows)
-            G2 = np.empty((len(next_frontier), d, nb))
-            H2 = np.empty_like(G2)
-            for fill in fills:
-                if len(fill) == 2:
-                    j, slot = fill
-                    G2[j] = Sg[slot]
-                    H2[j] = Sh[slot]
-                else:
-                    j, parent_i, slot = fill
-                    np.subtract(G[parent_i], Sg[slot], out=G2[j])
-                    np.subtract(H[parent_i], Sh[slot], out=H2[j])
-                    next_frontier[j][4] = False
-            frontier, G, H, depth = next_frontier, G2, H2, child_depth
+                        next_frontier.append((child, child_rows, cg, ch))
+            frontier, depth = next_frontier, child_depth
         return root
 
     # ------------------------------------------------------------------
@@ -620,6 +558,144 @@ class BoostedTrees:
     def n_trees_used(self) -> int:
         """Number of trees kept after early stopping (Table 3 column)."""
         return 0 if self._compiled is None else len(self._compiled.roots)
+
+
+class _NodeGrower:
+    """The numpy route of :meth:`BoostedTrees.fit`: ``_Node`` trees from
+    the model's :meth:`~BoostedTrees._build_tree`, walked by
+    :meth:`~BoostedTrees._predict_tree` for the margins, and flattened
+    by :func:`_compile_trees` at the end."""
+
+    def __init__(self, model, bins, X, margin, X_val, val_margin) -> None:
+        self.model, self.bins = model, bins
+        self.X, self.margin = X, margin
+        self.X_val, self.val_margin = X_val, val_margin
+        self.trees: list[_Node] = []
+        # Per-row scan keys are identical for every tree: fold the
+        # feature offsets into the bin codes once, so each histogram
+        # scan only adds the per-level node-slot offset.
+        if X.shape[1]:
+            nb_fit = max(len(e) + 1 for e in model._bin_edges)
+            model._keybase = np.arange(X.shape[1], dtype=np.int64) * nb_fit + bins
+
+    def add_tree(self, grad: np.ndarray, hess: np.ndarray) -> None:
+        """Grow one tree and add its leaf values to the margins."""
+        tree = self.model._build_tree(self.bins, grad, hess)
+        self.trees.append(tree)
+        self.margin += self.model._predict_tree(tree, self.X)
+        if self.val_margin is not None:
+            self.val_margin += self.model._predict_tree(tree, self.X_val)
+
+    def compile(self, n_trees: int | None) -> _CompiledEnsemble | None:
+        """The first ``n_trees`` trees (all for ``None``) as arrays."""
+        return _compile_trees(self.trees[:n_trees])
+
+
+class _KernelGrower:
+    """The compiled route of :meth:`BoostedTrees.fit`: one
+    ``sinan_grow_tree`` call per tree writes it, in
+    :func:`_compile_trees`' pre-order layout, into node buffers sized
+    for the largest tree the config and the row count allow; one
+    ``sinan_tree_margin`` call per margin adds it, routing rows by the
+    ``x <= threshold`` rule of the :meth:`~BoostedTrees._predict_tree`
+    walk.  Each tree's arrays are copied out, and :meth:`compile`
+    concatenates them with node offsets."""
+
+    def __init__(
+        self, kernel, config, bins, edges, X, margin, X_val, val_margin
+    ) -> None:
+        ffi, lib = kernel
+        self._ffi, self._lib = ffi, lib
+        n, d = bins.shape
+        n_bins = np.array([len(e) + 1 for e in edges], dtype=np.int32)
+        nb = int(n_bins.max()) if d else 1
+        # Row f holds feature f's edges: split (f, b) sits at edges[f][b].
+        table = np.zeros((d, max(nb - 1, 1)))
+        for f, cuts in enumerate(edges):
+            table[f, : len(cuts)] = cuts
+        # Deeper than n levels no node keeps two rows.
+        depth = max(0, min(config.max_depth, n))
+        cap = max(1, min((1 << (depth + 1)) - 1, 2 * n - 1))
+        self.feature = np.empty(cap, dtype=np.intp)
+        self.threshold = np.empty(cap)
+        self.children = np.empty(2 * cap, dtype=np.intp)
+        self.value = np.empty(cap)
+        self.depth = np.zeros(1, dtype=np.intp)
+        buf = self._buf  # each cffi buffer keeps its array alive
+        nodes = (
+            buf("intptr_t", self.feature), buf("double", self.threshold),
+            buf("intptr_t", self.children), buf("double", self.value),
+        )
+        self._head = (
+            n, d, buf("int32_t", bins), buf("int32_t", n_bins), nb,
+            buf("double", table),
+        )
+        self._tail = (
+            depth, config.learning_rate, config.reg_lambda, config.gamma,
+            config.min_child_weight,
+            buf("intptr_t", np.empty(2 * n, dtype=np.intp)),
+            buf("double", np.empty(max(n, 1))),
+            buf("double", np.empty(max(2 * d * nb, 1))),
+            buf("intptr_t", np.empty(4 * cap, dtype=np.intp)),
+            *nodes, buf("intptr_t", self.depth),
+        )
+        # The grown tree as a one-tree ensemble rooted at node 0.
+        self._tree = (buf("intptr_t", np.zeros(1, dtype=np.intp)), *nodes)
+        self._margins = []
+        for x, m in ((X, margin), (X_val, val_margin)):
+            if m is not None:
+                x = np.ascontiguousarray(x)
+                self._margins.append(
+                    (len(x), d, buf("double", x), buf("double", m))
+                )
+        self.trees: list[tuple] = []
+
+    def _buf(self, ctype: str, a: np.ndarray):
+        return self._ffi.from_buffer(f"{ctype}[]", a)
+
+    def grow(self, grad: np.ndarray, hess: np.ndarray) -> int:
+        """Grow one tree into the node buffers; returns its node count."""
+        return self._lib.sinan_grow_tree(
+            *self._head, self._buf("double", grad), self._buf("double", hess),
+            *self._tail,
+        )
+
+    def add_tree(self, grad: np.ndarray, hess: np.ndarray) -> None:
+        """Grow one tree and add its leaf values to the margins."""
+        k = self.grow(grad, hess)
+        depth = int(self.depth[0])
+        for args in self._margins:
+            self._lib.sinan_tree_margin(1, depth, *self._tree, *args)
+        self.trees.append((
+            depth, self.feature[:k].copy(), self.threshold[:k].copy(),
+            self.children[: 2 * k].copy(), self.value[:k].copy(),
+        ))
+
+    def compile(self, n_trees: int | None) -> _CompiledEnsemble | None:
+        """The first ``n_trees`` trees (all for ``None``) as one
+        :class:`_CompiledEnsemble`."""
+        trees = self.trees[:n_trees]
+        if not trees:
+            return None
+        sizes = [len(tree[1]) for tree in trees]
+        roots = np.zeros(len(trees), dtype=np.intp)
+        np.cumsum(sizes[:-1], out=roots[1:])
+        return _CompiledEnsemble(
+            feature=np.concatenate([tree[1] for tree in trees]),
+            threshold=np.concatenate([tree[2] for tree in trees]),
+            children=np.concatenate(
+                [tree[3] + root for tree, root in zip(trees, roots)]
+            ).reshape(-1, 2),
+            value=np.concatenate([tree[4] for tree in trees]),
+            roots=roots,
+            max_depth=max(tree[0] for tree in trees),
+        )
+
+
+def _check_labels(name: str, y: np.ndarray) -> None:
+    """Refuse labels that are not finite values in [0, 1]."""
+    if not ((y >= 0.0) & (y <= 1.0)).all():  # NaN fails both
+        raise ValueError(f"{name} must hold finite labels in [0, 1]")
 
 
 def _descend_numpy(

@@ -1,7 +1,7 @@
 """Optional compiled kernel: the simulator's interval, the boosted-tree
-descent and the Table 1 candidate set.
+descent and growth, and the Table 1 candidate set.
 
-Three layers run here, each with a numpy fallback that computes the
+Four layers run here, each with a numpy fallback that computes the
 identical bits:
 
 * the batched interval path's tick recurrence (queue, busy EWMA, the
@@ -13,13 +13,18 @@ identical bits:
   (:meth:`repro.ml.boosted_trees.BoostedTrees.predict_margin`), whose
   numpy code is ``_descend_numpy`` and pays about nine numpy passes per
   tree level;
+* the trees' growth (``sinan_grow_tree``, one call per tree of
+  :meth:`repro.ml.boosted_trees.BoostedTrees.fit`), whose numpy code is
+  ``BoostedTrees._build_tree`` plus ``_compile_trees``: per tree level,
+  a fused ``bincount``, a dozen passes over the gain block and a Python
+  loop over the nodes;
 * the control loop's candidate generation
   (:meth:`repro.core.actions.ActionSpace.candidates`), whose numpy code
   is ``ActionSpace._generate_numpy``: dozens of small numpy passes per
   decision, the last a ``lexsort`` dedupe of the whole rounded matrix.
 
-In all three, per-call dispatch and argument checking cost more than the
-arithmetic or the draws.  This module compiles them into a tiny C kernel
+In all four, per-call dispatch and argument checking (and the grower's
+per-node Python) cost more than the arithmetic or the draws.  This module compiles them into a tiny C kernel
 at first use (cffi ABI mode plus the system C compiler) and caches the
 shared object under the user's temp directory, keyed by a digest of the
 source.  Everything is best-effort and all-or-nothing: any failure — no
@@ -35,7 +40,11 @@ Bitwise equality with the numpy code relies on three things:
   <= threshold)`` and each row's margin summed in tree order; the
   candidate generator's ``np.maximum``, ``np.minimum``, ``np.clip``,
   ``_isclose`` and ``np.round(x, 9)`` by numpy's own expressions, its
-  batch scale-downs in the order of numpy's ``argsort``, passed in),
+  batch scale-downs in the order of numpy's ``argsort``, passed in; the
+  grower's histograms and prefix sums in ``np.bincount``'s and
+  ``np.cumsum``'s order, and every ``.sum()`` — a tree node's gradient
+  and hessian totals, a candidate's total CPU — in numpy's pairwise
+  order),
 * compilation uses ``-ffp-contract=off`` so no multiply-add pair is
   contracted into an FMA, and
 * every random value comes from the C function numpy's own
@@ -102,6 +111,13 @@ void sinan_tree_margin(
     const intptr_t *feature, const double *threshold,
     const intptr_t *children, const double *value,
     intptr_t n, intptr_t d, const double *X, double *margin);
+intptr_t sinan_grow_tree(
+    intptr_t n, intptr_t d, const int32_t *bins, const int32_t *n_bins,
+    intptr_t nb, const double *edges, const double *grad, const double *hess,
+    intptr_t max_depth, double lr, double lam, double gamma, double mcw,
+    intptr_t *rows, double *vals, double *hist, intptr_t *stack,
+    intptr_t *feature, double *threshold, intptr_t *children, double *value,
+    intptr_t *depth);
 intptr_t sinan_candidates(
     intptr_t n, const double *current, const double *cpu_util,
     const double *lo, const double *hi,
@@ -109,7 +125,7 @@ intptr_t sinan_candidates(
     double util_cap, int allow_down, const intptr_t *order,
     int n_batch, const intptr_t *batch_n, const uint8_t *victims,
     const int64_t *codes, double *menu, uint64_t *work, intptr_t table_size,
-    double *allocs, int64_t *kinds);
+    double *allocs, int64_t *kinds, double *total_cpu);
 """
 
 # ``sinan_run_ticks``: tiers arrive permuted into dependency-level order,
@@ -352,6 +368,188 @@ void sinan_tree_margin(
     }
 }
 
+/* numpy's pairwise summation of a contiguous float64 vector (pairwise_sum
+ * in numpy/_core/src/umath/loops_utils.h.src): a plain loop below 8
+ * elements; up to 128, eight accumulators over blocks of 8, combined as
+ * ((r0+r1)+(r2+r3))+((r4+r5)+(r6+r7)), then the rest in order; above 128,
+ * the two halves split at n/2 rounded down to a multiple of 8.  The
+ * recursion is log2(n / 128) deep. */
+static double pairwise_sum(const double *a, intptr_t n)
+{
+    double r[8], res;
+    intptr_t i;
+    int k;
+    if (n < 8) {
+        res = 0.0;
+        for (i = 0; i < n; i++) res += a[i];
+        return res;
+    }
+    if (n <= 128) {
+        for (k = 0; k < 8; k++) r[k] = a[k];
+        for (i = 8; i < n - n % 8; i += 8)
+            for (k = 0; k < 8; k++) r[k] += a[i + k];
+        res = ((r[0] + r[1]) + (r[2] + r[3])) + ((r[4] + r[5]) + (r[6] + r[7]));
+        for (; i < n; i++) res += a[i];
+        return res;
+    }
+    i = n / 2;
+    i -= i % 8;
+    return pairwise_sum(a, i) + pairwise_sum(a + i, n - i);
+}
+
+/* a.sum() of a contiguous vector, and each row of a C-contiguous
+ * matrix's m.sum(axis=1): numpy starts the reduction at 0.0. */
+static double np_sum(const double *a, intptr_t n)
+{
+    return 0.0 + pairwise_sum(a, n);
+}
+
+/* One boosted tree (repro.ml.boosted_trees.BoostedTrees.fit), grown depth
+ * first from the C-contiguous (n, d) bin codes, with the numpy grower's
+ * arithmetic:
+ *   - a node's gradient and hessian sums are np_sum over its rows, in
+ *     ascending row order (grad[rows].sum()); a leaf weighs
+ *     -lr * g / (h + lam);
+ *   - every node's histograms are exact: each cell adds its rows in row
+ *     order from 0.0 (np.bincount), and the prefix sums run left to right
+ *     from the first bin (np.cumsum);
+ *   - split position b of feature f (b < n_bins[f] - 1) is valid when
+ *     both sides weigh at least mcw, and gains the numpy expression in its
+ *     operation order; the winner is the first strict maximum in (feature,
+ *     bin) order, and a valid NaN gain makes a leaf, as np.argmax picks
+ *     the first NaN; the node splits when the winner's gain is > gamma
+ *     and both sides keep a row;
+ *   - the split is a stable partition on bins[r, f] <= b, so every node's
+ *     rows stay ascending.
+ * Three shortcuts skip only positions the numpy grower rules out.  The
+ * hessians are positive (fit floors them at 1e-12), so the left-hand
+ * hessian sum hl never falls and h - hl never rises along a feature's
+ * bins: once h - hl < mcw the feature's later positions are invalid, and
+ * when h - mcw < mcw no position is valid, so the node is a leaf without
+ * histograms.  A position whose bin adds 0.0 to both prefix sums repeats
+ * the previous position's gain, which cannot be a new strict maximum.
+ *
+ * The tree is written in pre-order, the layout of _compile_trees: feature
+ * (0 on leaves), threshold edges[f * (nb - 1) + b] (0.0 on leaves),
+ * children (leaves point at themselves), value (0.0 on internal nodes).
+ * Returns the node count and sets *depth to the deepest node's depth.
+ *
+ * Buffers: rows 2n, vals n, hist 2 * d * nb, and stack 4 * cap, with cap
+ * >= min(2 ** (max_depth + 1) - 1, 2n - 1), for feature, threshold, value
+ * (cap) and children (2 * cap): every split leaves two non-empty children
+ * at most max_depth deep, and every stack entry is a node still to come. */
+intptr_t sinan_grow_tree(
+    intptr_t n, intptr_t d, const int32_t *bins, const int32_t *n_bins,
+    intptr_t nb, const double *edges, const double *grad, const double *hess,
+    intptr_t max_depth, double lr, double lam, double gamma, double mcw,
+    intptr_t *rows, double *vals, double *hist, intptr_t *stack,
+    intptr_t *feature, double *threshold, intptr_t *children, double *value,
+    intptr_t *depth)
+{
+    intptr_t *spill = rows + n;
+    intptr_t count = 0, top = 1, i, f;
+    for (i = 0; i < n; i++) rows[i] = i;
+    /* A stack entry: the node's rows[lo, hi), its depth, and its slot in
+     * its parent's children (-1 for the root). */
+    stack[0] = 0;
+    stack[1] = n;
+    stack[2] = 0;
+    stack[3] = -1;
+    *depth = 0;
+    while (top > 0) {
+        const intptr_t *e = stack + 4 * --top;
+        intptr_t lo = e[0], m = e[1] - e[0], dep = e[2], slot = e[3];
+        intptr_t node = count++, best_f = -1, best_b = -1, nl = 0, ns = 0;
+        const intptr_t *seg = rows + lo;
+        double g, h, parent, best = -INFINITY;
+        int nan_gain = 0;
+
+        if (slot >= 0) children[slot] = node;
+        if (dep > *depth) *depth = dep;
+        feature[node] = 0;
+        threshold[node] = 0.0;
+        children[2 * node] = children[2 * node + 1] = node;
+        value[node] = 0.0;
+        for (i = 0; i < m; i++) vals[i] = grad[seg[i]];
+        g = np_sum(vals, m);
+        for (i = 0; i < m; i++) vals[i] = hess[seg[i]];
+        h = np_sum(vals, m);
+        if (dep >= max_depth || m < 2 || h - mcw < mcw) {
+            value[node] = -lr * g / (h + lam);
+            continue;
+        }
+
+        memset(hist, 0, (size_t)(2 * d * nb) * sizeof *hist);
+        for (i = 0; i < m; i++) {
+            const int32_t *b = bins + seg[i] * d;
+            double gi = grad[seg[i]], hi = hess[seg[i]];
+            for (f = 0; f < d; f++) {
+                double *cell = hist + 2 * (f * nb + b[f]);
+                cell[0] += gi;
+                cell[1] += hi;
+            }
+        }
+        parent = g * g / (h + lam);
+        for (f = 0; f < d && !nan_gain; f++) {
+            const double *c = hist + 2 * f * nb;
+            double gl = c[0], hl = c[1];
+            for (intptr_t b = 0; b < n_bins[f] - 1; b++) {
+                double hr, t1, t3;
+                if (b > 0) {
+                    if (c[2 * b] == 0.0 && c[2 * b + 1] == 0.0) continue;
+                    gl += c[2 * b];
+                    hl += c[2 * b + 1];
+                }
+                hr = h - hl;
+                if (!(hr >= mcw)) break;
+                if (!(hl >= mcw)) continue;
+                t1 = gl * gl;
+                t1 /= hl + lam;
+                t3 = g - gl;
+                t3 *= t3;
+                t3 /= hr + lam;
+                t1 += t3;
+                t1 -= parent;
+                if (isnan(t1)) {
+                    nan_gain = 1;
+                    break;
+                }
+                if (t1 > best) {
+                    best = t1;
+                    best_f = f;
+                    best_b = b;
+                }
+            }
+        }
+        if (!nan_gain && best > gamma) {
+            for (i = 0; i < m; i++) {
+                intptr_t r = seg[i];
+                if (bins[r * d + best_f] <= best_b) rows[lo + nl++] = r;
+                else spill[ns++] = r;
+            }
+            memcpy(rows + lo + nl, spill, (size_t)ns * sizeof *rows);
+        }
+        if (nl == 0 || ns == 0) {
+            value[node] = -lr * g / (h + lam);
+            continue;
+        }
+        feature[node] = best_f;
+        threshold[node] = edges[best_f * (nb - 1) + best_b];
+        /* Right child below left: the left subtree is written first. */
+        stack[4 * top] = lo + nl;
+        stack[4 * top + 1] = lo + m;
+        stack[4 * top + 2] = dep + 1;
+        stack[4 * top + 3] = 2 * node + 1;
+        top++;
+        stack[4 * top] = lo;
+        stack[4 * top + 1] = lo + nl;
+        stack[4 * top + 2] = dep + 1;
+        stack[4 * top + 3] = 2 * node;
+        top++;
+    }
+    return count;
+}
+
 /* The Table 1 candidate set (repro.core.actions.ActionSpace.candidates),
  * by the numpy generator's expressions and in its row order.  The
  * comparisons below are numpy's own: np.maximum / np.minimum keep their
@@ -433,7 +631,8 @@ static intptr_t put_single(
 }
 
 /* Writes the deduplicated candidate rows into the C-contiguous matrix
- * allocs and their kind codes into kinds, and returns their number.
+ * allocs, their kind codes into kinds and their sums, as numpy's
+ * allocs.sum(axis=1) adds them, into total_cpu, and returns their number.
  *
  * constants holds the n_abs absolute steps, the n_rel relative steps and
  * the n_ratios scale-up-all ratios; codes the kind codes of hold,
@@ -442,7 +641,8 @@ static intptr_t put_single(
  * and batch_n[i] the number of tiers batch i shrinks; victims is the
  * boolean mask, or NULL for none.  Work space: menu holds n * (n_abs +
  * n_rel) doubles; work holds n + table_size + rows entries, table_size a
- * power of two at least twice rows, the capacity of allocs and kinds:
+ * power of two at least twice rows, the capacity of allocs, kinds and
+ * total_cpu:
  * 2 + 2 * n * (n_abs + n_rel) + 2 * n_batch + n_ratios rows.
  *
  * Rows come in the numpy generator's order: hold, the per-tier
@@ -458,7 +658,7 @@ intptr_t sinan_candidates(
     double util_cap, int allow_down, const intptr_t *order,
     int n_batch, const intptr_t *batch_n, const uint8_t *victims,
     const int64_t *codes, double *menu, uint64_t *work, intptr_t table_size,
-    double *allocs, int64_t *kinds)
+    double *allocs, int64_t *kinds, double *total_cpu)
 {
     const int m = n_abs + n_rel;
     const double *rel = constants + n_abs, *ratios = constants + m;
@@ -607,6 +807,7 @@ intptr_t sinan_candidates(
             memcpy(allocs + out * n, allocs + r * n, row_bytes);
             kinds[out] = kinds[r];
         }
+        total_cpu[out] = np_sum(allocs + out * n, n);
         out++;
     }
     return out;

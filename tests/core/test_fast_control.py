@@ -29,6 +29,7 @@ from tests.core.test_fast_path import (  # noqa: F401 (fixture re-export)
     make_faulty_cluster,
     trained,
 )
+from tests.ml.test_layers import assert_same_bytes
 from tests.oracles.control import candidates_reference, select_reference
 
 
@@ -55,6 +56,8 @@ def assert_candidates_equal(space, current, cpu_util, victims, allow_down):
     assert np.array_equal(
         cset.total_cpu, np.array([a.total_cpu for a in actions])
     )
+    # numpy's own row sums, byte for byte (the kernel repeats its order).
+    assert_same_bytes(cset.total_cpu, cset.allocs.sum(axis=1))
     for i, action in enumerate(actions):
         assert cset.kind_of(i) is action.kind
     return cset

@@ -16,6 +16,7 @@ from repro.core.predictor import HybridPredictor, PredictorConfig
 from repro.core.qos import QoSTarget
 from repro.ml.boosted_trees import _Node
 from repro.ml.cnn import CNNConfig
+from repro.sim import _ckernel
 from tests.conftest import make_tiny_cluster, make_tiny_graph
 
 QOS = QoSTarget(200.0)
@@ -236,6 +237,25 @@ class TestSerialization:
         lat_b, prob_b = loaded.predict_raw(x_rh, x_lh, x_rc)
         assert np.array_equal(lat_a, lat_b)
         assert np.array_equal(prob_a, prob_b)
+
+    def test_training_gives_the_same_pickle_on_both_backends(self, tiny_dataset):
+        """A whole ``train`` with the compiled tree grower and with the
+        numpy one stores the same model byte for byte (the report's
+        wall-clock epoch times blanked)."""
+        if _ckernel.load_kernel() is None:
+            pytest.skip("no compiled kernel")
+
+        def trained_pickle():
+            predictor = HybridPredictor(make_tiny_graph(), QOS, FAST, seed=0)
+            predictor.train(tiny_dataset)
+            predictor.report.cnn_fit.epoch_time_s = []
+            return pickle.dumps(predictor)
+
+        on_kernel = trained_pickle()
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(_ckernel, "load_kernel", lambda: None)
+            on_numpy = trained_pickle()
+        assert on_kernel == on_numpy
 
     def test_load_rejects_format_mismatch(self, trained, tmp_path):
         import pickle

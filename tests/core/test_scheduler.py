@@ -65,6 +65,14 @@ class TestSelection:
         alloc = sched.decide(make_log())
         assert alloc.sum() < 4 * 2.0
 
+    def test_pick_owns_its_data(self, backend):
+        """A kept decision pins no candidate matrix: the model's pick
+        is a copy, not a row view."""
+        sched = make_scheduler(StubPredictor())
+        alloc = sched.decide(make_log())
+        assert sched.fallbacks == 0 and alloc.sum() < 4 * 2.0
+        assert alloc.base is None
+
     def test_risky_downs_keep_hold(self):
         """Scale-downs above p_down are rejected; hold is kept."""
         current_total = 4 * 2.0

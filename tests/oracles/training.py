@@ -1,9 +1,11 @@
 """Oracles for the training path.
 
 * :class:`ReferenceBoostedTrees` grows every tree with the recursive
-  depth-first grower that re-scans each (node, feature) pair; the
-  production level-wise histogram grower must match it split for split
-  (:func:`assert_same_structure`, on the compiled arrays).
+  depth-first grower that re-scans each (node, feature) pair, on either
+  backend; both production growers, the compiled one and the level-wise
+  numpy one, must match it split for split
+  (:func:`assert_same_structure`, on the compiled arrays), and byte for
+  byte (``TestGrowerBackends``).
 * :class:`PaddedConv2D` trains with the padded im2col path: ``np.pad``
   and one strided copy per kernel tap build the column matrix, and a
   scatter-add onto a padded gradient folds it back.  It is the
@@ -30,13 +32,17 @@ from __future__ import annotations
 import numpy as np
 
 from repro.core.predictor import HybridPredictor
-from repro.ml.boosted_trees import BoostedTrees, _Node
+from repro.ml.boosted_trees import BoostedTrees, _Node, _NodeGrower
 from repro.ml.layers import Conv2D, Dense, Layer, LSTMCell, _sigmoid
 from repro.ml.network import Sequential
 
 
 class ReferenceBoostedTrees(BoostedTrees):
-    """Boosted trees fitted with the recursive reference grower."""
+    """Boosted trees fitted with the recursive reference grower, through
+    the ``_Node`` route on either backend."""
+
+    def _grower(self, bins, X, margin, X_val, val_margin) -> _NodeGrower:
+        return _NodeGrower(self, bins, X, margin, X_val, val_margin)
 
     def _build_tree(
         self, bins: np.ndarray, grad: np.ndarray, hess: np.ndarray
