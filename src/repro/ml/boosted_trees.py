@@ -211,8 +211,10 @@ class BoostedTrees:
             self.base_margin = _logit(np.clip(y.mean(), 1e-6, 1 - 1e-6))
             self._compiled = None
             self.train_accuracy = accuracy(self.predict(X), y)
-            if validate:
-                self.val_accuracy = accuracy(self.predict(X_val), y_val)
+            self.val_accuracy = (
+                accuracy(self.predict(X_val), y_val) if validate
+                else float("nan")
+            )
             return self
 
         cfg = self.config
@@ -252,8 +254,9 @@ class BoostedTrees:
         for name in ("_bin_edges", "_keybase", "_hist_scratch"):
             self.__dict__.pop(name, None)
         self.train_accuracy = accuracy(self.predict(X), y)
-        if validate:
-            self.val_accuracy = accuracy(self.predict(X_val), y_val)
+        self.val_accuracy = (
+            accuracy(self.predict(X_val), y_val) if validate else float("nan")
+        )
         return self
 
     def _grower(

@@ -26,6 +26,7 @@ timeout latency, which is how sustained overload blows up the p99.
 
 from __future__ import annotations
 
+import functools
 from dataclasses import dataclass
 
 import numpy as np
@@ -168,6 +169,14 @@ class QueueingEngine:
         """Observability handle; ``None``/no-op means off (see
         :func:`repro.obs.recorder.attach_recorder`)."""
 
+    def __getstate__(self) -> dict:
+        """Copies and pickles leave out the interval plan: it is scratch,
+        rebuilt on the next interval, and holds the compiled kernel's
+        handles, which do not copy."""
+        state = self.__dict__.copy()
+        state["_fast_plan"] = None
+        return state
+
     def _build_levels(self) -> list[tuple[np.ndarray, np.ndarray, np.ndarray]]:
         """Group tiers into dependency levels for vectorized sojourn math.
 
@@ -275,7 +284,9 @@ class QueueingEngine:
     ) -> tuple[np.ndarray, np.ndarray]:
         graph = self.graph
         n = graph.n_tiers
-        allocs = np.asarray(allocs, dtype=float)
+        # Contiguous: the compiled interval reads both through their
+        # buffers.
+        allocs = np.ascontiguousarray(allocs, dtype=float)
         if allocs.shape != (n,):
             raise ValueError(f"allocs must have shape ({n},)")
         # Checked before any draw.  A NaN or infinite allocation would
@@ -285,7 +296,7 @@ class QueueingEngine:
             raise ValueError("all CPU allocations must be finite")
         if (allocs <= 0).any():
             raise ValueError("all CPU allocations must be positive")
-        type_rates = np.asarray(type_rates, dtype=float)
+        type_rates = np.ascontiguousarray(type_rates, dtype=float)
         if type_rates.shape != (graph.n_types,):
             raise ValueError(f"type_rates must have shape ({graph.n_types},)")
         if not np.isfinite(type_rates).all() or (type_rates < 0).any():
@@ -383,33 +394,95 @@ class QueueingEngine:
         """Batched-tick interval: bitwise-identical to the per-tick
         reference loop kept in ``tests/oracles/engine.py``.
 
+        With the compiled kernel, one ``sinan_interval`` call runs the
+        whole interval, from the draws to the latency percentiles (see
+        :mod:`repro.sim._ckernel`); Python takes the behaviour rows
+        before it and :meth:`_finish_interval` after it.  Without the
+        kernel, :meth:`_run_interval_numpy` runs the same steps on numpy.
+        Behaviour multipliers are functions of simulated time only and
+        never touch the engine RNG, so the kernel route takes every
+        tick's rows before the call, at the clock the tick loop reaches.
+        """
+        cfg = self.config
+        n = self.graph.n_tiers
+        tick = cfg.tick
+        n_ticks = max(int(round(1.0 / tick)), 1)
+        plan = self.__dict__.get("_fast_plan")
+        if plan is None or plan.n_ticks != n_ticks:
+            plan = self._fast_plan = _FastPlan(self, n_ticks)
+        has_behaviors = bool(self.behaviors)
+        if plan.clib is None:
+            return self._run_interval_numpy(
+                plan, allocs, type_rates, has_behaviors
+            )
+        if has_behaviors:
+            start = self.time
+            for t in range(n_ticks):
+                plan.cap_beh_rows[t] = self._behavior_capacity(n)
+                plan.rep_rows[t] = self._behavior_replicas(n)
+                self.time += tick
+            self.time = start
+        plan.clock[:] = (
+            self.time, self._log_mod, self._burst_start, self._burst_until,
+            self._burst_mult,
+        )
+        state = np.empty((5, n))
+        percentiles = np.empty(len(LATENCY_PERCENTILES))
+        buf = plan.buffer
+        rng = self._rng
+        # The bitgen_t is re-read every interval (reset(seed) replaces
+        # the generator), and its lock is held for the whole call, as
+        # the Generator methods hold it: cffi releases the GIL.
+        with rng.bit_generator.lock:
+            got = plan.clib.sinan_interval(
+                plan.c, rng.bit_generator.cffi.bit_generator,
+                buf(allocs), buf(type_rates), has_behaviors,
+                buf(self.queue), buf(self._busy_ewma), buf(self._demand),
+                buf(state), buf(percentiles),
+            )
+        (self.time, self._log_mod, self._burst_start, self._burst_until,
+         self._burst_mult) = plan.clock.tolist()
+        if got > 0 or got == -_ckernel.SAMPLER_REFUSAL:
+            (self.queue, self._busy_ewma, self._busy_frac, self._demand,
+             self._sojourn) = state
+        if got < 0:
+            kind, message = _ckernel.DRAW_ERRORS[-got]
+            raise kind(message)
+        return self._finish_interval(
+            allocs, plan.type_counts, plan.arrivals_total,
+            plan.completions_out, plan.drops_out, plan.cpu_used_out,
+            plan.samples[:got], percentiles,
+        )
+
+    def _run_interval_numpy(
+        self,
+        plan: _FastPlan,
+        allocs: np.ndarray,
+        type_rates: np.ndarray,
+        has_behaviors: bool,
+    ) -> IntervalStats:
+        """The batched interval on numpy, when no kernel loads.
+
         The interval's full RNG plan (AR(1)/burst modulation, Poisson
         counts, capacity-jitter normals) is drawn in a prepass that
-        replicates the reference tick loop's exact consumption order (the
-        compiled kernel, when loaded, makes the Poisson and jitter draws
-        through numpy's own distribution functions; see
-        :mod:`repro.sim._ckernel`);
-        behavior multipliers are hoisted alongside (they are functions of
-        simulated time only and never touch the engine RNG).  Everything
-        without a tick-to-tick dependency is then computed as
-        ``(n_ticks, n)`` arrays, and the sequential recurrences (queue,
-        demand and busy EWMAs, the sojourn level sweep) run as a thin
-        loop over level-sorted contiguous views with preallocated
-        scratch.  The bitwise-equality argument relies only on IEEE-754
-        identities (commutativity of +/*, ``x*1.0 == x``, ``x+0.0 == x``
-        for the non-negative values here, elementwise ops equal their
-        sliced counterparts) plus the engine producing finite values,
-        which allocation validation guarantees.
+        replicates the reference tick loop's exact consumption order;
+        behavior multipliers are hoisted alongside.  Everything without
+        a tick-to-tick dependency is then computed as ``(n_ticks, n)``
+        arrays, and the sequential recurrences (queue, demand and busy
+        EWMAs, the sojourn level sweep) run as a thin loop over
+        level-sorted contiguous views with preallocated scratch.  The
+        bitwise-equality argument relies only on IEEE-754 identities
+        (commutativity of +/*, ``x*1.0 == x``, ``x+0.0 == x`` for the
+        non-negative values here, elementwise ops equal their sliced
+        counterparts) plus the engine producing finite values, which
+        allocation validation guarantees.
         """
         graph = self.graph
         cfg = self.config
         n = graph.n_tiers
         rng = self._rng
         tick = cfg.tick
-        n_ticks = max(int(round(1.0 / tick)), 1)
-        plan = getattr(self, "_fast_plan", None)
-        if plan is None or plan.n_ticks != n_ticks:
-            plan = self._fast_plan = _FastPlan(self, n_ticks)
+        n_ticks = plan.n_ticks
 
         # --- prepass: RNG plan + behaviors, reference consumption order:
         # per tick the modulation draws, the Poisson counts by type, then
@@ -420,38 +493,14 @@ class QueueingEngine:
         arrival_rows = plan.arrival_rows
         draw_jitter = cfg.capacity_jitter > 0
         z_rows = plan.z_rows if draw_jitter else None
-        has_behaviors = bool(self.behaviors)
         cap_beh_rows = plan.cap_beh_rows if has_behaviors else None
         rep_rows = plan.rep_rows if has_behaviors else None
-        clib = plan.clib
-        if clib is not None:
-            # The kernel makes the Poisson and jitter draws through
-            # numpy's own functions on this generator's bitgen_t (re-read
-            # each interval: reset(seed) replaces the generator), under
-            # its lock like the Generator methods.  The modulation stays
-            # here: its np.exp differs from libm's exp in the last bit on
-            # some inputs.
-            plan.rates[:] = type_rates
-            bitgen = rng.bit_generator.cffi.bit_generator
-            lock = rng.bit_generator.lock
-            n_types = graph.n_types
-            n_z = n if draw_jitter else 0
         for t in range(n_ticks):
             mod = self._rate_modulation()
-            if clib is not None:
-                with lock:
-                    err = clib.sinan_draw_tick(
-                        bitgen, t, n_types, plan.ptr_rates, mod, tick,
-                        _ckernel.POISSON_LAM_MAX, plan.ptr_counts, n_z,
-                        plan.ptr_z,
-                    )
-                if err:
-                    raise ValueError(_ckernel.DRAW_ERRORS[err])
-            else:
-                # The reference tick's own draw calls, verbatim.
-                counts_rows[t] = rng.poisson((type_rates * mod) * tick)
-                if draw_jitter:
-                    z_rows[t] = rng.normal(0.0, 1.0, size=n)
+            # The reference tick's own draw calls, verbatim.
+            counts_rows[t] = rng.poisson((type_rates * mod) * tick)
+            if draw_jitter:
+                z_rows[t] = rng.normal(0.0, 1.0, size=n)
             if has_behaviors:
                 cap_beh_rows[t] = self._behavior_capacity(n)
                 rep_rows[t] = self._behavior_replicas(n)
@@ -466,19 +515,13 @@ class QueueingEngine:
         # (scalar multiplication commutes bitwise).
         demand = plan.demand_buf
         demand[:] = self._demand
-        if plan.clib is not None:
-            plan.clib.sinan_demand_ewma(
-                n_ticks, n, tick, plan.ptr_arrival_rows,
-                plan.ptr_demand_buf, plan.ptr_demand_rows,
-            )
-        else:
-            dtmp = plan.demand_tmp
-            for t in range(n_ticks):
-                np.multiply(demand, 0.8, out=demand)
-                np.divide(arrival_rows[t], tick, out=dtmp)
-                np.multiply(dtmp, 0.2, out=dtmp)
-                np.add(demand, dtmp, out=demand)
-                demand_rows[t] = demand
+        dtmp = plan.demand_tmp
+        for t in range(n_ticks):
+            np.multiply(demand, 0.8, out=demand)
+            np.divide(arrival_rows[t], tick, out=dtmp)
+            np.multiply(dtmp, 0.2, out=dtmp)
+            np.add(demand, dtmp, out=demand)
+            demand_rows[t] = demand
         self._demand = demand.copy()
 
         # --- batched (n_ticks, n) precompute of tick-independent terms,
@@ -517,9 +560,7 @@ class QueueingEngine:
             cap_rows = cap_beh_rows
         unit_cap = cap_rows is None
 
-        # Gather the permuted per-tick arrays into C-ordered plan buffers:
-        # ``rows[:, perm]`` would return a Fortran-ordered array, which the
-        # C kernel's row-major pointer walk must not see.
+        # Gather the permuted per-tick arrays into C-ordered plan buffers.
         perm = plan.perm
         infl_p = plan.infl_rows_p
         np.take(infl, perm, 1, infl_p)
@@ -534,125 +575,46 @@ class QueueingEngine:
         if has_behaviors:
             conc_p = plan.conc_rows_p
             np.take(conc_const * rep_rows, perm, 1, conc_p)
-        elif plan.clib is None:
-            conc_p = np.broadcast_to(conc_const[perm], (n_ticks, n))
         else:
-            conc_p = None  # kernel reads the permuted constant instead
+            conc_p = np.broadcast_to(conc_const[perm], (n_ticks, n))
 
         cpu_p = plan.cpu_p
-        base_p = plan.base_p
         allocs_p = plan.allocs_p
         allocs.take(perm, None, allocs_p)
-        mu_cpu_p = plan.mu_cpu_p
-        np.divide(allocs_p, cpu_p, mu_cpu_p)
+        np.divide(allocs_p, cpu_p, plan.mu_cpu_p)
         fsm1_p = plan.fsm1_p
         np.minimum(allocs_p, 1.0, out=fsm1_p)
         np.divide(1.0, fsm1_p, fsm1_p)
         np.subtract(fsm1_p, 1.0, fsm1_p)
-        alloc_tick_p = plan.alloc_tick_p
-        np.multiply(allocs_p, tick, alloc_tick_p)
-        backpressure = cfg.backpressure
+        np.multiply(allocs_p, tick, plan.alloc_tick_p)
 
         queue_p = plan.queue_p
         self.queue.take(perm, None, queue_p)
         be = plan.be
         self._busy_ewma.take(perm, None, be)
-        cpu_used_p = plan.cpu_used
-        cpu_used_p.fill(0.0)
-        comp_total_p = plan.comp_total
-        comp_total_p.fill(0.0)
-        drops_total_p = plan.drops_total
-        drops_total_p.fill(0.0)
-        bf = plan.busy_frac
-        sojourn_p = plan.sojourn_rows
-
-        if plan.clib is not None:
-            self._run_ticks_c(
-                plan, n_ticks, unit_cap, conc_const, has_behaviors,
-                backpressure,
-            )
-        else:
-            self._run_ticks_numpy(
-                plan, n_ticks, infl_p, cap_p, conc_p, unit_cap,
-                backpressure, arr_p,
-            )
+        plan.cpu_used.fill(0.0)
+        plan.comp_total.fill(0.0)
+        plan.drops_total.fill(0.0)
+        self._run_ticks_numpy(
+            plan, n_ticks, infl_p, cap_p, conc_p, unit_cap,
+            cfg.backpressure, arr_p,
+        )
 
         inv = plan.inv
         self.queue = queue_p.take(inv)
         self._busy_ewma = be.take(inv)
-        self._busy_frac = bf.take(inv)
-        drops_total = drops_total_p.take(inv)
-        if plan.clib is not None:
-            # The compiled sampler reads the permuted sojourn rows in
-            # place; only the final tick's tier-ordered sojourn is needed
-            # afterwards, so the full (n_ticks, n) un-permute is skipped.
-            sojourn_ticks = None
-            self._sojourn = sojourn_p[-1].take(inv)
-        else:
-            sojourn_ticks = sojourn_p[:, inv]
-            self._sojourn = sojourn_ticks[-1]
+        self._busy_frac = plan.busy_frac.take(inv)
+        drops_total = plan.drops_total.take(inv)
+        sojourn_ticks = plan.sojourn_rows[:, inv]
+        self._sojourn = sojourn_ticks[-1]
         latency_samples = self._sample_latencies_fast(
             sojourn_ticks, type_counts, arrivals_total, drops_total, plan
         )
         percentiles = _fast_percentiles(latency_samples) * 1000.0
         return self._finish_interval(
-            allocs, type_counts, arrivals_total, comp_total_p.take(inv),
-            drops_total, cpu_used_p.take(inv), latency_samples, percentiles,
-        )
-
-    def _run_ticks_c(
-        self,
-        plan: _FastPlan,
-        n_ticks: int,
-        unit_cap: bool,
-        conc_const: np.ndarray,
-        has_behaviors: bool,
-        backpressure: bool,
-    ) -> None:
-        """Run the tick recurrence through the compiled kernel.
-
-        Reads the permuted per-tick inputs straight from the plan's
-        persistent buffers (pointers cached at plan build) and mutates
-        the same plan state as :meth:`_run_ticks_numpy` (queue, busy
-        EWMA/fraction, accumulators, sojourn rows) with bitwise-identical
-        values; see :mod:`repro.sim._ckernel` for the equality argument.
-        """
-        cfg = self.config
-        null = plan.ffi.NULL
-        if has_behaviors:
-            conc_ptr = plan.ptr_conc_p
-            conc_const_ptr = null
-        else:
-            conc_const.take(plan.perm, None, plan.conc_const_p)
-            conc_ptr = null
-            conc_const_ptr = plan.ptr_conc_const
-        plan.clib.sinan_run_ticks(
-            n_ticks,
-            self.graph.n_tiers,
-            plan.ptr_infl_p,
-            null if unit_cap else plan.ptr_cap_p,
-            conc_ptr,
-            conc_const_ptr,
-            plan.ptr_arr_p,
-            plan.ptr_cpu,
-            plan.ptr_base,
-            plan.ptr_fsm1,
-            plan.ptr_mu_cpu,
-            plan.ptr_alloc_tick,
-            plan.ptr_child_off,
-            plan.ptr_child_idx,
-            1 if backpressure else 0,
-            cfg.tick,
-            cfg.max_queue,
-            _EPS,
-            _MAX_SOJOURN,
-            plan.ptr_queue,
-            plan.ptr_be,
-            plan.ptr_bf,
-            plan.ptr_cpu_used,
-            plan.ptr_comp_total,
-            plan.ptr_drops,
-            plan.ptr_sojourn,
+            allocs, type_counts, arrivals_total, plan.comp_total.take(inv),
+            drops_total, plan.cpu_used.take(inv), latency_samples,
+            percentiles,
         )
 
     def _run_ticks_numpy(
@@ -841,10 +803,8 @@ class QueueingEngine:
         flat lognormal draw whose stage blocks match the reference's
         successive per-stage draws, the conditional drop coin-flips) and
         computes the same per-stage maxima over the same elements, so the
-        samples are bitwise equal to the reference sampler's.  With the
-        compiled kernel, one call makes every type's draws and stage pass
-        (``sinan_sample_latencies``); otherwise the per-type loop below
-        runs on the Generator methods and :meth:`_sample_type_numpy`.
+        samples are bitwise equal to the reference sampler's.  The
+        compiled kernel's interval call does the same in C.
         """
         cfg = self.config
         rng = self._rng
@@ -879,27 +839,6 @@ class QueueingEngine:
                 p_drop[r] = 1.0 - np.multiply.reduce(keep[tiers])
 
         out = np.empty(n_samples)
-        clib = plan.clib
-        if clib is not None:
-            ffi = plan.ffi
-            # Tick-index scratch: n_samples bounds every type's count.
-            ticks = np.empty(n_samples, dtype=np.uint64)
-            with rng.bit_generator.lock:
-                err = clib.sinan_sample_latencies(
-                    rng.bit_generator.cffi.bit_generator,
-                    self.graph.n_types, plan.ptr_k_per_type, n_ticks,
-                    self.graph.n_tiers, plan.ptr_sojourn,
-                    plan.ptr_sample_col_off, plan.ptr_sample_cols,
-                    plan.ptr_sample_base, plan.ptr_sample_seg_off,
-                    plan.ptr_sample_seg_size, mu_ln, sigma,
-                    ffi.NULL if p_drop is None else plan.ptr_p_drop,
-                    drop_latency, ffi.from_buffer("uint64_t[]", ticks),
-                    ffi.from_buffer("double[]", out),
-                )
-            if err:
-                raise ValueError(_ckernel.DRAW_ERRORS[err])
-            return out
-
         pos = 0
         for r, k in enumerate(samples_per_type):
             if k <= 0:
@@ -980,7 +919,9 @@ class _FastPlan:
     buffer that is pinned to 0.0 — reproducing the reference's
     ``np.where(mask, child_w, 0.0)`` without a mask.  Single-member
     levels are lowered to scalar arithmetic.  All interval-shaped
-    scratch is allocated once per engine and reused.
+    scratch is allocated once per engine and reused.  With the compiled
+    kernel, ``c`` is its ``sinan_plan``: the same layout and buffers,
+    pointed at once.
     """
 
     def __init__(self, engine: QueueingEngine, n_ticks: int) -> None:
@@ -1014,8 +955,8 @@ class _FastPlan:
          self.busy_frac) = (np.empty(n) for _ in range(10))
         (self.allocs_p, self.mu_cpu_p, self.fsm1_p, self.alloc_tick_p,
          self.queue_p, self.be, self.cpu_used, self.comp_total,
-         self.drops_total, self.conc_const_p, self.demand_buf,
-         self.demand_tmp) = (np.empty(n) for _ in range(12))
+         self.drops_total, self.demand_buf, self.demand_tmp) = (
+            np.empty(n) for _ in range(11))
 
         self.levels: list[tuple] = []
         start = 0
@@ -1089,76 +1030,117 @@ class _FastPlan:
         )
 
         kern = _ckernel.load_kernel()
-        if kern is None:
-            self.ffi = None
-            self.clib = None
-        else:
-            self.ffi, self.clib = kern
+        self.ffi, self.clib = kern if kern is not None else (None, None)
+        if kern is not None:
+            self.buffer = functools.partial(self.ffi.from_buffer, "double[]")
+            self.c = self._kernel_plan(engine)
 
-            def dptr(a: np.ndarray):
-                return self.ffi.cast("double *", a.ctypes.data)
+    def _kernel_plan(self, engine: QueueingEngine):
+        """The interval kernel's ``sinan_plan``: sizes, constants and
+        pointers into this plan's buffers and the engine's constant
+        arrays, set once.  The arrays it points into are kept here."""
+        cfg = engine.config
+        graph = engine.graph
+        n, n_types = graph.n_tiers, graph.n_types
+        c = self.ffi.new("sinan_plan *")
+        c.n, c.n_types, c.n_ticks = n, n_types, self.n_ticks
+        c.backpressure = bool(cfg.backpressure)
+        c.jitter = cfg.capacity_jitter > 0
+        c.n_pct = len(LATENCY_PERCENTILES)
+        mult_lo, mult_hi = cfg.spike_mult_range
+        dur_lo, dur_hi = cfg.spike_duration_range
+        for field, value in (
+            ("tick", cfg.tick), ("rate_cv", cfg.rate_cv),
+            ("mod_sigma", engine._mod_sigma), ("mod_bias", engine._mod_bias),
+            ("spike_prob", cfg.spike_prob), ("mult_lo", mult_lo),
+            ("mult_hi", mult_hi), ("dur_lo", dur_lo), ("dur_hi", dur_hi),
+            ("capacity_jitter", cfg.capacity_jitter),
+            ("max_queue", cfg.max_queue), ("noise_sigma", cfg.noise_sigma),
+            ("drop_latency", cfg.drop_latency),
+            ("budget", cfg.max_latency_samples),
+            ("lam_max", _ckernel.POISSON_LAM_MAX), ("eps", _EPS),
+            ("max_sojourn", _MAX_SOJOURN),
+        ):
+            setattr(c, field, float(value))
 
-            self.ptr_cpu = dptr(self.cpu_p)
-            self.ptr_base = dptr(self.base_p)
-            self.ptr_fsm1 = dptr(self.fsm1_p)
-            self.ptr_mu_cpu = dptr(self.mu_cpu_p)
-            self.ptr_alloc_tick = dptr(self.alloc_tick_p)
-            self.ptr_queue = dptr(self.queue_p)
-            self.ptr_be = dptr(self.be)
-            self.ptr_bf = dptr(self.busy_frac)
-            self.ptr_cpu_used = dptr(self.cpu_used)
-            self.ptr_comp_total = dptr(self.comp_total)
-            self.ptr_drops = dptr(self.drops_total)
-            self.ptr_sojourn = dptr(self.sojourn_rows)
-            self.ptr_arrival_rows = dptr(self.arrival_rows)
-            self.ptr_demand_buf = dptr(self.demand_buf)
-            self.ptr_demand_rows = dptr(self.demand_rows)
-            self.ptr_infl_p = dptr(self.infl_rows_p)
-            self.ptr_cap_p = dptr(self.cap_rows_p)
-            self.ptr_arr_p = dptr(self.arr_rows_p)
-            self.ptr_conc_p = dptr(self.conc_rows_p)
-            self.ptr_conc_const = dptr(self.conc_const_p)
-            self.ptr_child_off = self.ffi.cast(
-                "int *", self.child_off.ctypes.data
-            )
-            self.ptr_child_idx = self.ffi.cast(
-                "int *", self.child_idx.ctypes.data
-            )
-            # The sampler's stage tables, every type's concatenated into
-            # one: type r's permuted columns and base latencies at
-            # [col_off[r], col_off[r + 1]), its stage sizes at
-            # [seg_off[r], seg_off[r + 1]).
-            self.sample_cols = self.inv[
-                np.concatenate(self.type_cols)
-            ].astype(np.int32)
-            self.sample_base = np.concatenate(self.type_base)
-            self.sample_col_off = np.zeros(n_types + 1, dtype=np.int32)
-            np.cumsum(
-                [c.size for c in self.type_cols], out=self.sample_col_off[1:]
-            )
-            self.sample_seg_size = np.asarray(
-                [s for segs in self.type_segs for _, s in segs],
-                dtype=np.int32,
-            )
-            self.sample_seg_off = np.zeros(n_types + 1, dtype=np.int32)
-            np.cumsum(
-                [len(s) for s in self.type_segs], out=self.sample_seg_off[1:]
-            )
-            self.rates = np.empty(n_types)
-            self.ptr_rates = dptr(self.rates)
-            self.ptr_counts = dptr(self.counts_rows)
-            self.ptr_z = dptr(self.z_rows)
-            self.ptr_k_per_type = self.ffi.cast(
-                "int64_t *", self.k_per_type.ctypes.data
-            )
-            self.ptr_p_drop = dptr(self.p_drop)
-            self.ptr_sample_base = dptr(self.sample_base)
-            (self.ptr_sample_cols, self.ptr_sample_col_off,
-             self.ptr_sample_seg_size, self.ptr_sample_seg_off) = (
-                self.ffi.cast("int *", a.ctypes.data)
-                for a in (self.sample_cols, self.sample_col_off,
-                          self.sample_seg_size, self.sample_seg_off)
-            )
+        def offsets(sizes):
+            return np.concatenate([[0], np.cumsum(sizes)]).astype(np.int32)
+
+        # ``samples`` holds every type's share of the budget, at least 3
+        # per type that arrived, and the one sample of an idle interval.
+        max_samples = max(int(cfg.max_latency_samples), 0) + 4 * n_types + 1
+        self.clock = np.empty(5)
+        self.mod_rows = np.empty(self.n_ticks)
+        self.type_counts = np.empty(n_types)
+        (self.arrivals_total, self.completions_out, self.drops_out,
+         self.cpu_used_out) = np.empty((4, n))
+        self.samples = np.empty(max_samples)
+        f8 = np.float64
+        arrays = {
+            # Constants: the percentiles, the engine's per-tier physics,
+            # and the permuted layout with its CSR child lists.
+            "pct_q": np.asarray(LATENCY_PERCENTILES, dtype=f8),
+            "visit_T": engine._visit_T,
+            "soft_thr": engine._soft_thr,
+            "base_lat": engine._base_lat,
+            "conc_per_core": engine._conc_per_core,
+            "replicas": engine._replicas,
+            "cpu_p": self.cpu_p,
+            "base_p": self.base_p,
+            "perm": self.perm,
+            "child_off": self.child_off,
+            "child_idx": self.child_idx,
+            # The tiers each type visits (its drop probability), and the
+            # sampler's stage tables with every type's concatenated: type
+            # r's permuted columns and base latencies at [col_off[r],
+            # col_off[r + 1]), its stage sizes at [seg_off[r],
+            # seg_off[r + 1]).
+            "type_tier_off": offsets([t.size for t in engine._type_tiers]),
+            "type_tiers": np.concatenate(engine._type_tiers),
+            "sample_col_off": offsets([col.size for col in self.type_cols]),
+            "sample_cols": self.inv[np.concatenate(self.type_cols)],
+            "sample_base": np.concatenate(self.type_base),
+            "sample_seg_off": offsets([len(seg) for seg in self.type_segs]),
+            "sample_seg_size": np.asarray(
+                [size for segs in self.type_segs for _, size in segs]),
+            # Inputs the engine writes before a call, the kernel's
+            # scratch, and the outputs the engine reads after it.
+            "cap_beh_rows": self.cap_beh_rows,
+            "rep_rows": self.rep_rows,
+            "clock": self.clock,
+            "mod_rows": self.mod_rows,
+            "counts_rows": self.counts_rows,
+            "z_rows": self.z_rows,
+            "arrival_rows": self.arrival_rows,
+            "demand_rows": self.demand_rows,
+            "sat_rows": self.sat_rows,
+            "infl_rows": self.infl_rows,
+            "infl_p": self.infl_rows_p,
+            "cap_p": self.cap_rows_p,
+            "arr_p": self.arr_rows_p,
+            "conc_p": self.conc_rows_p,
+            "sojourn_rows": self.sojourn_rows,
+            "tier_work": np.empty(12 * n),
+            "p_drop": self.p_drop,
+            "top": np.empty(max_samples),
+            "samples": self.samples,
+            "type_counts": self.type_counts,
+            "arrivals_total": self.arrivals_total,
+            "completions_total": self.completions_out,
+            "drops_total": self.drops_out,
+            "cpu_used": self.cpu_used_out,
+            "k_per_type": self.k_per_type,
+            "ticks": np.empty(max_samples, dtype=np.uint64),
+        }
+        dtypes = {"double": f8, "intptr_t": np.intp, "int": np.int32,
+                  "int64_t": np.int64, "uint64_t": np.uint64}
+        self._kernel_arrays = {}
+        for field, array in arrays.items():
+            ctype = self.ffi.typeof(getattr(c, field))
+            array = np.ascontiguousarray(array, dtype=dtypes[ctype.item.cname])
+            self._kernel_arrays[field] = array
+            setattr(c, field, self.ffi.cast(ctype, array.ctypes.data))
+        return c
 
 
 def _fast_percentiles(values: np.ndarray) -> np.ndarray:

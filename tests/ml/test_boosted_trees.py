@@ -89,6 +89,21 @@ class TestTraining:
         assert bt.n_trees_used == 20
         assert np.isnan(bt.val_accuracy)
 
+    @pytest.mark.parametrize("degenerate", [False, True])
+    def test_refit_without_validation_set_forgets_val_accuracy(
+        self, backend, degenerate
+    ):
+        """A fit without a validation set has no validation accuracy,
+        whatever an earlier fit measured; so does the single-class
+        branch."""
+        X, y = blobs(300)
+        bt = BoostedTrees(BoostedTreesConfig(n_trees=20), seed=0)
+        bt.fit(X[:250], y[:250], X[250:], y[250:])
+        assert bt.val_accuracy > 0.5
+        refit_y = np.zeros(50) if degenerate else y[:50]
+        bt.fit(X[:50], refit_y)
+        assert np.isnan(bt.val_accuracy)
+
     def test_min_child_weight_regularizes(self):
         X, y = blobs(400)
         loose = BoostedTrees(BoostedTreesConfig(n_trees=50, min_child_weight=0.001), seed=0)

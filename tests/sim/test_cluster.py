@@ -133,3 +133,57 @@ class TestPlatforms:
             initial_alloc=np.full(graph.n_tiers, 1.5),
         )
         np.testing.assert_allclose(cluster.current_alloc, 1.5)
+
+
+class TestCopy:
+    """A simulator that has stepped copies, by ``copy.deepcopy`` or by
+    pickle, and every copy steps bit for bit like the original.  The
+    engine's interval plan (the compiled kernel's handles among it) is
+    scratch: copies drop it and rebuild it on their next step."""
+
+    @staticmethod
+    def _cluster(faults):
+        from repro.harness.pipeline import app_spec
+        from repro.sim.faults import FaultInjector
+
+        graph = app_spec("social_network").graph_factory()
+        mix = RequestMix.from_ratios({name: 1.0 for name in graph.type_names})
+        injector = (
+            FaultInjector("chaos", graph.n_tiers, seed=3) if faults else None
+        )
+        return ClusterSimulator(
+            graph, Workload(graph, ConstantLoad(260), mix), seed=4,
+            faults=injector,
+        )
+
+    @pytest.mark.parametrize("how", ["deepcopy", "pickle"])
+    @pytest.mark.parametrize("faults", [False, True])
+    def test_copy_steps_like_the_original(self, backend, how, faults):
+        import copy
+        import pickle
+
+        from tests.sim.test_fast_sim import assert_stats_equal
+
+        cluster = self._cluster(faults)
+        base = cluster.current_alloc.copy()
+        phase = np.arange(cluster.n_tiers)
+
+        def allocs(i):
+            return base * (1.0 + 0.2 * np.sin(i + phase))
+
+        for i in range(5):
+            cluster.step(allocs(i))
+        if how == "deepcopy":
+            twin = copy.deepcopy(cluster)
+        else:
+            twin = pickle.loads(pickle.dumps(cluster))
+        assert twin.engine._fast_plan is None
+        for i in range(5, 25):
+            assert_stats_equal(
+                cluster.step(allocs(i)), twin.step(allocs(i)), f"interval {i}"
+            )
+        assert (
+            twin.engine._rng.bit_generator.state
+            == cluster.engine._rng.bit_generator.state
+        )
+        assert (twin.engine._fast_plan.clib is None) == (backend == "numpy")

@@ -3,11 +3,14 @@
 ``repro.sim._ckernel`` draws the interval's random numbers by calling
 the C functions behind ``Generator.poisson``, ``normal``, ``integers``,
 ``lognormal`` and ``random`` on the engine generator's ``bitgen_t``.
-Each kernel entry point must therefore give the values the Generator
-methods give on the same state, and leave the same
+Each ``sinan_interval`` call must therefore give the values the
+Generator methods give on the same state, and leave the same
 ``bit_generator.state`` behind — PCG64's buffered 32-bit half included —
 and it must refuse the arguments those methods refuse, drawing nothing.
-The engine-level checks at the bottom run both backends and the per-tick
+The direct calls below skip the engine's argument checks and replay the
+call's draws on a twin generator, checked against the tick rows,
+sojourns and samples the call leaves in the plan's buffers.  The
+engine-level checks at the bottom run both backends and the per-tick
 oracle into the same invalid arguments.
 """
 
@@ -15,7 +18,9 @@ import numpy as np
 import pytest
 
 from repro.sim import _ckernel
-from repro.sim.engine import EngineConfig, QueueingEngine
+from repro.sim.engine import EngineConfig, QueueingEngine, _FastPlan
+from repro.sim.graph import AppGraph, RequestType
+from repro.sim.tier import TierKind, TierSpec
 from tests.conftest import make_tiny_graph
 from tests.oracles.engine import ReferenceQueueingEngine
 
@@ -23,68 +28,95 @@ KERNEL = _ckernel.load_kernel()
 needs_kernel = pytest.mark.skipif(KERNEL is None, reason="no compiled kernel")
 
 
-def _pair(seed):
-    """Two generators on one state: the kernel draws from the first,
-    the Generator methods from the second."""
-    return np.random.default_rng(seed), np.random.default_rng(seed)
-
-
-def _buf(ctype, a):
-    return KERNEL[0].from_buffer(ctype + "[]", a)
-
-
-def kernel_tick(rng, rates, mod, tick, n_z):
-    """``sinan_draw_tick`` into row 1 of two-row buffers."""
-    lib = KERNEL[1]
-    rates = np.ascontiguousarray(rates, dtype=float)
-    counts = np.full((2, rates.size), -1.0)
-    z = np.full((2, max(n_z, 1)), np.nan)
-    with rng.bit_generator.lock:
-        err = lib.sinan_draw_tick(
-            rng.bit_generator.cffi.bit_generator, 1, rates.size,
-            _buf("double", rates), mod, tick, _ckernel.POISSON_LAM_MAX,
-            _buf("double", counts), n_z, _buf("double", z),
+def make_engine(stages_per_type, seed, **overrides):
+    """An engine whose request type r visits ``stages_per_type[r]``
+    (stages of tier indices; tier 0 calls every other tier), without
+    rate modulation: every tick's modulation is exactly 1.0 and draws
+    nothing."""
+    n = 1 + max(i for stages in stages_per_type for s in stages for i in s)
+    tiers = [TierSpec(f"t{i}", kind=TierKind.LOGIC, max_cpu=8.0)
+             for i in range(n)]
+    edges = [("t0", f"t{i}") for i in range(1, n)]
+    rtypes = [
+        RequestType(
+            name=f"r{r}",
+            stages=tuple(tuple(f"t{i}" for i in s) for s in stages),
         )
-    return err, counts[1], z[1, :n_z]
+        for r, stages in enumerate(stages_per_type)
+    ]
+    graph = AppGraph("draws", tiers, edges, rtypes)
+    config = EngineConfig(rate_cv=0.0, spike_prob=0.0, **overrides)
+    engine = QueueingEngine(graph, config, seed=seed)
+    n_ticks = max(int(round(1.0 / config.tick)), 1)
+    engine._fast_plan = _FastPlan(engine, n_ticks)
+    return engine
 
 
-def kernel_sample(
-    rng, soj, stages_per_type, base, k_per_type, mu_ln, sigma,
-    p_drop=None, drop_latency=1e300,
-):
-    """``sinan_sample_latencies`` on hand-built stage tables.
-
-    ``stages_per_type[r]`` lists type r's stages as lists of columns of
-    ``soj`` (shape ``(n_ticks, n)``); ``base`` is per column.
-    """
-    ffi, lib = KERNEL
-    soj = np.ascontiguousarray(soj, dtype=float)
-    n_ticks, n = soj.shape
-    cols, sizes, col_off, seg_off = [], [], [0], [0]
-    for stages in stages_per_type:
-        for stage in stages:
-            cols.extend(stage)
-            sizes.append(len(stage))
-        col_off.append(len(cols))
-        seg_off.append(len(sizes))
-    cols = np.asarray(cols, dtype=np.int32)
-    k = np.asarray(k_per_type, dtype=np.int64)
-    out = np.full(int(k[k > 0].sum()), np.nan)
-    ticks = np.empty(max(int(k.max()), 1), dtype=np.uint64)
-    p = None if p_drop is None else np.asarray(p_drop, dtype=float)
+def kernel_interval(engine, rates, allocs=None):
+    """One direct ``sinan_interval`` call on the engine's plan, with none
+    of the engine's argument checks.  The engine keeps its state; the
+    plan's buffers hold what the call wrote."""
+    plan = engine._fast_plan
+    n = engine.graph.n_tiers
+    allocs = np.full(n, 2.0) if allocs is None else allocs
+    plan.clock[:] = (
+        engine.time, engine._log_mod, engine._burst_start,
+        engine._burst_until, engine._burst_mult,
+    )
+    buf = plan.buffer
+    rng = engine._rng
     with rng.bit_generator.lock:
-        err = lib.sinan_sample_latencies(
-            rng.bit_generator.cffi.bit_generator, len(stages_per_type),
-            _buf("int64_t", k), n_ticks, n, _buf("double", soj),
-            _buf("int", np.asarray(col_off, dtype=np.int32)),
-            _buf("int", cols),
-            _buf("double", np.asarray(base, dtype=float)[cols]),
-            _buf("int", np.asarray(seg_off, dtype=np.int32)),
-            _buf("int", np.asarray(sizes, dtype=np.int32)),
-            mu_ln, sigma, ffi.NULL if p is None else _buf("double", p),
-            drop_latency, _buf("uint64_t", ticks), _buf("double", out),
+        return plan.clib.sinan_interval(
+            plan.c, rng.bit_generator.cffi.bit_generator,
+            buf(np.ascontiguousarray(allocs, dtype=float)),
+            buf(np.ascontiguousarray(rates, dtype=float)), False,
+            buf(engine.queue), buf(engine._busy_ewma), buf(engine._demand),
+            buf(np.empty((5, n))), buf(np.empty(5)),
         )
-    return err, out
+
+
+def replay_ticks(twin, engine, rates):
+    """The call's tick draws on the Generator methods, row by row
+    against the kernel's counts and jitter rows."""
+    cfg = engine.config
+    plan = engine._fast_plan
+    for t in range(plan.n_ticks):
+        want = twin.poisson((np.asarray(rates, dtype=float) * 1.0) * cfg.tick)
+        assert np.array_equal(plan.counts_rows[t], want), f"tick {t}"
+        if cfg.capacity_jitter > 0:
+            want_z = twin.normal(0.0, 1.0, size=engine.graph.n_tiers)
+            assert np.array_equal(plan.z_rows[t], want_z), f"tick {t}"
+
+
+def replay_samples(twin, engine, got):
+    """The call's sampler draws on the Generator methods, with the
+    reference sampler's arithmetic over the kernel's sojourn rows."""
+    cfg = engine.config
+    plan = engine._fast_plan
+    if not plan.type_counts.sum() > 0:
+        assert got == 1  # the base-latency sample, drawn from nothing
+        return
+    sojourn = plan.sojourn_rows[:, plan.inv]
+    sigma = cfg.noise_sigma
+    mu_ln = -0.5 * sigma * sigma
+    drops = plan.drops_out.max() > 0
+    pos = 0
+    for r, k in enumerate(plan.k_per_type):
+        if k <= 0:
+            continue
+        ticks = twin.integers(0, plan.n_ticks, size=k)
+        latency = np.zeros(k)
+        for stage in engine.graph.stage_indices[r]:
+            base = engine._base_lat[stage]
+            noise = twin.lognormal(mu_ln, sigma, size=(k, stage.size))
+            soj = sojourn[ticks[:, None], stage[None, :]]
+            latency += (base + (soj - base) * noise).max(axis=1)
+        if drops and plan.p_drop[r] > 0:
+            latency[twin.random(k) < plan.p_drop[r]] = cfg.drop_latency
+        want = np.minimum(latency, cfg.drop_latency)
+        assert np.array_equal(plan.samples[pos:pos + k], want), f"type {r}"
+        pos += k
+    assert pos == got
 
 
 def assert_same_state(a, b):
@@ -104,17 +136,20 @@ class TestTickDraws:
     )
     @pytest.mark.parametrize("n_z", [0, 1, 5])
     def test_poisson_then_normals_match_generator(self, lams, n_z):
-        k_rng, g_rng = _pair(11)
+        """Per tick, the Poisson counts of every type and then the
+        jitter normals of every tier (none without jitter)."""
+        stages = [(0,), tuple(range(1, n_z))] if n_z > 1 else [(0,)]
+        engine = make_engine(
+            [stages] * len(lams), 11, capacity_jitter=0.05 if n_z else 0.0
+        )
+        twin = np.random.default_rng(11)
         for step in range(20):
-            mod = 1.0 + 0.01 * step
-            rates = np.asarray(lams) / 0.1 / mod
-            err, counts, z = kernel_tick(k_rng, rates, mod, 0.1, n_z)
-            assert err == 0
-            want = g_rng.poisson((rates * mod) * 0.1)
-            want_z = g_rng.normal(0.0, 1.0, size=n_z)
-            assert np.array_equal(counts, want)
-            assert np.array_equal(z, want_z)
-            assert_same_state(k_rng, g_rng)
+            rates = np.asarray(lams) / 0.1 * (1.0 + 0.01 * step)
+            got = kernel_interval(engine, rates)
+            assert got > 0
+            replay_ticks(twin, engine, rates)
+            replay_samples(twin, engine, got)
+            assert_same_state(engine._rng, twin)
 
     @pytest.mark.parametrize(
         "lams, message",
@@ -127,27 +162,32 @@ class TestTickDraws:
         ],
     )
     def test_invalid_means_draw_nothing(self, lams, message):
-        k_rng, g_rng = _pair(5)
-        before = k_rng.bit_generator.state
-        err, counts, _ = kernel_tick(k_rng, lams, 1.0, 1.0, 3)
-        assert _ckernel.DRAW_ERRORS[err] == message
-        assert np.all(counts == -1.0)  # no row written
+        # One-second ticks: the rates are the means themselves.
+        engine = make_engine([[(0,), (1, 2)]] * 2, 5, tick=1.0)
+        twin = np.random.default_rng(5)
+        before = engine._rng.bit_generator.state
+        engine._fast_plan.counts_rows.fill(-1.0)
+        got = kernel_interval(engine, lams)
+        assert _ckernel.DRAW_ERRORS[-got] == (ValueError, message)
+        assert np.all(engine._fast_plan.counts_rows == -1.0)  # no row written
         with pytest.raises(ValueError, match=message):
-            g_rng.poisson(np.asarray(lams))
-        assert k_rng.bit_generator.state == before
-        assert_same_state(k_rng, g_rng)
+            twin.poisson(np.asarray(lams))
+        assert engine._rng.bit_generator.state == before
+        assert_same_state(engine._rng, twin)
 
     def test_lam_max_is_numpys(self):
-        k_rng, g_rng = _pair(2)
+        engine = make_engine([[(0,)]], 2, tick=1.0, capacity_jitter=0.0)
+        twin = np.random.default_rng(2)
         at = _ckernel.POISSON_LAM_MAX
         above = np.nextafter(at, np.inf)
-        assert kernel_tick(k_rng, [above], 1.0, 1.0, 0)[0] == 1
+        assert kernel_interval(engine, [above]) == -1
         with pytest.raises(ValueError):
-            g_rng.poisson(np.asarray([above]))
-        err, counts, _ = kernel_tick(k_rng, [at], 1.0, 1.0, 0)
-        assert err == 0
-        assert np.array_equal(counts, g_rng.poisson(np.asarray([at])))
-        assert_same_state(k_rng, g_rng)
+            twin.poisson(np.asarray([above]))
+        got = kernel_interval(engine, [at])
+        assert got > 0
+        replay_ticks(twin, engine, [at])
+        replay_samples(twin, engine, got)
+        assert_same_state(engine._rng, twin)
 
 
 @needs_kernel
@@ -155,82 +195,78 @@ class TestSamplerDraws:
     @pytest.mark.parametrize("n_ticks", [1, 10, 20])
     @pytest.mark.parametrize("ks", [[3], [7, 11], [1, 0, 5]])
     def test_tick_indices_match_integers(self, n_ticks, ks):
-        """With sigma 0 every noise factor is exactly 1.0 (still drawn),
-        so a single-tier stage over a sojourn column holding its tick
-        index returns the drawn indices themselves.  Odd counts leave
-        PCG64 holding a buffered 32-bit half, which the state compares."""
-        soj = np.repeat(np.arange(n_ticks, dtype=float)[:, None], 2, axis=1)
-        stages = [[[r % 2]] for r in range(len(ks))]
-        k_rng, g_rng = _pair(n_ticks)
+        """Rates in proportion to ``ks`` over a budget of ``sum(ks)``
+        samples give each type about its ``ks`` entry (at least 3 when
+        it arrived).  With sigma 0 every noise factor is exactly 1.0
+        (still drawn), so each sample reads the sojourns at its drawn
+        tick.  One tick per interval draws no index at all; odd counts
+        leave PCG64 holding a buffered 32-bit half, which the state
+        compares; a type that did not arrive draws nothing."""
+        engine = make_engine(
+            [[(r % 2,)] for r in range(len(ks))], n_ticks,
+            tick=1.0 / n_ticks, noise_sigma=0.0, max_latency_samples=sum(ks),
+        )
+        twin = np.random.default_rng(n_ticks)
+        rates = 60.0 * np.asarray(ks, dtype=float)
+        drawn = set()
         for _ in range(5):
-            err, out = kernel_sample(
-                k_rng, soj, stages, [0.0, 0.0], ks, 0.0, 0.0
-            )
-            assert err == 0
-            pos = 0
-            for k in ks:
-                if k <= 0:
-                    continue
-                want = g_rng.integers(0, n_ticks, size=k)
-                g_rng.lognormal(0.0, 0.0, size=k)
-                assert np.array_equal(out[pos:pos + k], want)
-                pos += k
-            assert_same_state(k_rng, g_rng)
+            got = kernel_interval(engine, rates)
+            replay_ticks(twin, engine, rates)
+            replay_samples(twin, engine, got)
+            assert_same_state(engine._rng, twin)
+            drawn.update(int(k) for k in engine._fast_plan.k_per_type)
+        assert any(k % 2 for k in drawn)
+        assert (0 in drawn) == (0 in ks)
 
     @pytest.mark.parametrize("sigma", [0.22, 1.3])
     def test_lognormals_match_generator(self, sigma):
-        """One type, two stages of one and three tiers.  Unit sojourns
-        over zero base latencies make the first stage's term the noise
-        itself."""
-        n_ticks, k = 10, 9
-        soj = np.ones((n_ticks, 4))
-        mu_ln = -0.5 * sigma * sigma
-        k_rng, g_rng = _pair(21)
-        err, out = kernel_sample(
-            k_rng, soj, [[[0], [1, 2, 3]]], np.zeros(4), [k], mu_ln, sigma
-        )
-        assert err == 0
-        g_rng.integers(0, n_ticks, size=k)
-        first = g_rng.lognormal(mu_ln, sigma, size=(k, 1))
-        second = g_rng.lognormal(mu_ln, sigma, size=(k, 3))
-        assert np.array_equal(out, first[:, 0] + second.max(axis=1))
-        assert_same_state(k_rng, g_rng)
+        """One type, two stages of one and three tiers: the lognormal
+        blocks stage by stage, each (k, size) row-major."""
+        engine = make_engine([[(0,), (1, 2, 3)]], 21, noise_sigma=sigma)
+        twin = np.random.default_rng(21)
+        for _ in range(3):
+            got = kernel_interval(engine, [90.0])
+            replay_ticks(twin, engine, [90.0])
+            replay_samples(twin, engine, got)
+            assert_same_state(engine._rng, twin)
 
     def test_drop_uniforms_match_random(self):
-        n_ticks, ks, p = 10, [13, 6], [0.4, 0.0]
-        soj = np.full((n_ticks, 1), 0.5)
-        k_rng, g_rng = _pair(8)
-        err, out = kernel_sample(
-            k_rng, soj, [[[0]], [[0]]], [0.0], ks, 0.0, 0.0,
-            p_drop=p, drop_latency=5.0,
+        """Tier 1 overflows, tiers 0 and 2 do not (no backpressure holds
+        tier 0's slots): the type through tier 1 flips its drop coins,
+        the type through tier 2 flips none."""
+        engine = make_engine(
+            [[(0,), (1,)], [(0,), (2,)]], 8, max_queue=20.0,
+            backpressure=False,
         )
-        assert err == 0
-        for r, k in enumerate(ks):
-            g_rng.integers(0, n_ticks, size=k)
-            g_rng.lognormal(0.0, 0.0, size=k)
-            if p[r] > 0:
-                dropped = g_rng.random(k) < p[r]
-            else:
-                dropped = np.zeros(k, dtype=bool)
-            got = out[sum(ks[:r]):sum(ks[:r]) + k]
-            assert np.array_equal(got == 5.0, dropped)
-            assert np.all(got[~dropped] == 0.5)
-        assert 0 < np.count_nonzero(out == 5.0) < ks[0]
-        assert_same_state(k_rng, g_rng)
+        twin = np.random.default_rng(8)
+        allocs = np.array([8.0, 0.05, 8.0])
+        for _ in range(3):
+            got = kernel_interval(engine, [400.0, 100.0], allocs)
+            replay_ticks(twin, engine, [400.0, 100.0])
+            plan = engine._fast_plan
+            assert plan.p_drop[0] > 0 and plan.p_drop[1] == 0
+            replay_samples(twin, engine, got)
+            assert_same_state(engine._rng, twin)
+        k0 = int(plan.k_per_type[0])
+        dropped = np.count_nonzero(plan.samples[:k0] == 5.0)
+        assert 0 < dropped < k0
 
     @pytest.mark.parametrize("sigma", [-0.1, -0.0])
     def test_negative_sigma_refused_after_first_ticks(self, sigma):
         """Generator.lognormal checks sigma when called, i.e. after the
         first sampled type's tick draw."""
-        k_rng, g_rng = _pair(4)
-        err, _ = kernel_sample(
-            k_rng, np.ones((10, 1)), [[[0]], [[0]]], [0.0], [0, 5], 0.0, sigma
-        )
-        assert _ckernel.DRAW_ERRORS[err] == "sigma < 0"
-        g_rng.integers(0, 10, size=5)
+        engine = make_engine([[(0,)], [(0,)]], 4, noise_sigma=sigma)
+        twin = np.random.default_rng(4)
+        got = kernel_interval(engine, [0.0, 50.0])
+        assert _ckernel.DRAW_ERRORS[-got] == (ValueError, "sigma < 0")
+        assert -got == _ckernel.SAMPLER_REFUSAL
+        replay_ticks(twin, engine, [0.0, 50.0])
+        k = engine._fast_plan.k_per_type
+        assert k[0] == 0 and k[1] > 0
+        twin.integers(0, engine._fast_plan.n_ticks, size=k[1])
         with pytest.raises(ValueError, match="sigma < 0"):
-            g_rng.lognormal(0.0, sigma, size=5)
-        assert_same_state(k_rng, g_rng)
+            twin.lognormal(0.0, sigma, size=k[1])
+        assert_same_state(engine._rng, twin)
 
 
 class TestEngineRefusesLikeNumpy:
