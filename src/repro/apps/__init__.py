@@ -12,6 +12,10 @@ pages) goes beyond the paper so multi-tenant experiments can run three
 heterogeneous applications against one shared cluster.
 """
 
+# Eager, unlike the other packages' exports on first use: the factories
+# share their submodules' names, and importing a submodule binds it on
+# the package over a lazily stored factory (``app_spec(...)
+# .graph_factory()`` would return the module).
 from repro.apps.social_network import social_network, SOCIAL_QOS_MS
 from repro.apps.hotel_reservation import hotel_reservation, HOTEL_QOS_MS
 from repro.apps.media_service import media_service, MEDIA_QOS_MS

@@ -9,12 +9,15 @@
   the longest estimated ingress queue and shifts resources toward it.
 """
 
-from repro.baselines.autoscale import AutoScale, AUTOSCALE_OPT_RULES, AUTOSCALE_CONS_RULES
-from repro.baselines.powerchief import PowerChief
+from repro._lazy import lazy_exports
 
-__all__ = [
-    "AutoScale",
-    "AUTOSCALE_OPT_RULES",
-    "AUTOSCALE_CONS_RULES",
-    "PowerChief",
-]
+#: Exported name -> defining module, imported on first use.
+_EXPORTS = {
+    "AutoScale": "repro.baselines.autoscale",
+    "AUTOSCALE_OPT_RULES": "repro.baselines.autoscale",
+    "AUTOSCALE_CONS_RULES": "repro.baselines.autoscale",
+    "PowerChief": "repro.baselines.powerchief",
+}
+
+__getattr__, __dir__ = lazy_exports(__name__, _EXPORTS)
+__all__ = list(_EXPORTS)

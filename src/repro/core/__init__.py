@@ -14,59 +14,40 @@
 * :mod:`repro.core.interpret` — LIME-style explainability (S. 5.6).
 """
 
-from repro.core.qos import QoSTarget
-from repro.core.features import WindowEncoder, build_dataset
-from repro.core.actions import ActionSpace, Action, ActionKind
-from repro.core.predictor import HybridPredictor, PredictorConfig
-from repro.core.scheduler import OnlineScheduler, SchedulerConfig
-from repro.core.manager import Manager, StaticManager
-from repro.core.sinan import SinanManager
-from repro.core.data_collection import (
-    BanditExplorer,
-    BanditPolicyFactory,
-    AutoscaleCollectPolicy,
-    RandomCollectPolicy,
-    DataCollector,
-    CollectionConfig,
-)
-from repro.core.retrain import fine_tune_predictor, RetrainReport
-from repro.core.interpret import LimeExplainer, TierAttribution
-from repro.core.auxiliary import MemoryProvisioner, BandwidthProvisioner
-from repro.core.deployment import (
-    CentralScheduler,
-    NodeAgent,
-    NodePlacement,
-    PredictionService,
-)
+from repro._lazy import lazy_exports
 
-__all__ = [
-    "QoSTarget",
-    "WindowEncoder",
-    "build_dataset",
-    "ActionSpace",
-    "Action",
-    "ActionKind",
-    "HybridPredictor",
-    "PredictorConfig",
-    "OnlineScheduler",
-    "SchedulerConfig",
-    "Manager",
-    "StaticManager",
-    "SinanManager",
-    "BanditExplorer",
-    "BanditPolicyFactory",
-    "AutoscaleCollectPolicy",
-    "RandomCollectPolicy",
-    "DataCollector",
-    "CollectionConfig",
-    "fine_tune_predictor",
-    "RetrainReport",
-    "LimeExplainer",
-    "TierAttribution",
-    "MemoryProvisioner",
-    "BandwidthProvisioner",
-    "CentralScheduler",
-    "NodeAgent",
-    "NodePlacement",
-    "PredictionService",
-]
+#: Exported name -> defining module, imported on first use.
+_EXPORTS = {
+    "QoSTarget": "repro.core.qos",
+    "WindowEncoder": "repro.core.features",
+    "build_dataset": "repro.core.features",
+    "ActionSpace": "repro.core.actions",
+    "Action": "repro.core.actions",
+    "ActionKind": "repro.core.actions",
+    "HybridPredictor": "repro.core.predictor",
+    "PredictorConfig": "repro.core.predictor",
+    "OnlineScheduler": "repro.core.scheduler",
+    "SchedulerConfig": "repro.core.scheduler",
+    "Manager": "repro.core.manager",
+    "StaticManager": "repro.core.manager",
+    "SinanManager": "repro.core.sinan",
+    "BanditExplorer": "repro.core.data_collection",
+    "BanditPolicyFactory": "repro.core.data_collection",
+    "AutoscaleCollectPolicy": "repro.core.data_collection",
+    "RandomCollectPolicy": "repro.core.data_collection",
+    "DataCollector": "repro.core.data_collection",
+    "CollectionConfig": "repro.core.data_collection",
+    "fine_tune_predictor": "repro.core.retrain",
+    "RetrainReport": "repro.core.retrain",
+    "LimeExplainer": "repro.core.interpret",
+    "TierAttribution": "repro.core.interpret",
+    "MemoryProvisioner": "repro.core.auxiliary",
+    "BandwidthProvisioner": "repro.core.auxiliary",
+    "CentralScheduler": "repro.core.deployment",
+    "NodeAgent": "repro.core.deployment",
+    "NodePlacement": "repro.core.deployment",
+    "PredictionService": "repro.core.deployment",
+}
+
+__getattr__, __dir__ = lazy_exports(__name__, _EXPORTS)
+__all__ = list(_EXPORTS)

@@ -345,13 +345,15 @@ class HybridPredictor:
     #: tagged envelope; version 3 stores an inference-only model: layer
     #: parameters without backward caches or gradient buffers, and the
     #: boosted trees as compiled arrays only (with a ``children`` table,
-    #: no ``_Node`` trees).  Bump when the stored state changes shape.
-    SAVE_FORMAT = 3
+    #: no ``_Node`` trees); version 4 stores the application graph's
+    #: call edges as a tuple (``AppGraph.edges``) in place of a networkx
+    #: ``DiGraph``.  Bump when the stored state changes shape.
+    SAVE_FORMAT = 4
 
     def __getstate__(self) -> dict:
         # Observability state is per-episode, not part of the model:
         # serialized predictors start detached.  With the layers' and
-        # the encoder's own state rules, a format-3 checkpoint carries
+        # the encoder's own state rules, a format-4 checkpoint carries
         # parameters, normalizer and encoder state, and the compiled
         # trees.
         state = dict(self.__dict__)

@@ -1,81 +1,45 @@
 """Experiment harness: episodes, the end-to-end training pipeline, and
 report formatting used by the benchmark suite."""
 
-from repro.harness.experiment import EpisodeResult, run_episode, sweep_loads
-from repro.harness.parallel import (
-    EpisodeOutcome,
-    EpisodeTask,
-    RunSummary,
-    resolve_jobs,
-    run_episodes,
-)
-from repro.harness.pool import (
-    ModelRef,
-    WorkerPool,
-    close_shared_pool,
-    shared_pool,
-)
-from repro.harness.pipeline import (
-    AppSpec,
-    Budget,
-    BUDGETS,
-    app_spec,
-    make_cluster,
-    make_manager,
-    collect_training_data,
-    get_trained_predictor,
-    build_sinan_pipeline,
-    resolve_budget,
-)
-from repro.harness.multitenant import (
-    MultiTenantResult,
-    TenantResult,
-    default_tenant_specs,
-    format_multitenant_report,
-    run_multitenant_episode,
-    sweep_multitenant,
-)
-from repro.harness.reporting import format_table, format_series
-from repro.harness.resilience import (
-    ResilienceResult,
-    format_resilience_report,
-    run_resilience_episode,
-    sweep_resilience,
-)
+from repro._lazy import lazy_exports
 
-__all__ = [
-    "EpisodeResult",
-    "run_episode",
-    "sweep_loads",
-    "EpisodeOutcome",
-    "EpisodeTask",
-    "RunSummary",
-    "resolve_jobs",
-    "run_episodes",
-    "ModelRef",
-    "WorkerPool",
-    "close_shared_pool",
-    "shared_pool",
-    "AppSpec",
-    "Budget",
-    "BUDGETS",
-    "app_spec",
-    "make_cluster",
-    "make_manager",
-    "collect_training_data",
-    "get_trained_predictor",
-    "build_sinan_pipeline",
-    "resolve_budget",
-    "format_table",
-    "format_series",
-    "MultiTenantResult",
-    "TenantResult",
-    "default_tenant_specs",
-    "format_multitenant_report",
-    "run_multitenant_episode",
-    "sweep_multitenant",
-    "ResilienceResult",
-    "format_resilience_report",
-    "run_resilience_episode",
-    "sweep_resilience",
-]
+#: Exported name -> defining module, imported on first use.
+_EXPORTS = {
+    "EpisodeResult": "repro.harness.experiment",
+    "run_episode": "repro.harness.experiment",
+    "sweep_loads": "repro.harness.experiment",
+    "EpisodeOutcome": "repro.harness.parallel",
+    "EpisodeTask": "repro.harness.parallel",
+    "RunSummary": "repro.harness.parallel",
+    "resolve_jobs": "repro.harness.parallel",
+    "run_episodes": "repro.harness.parallel",
+    "ModelRef": "repro.harness.pool",
+    "WorkerPool": "repro.harness.pool",
+    "close_shared_pool": "repro.harness.pool",
+    "shared_pool": "repro.harness.pool",
+    "AppSpec": "repro.harness.pipeline",
+    "Budget": "repro.harness.pipeline",
+    "BUDGETS": "repro.harness.pipeline",
+    "app_spec": "repro.harness.pipeline",
+    "make_cluster": "repro.harness.pipeline",
+    "make_manager": "repro.harness.pipeline",
+    "collect_training_data": "repro.harness.pipeline",
+    "get_trained_predictor": "repro.harness.pipeline",
+    "build_sinan_pipeline": "repro.harness.pipeline",
+    "resolve_budget": "repro.harness.pipeline",
+    "format_table": "repro.harness.reporting",
+    "format_series": "repro.harness.reporting",
+    "MultiTenantResult": "repro.harness.multitenant",
+    "TenantResult": "repro.harness.multitenant",
+    "default_tenant_specs": "repro.harness.multitenant",
+    "format_multitenant_report": "repro.harness.multitenant",
+    "run_multitenant_episode": "repro.harness.multitenant",
+    "sweep_multitenant": "repro.harness.multitenant",
+    "ResilienceResult": "repro.harness.resilience",
+    "format_resilience_report": "repro.harness.resilience",
+    "run_resilience_episode": "repro.harness.resilience",
+    "sweep_resilience": "repro.harness.resilience",
+}
+
+__getattr__, __dir__ = lazy_exports(__name__, _EXPORTS)
+__all__ = list(_EXPORTS)

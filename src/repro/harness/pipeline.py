@@ -93,7 +93,9 @@ logger = logging.getLogger(__name__)
 # v9: predictors are inference-only (SAVE_FORMAT=3): no backward caches,
 # gradient buffers or _Node trees, and a children table in the compiled
 # trees; v8 files would fail HybridPredictor.load's format check.
-_CACHE_VERSION = 9
+# v10: the pickled application graph holds its call edges as a tuple, not
+# a networkx DiGraph (SAVE_FORMAT=4); v9 files need networkx to unpickle.
+_CACHE_VERSION = 10
 
 
 @dataclass(frozen=True)

@@ -19,37 +19,28 @@ implementations built on numpy only:
   evaluation metrics.
 """
 
-from repro.ml.dataset import SinanDataset, TrainValSplit
-from repro.ml.losses import LatencyScaler, MSELoss, ScaledMSELoss
-from repro.ml.metrics import (
-    rmse,
-    error_rate,
-    accuracy,
-    false_positive_rate,
-    false_negative_rate,
-)
-from repro.ml.cnn import LatencyCNN, CNNConfig
-from repro.ml.mlp import LatencyMLP
-from repro.ml.lstm import LatencyLSTM
-from repro.ml.multitask import MultiTaskNN
-from repro.ml.boosted_trees import BoostedTrees, BoostedTreesConfig
+from repro._lazy import lazy_exports
 
-__all__ = [
-    "SinanDataset",
-    "TrainValSplit",
-    "LatencyScaler",
-    "MSELoss",
-    "ScaledMSELoss",
-    "rmse",
-    "error_rate",
-    "accuracy",
-    "false_positive_rate",
-    "false_negative_rate",
-    "LatencyCNN",
-    "CNNConfig",
-    "LatencyMLP",
-    "LatencyLSTM",
-    "MultiTaskNN",
-    "BoostedTrees",
-    "BoostedTreesConfig",
-]
+#: Exported name -> defining module, imported on first use.
+_EXPORTS = {
+    "SinanDataset": "repro.ml.dataset",
+    "TrainValSplit": "repro.ml.dataset",
+    "LatencyScaler": "repro.ml.losses",
+    "MSELoss": "repro.ml.losses",
+    "ScaledMSELoss": "repro.ml.losses",
+    "rmse": "repro.ml.metrics",
+    "error_rate": "repro.ml.metrics",
+    "accuracy": "repro.ml.metrics",
+    "false_positive_rate": "repro.ml.metrics",
+    "false_negative_rate": "repro.ml.metrics",
+    "LatencyCNN": "repro.ml.cnn",
+    "CNNConfig": "repro.ml.cnn",
+    "LatencyMLP": "repro.ml.mlp",
+    "LatencyLSTM": "repro.ml.lstm",
+    "MultiTaskNN": "repro.ml.multitask",
+    "BoostedTrees": "repro.ml.boosted_trees",
+    "BoostedTreesConfig": "repro.ml.boosted_trees",
+}
+
+__getattr__, __dir__ = lazy_exports(__name__, _EXPORTS)
+__all__ = list(_EXPORTS)

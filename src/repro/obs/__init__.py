@@ -20,51 +20,31 @@ Attach an :class:`ActiveRecorder` with :func:`attach_recorder` (or the
 to collect everything for one episode.
 """
 
-from repro.obs.audit import (
-    ArbitrationRecord,
-    AuditLog,
-    AuditRecord,
-    DivergenceRecord,
-    ModelEventRecord,
-    explain,
-    format_audit_table,
-    record_from_json,
-)
-from repro.obs.metrics import (
-    DEFAULT_BUCKETS,
-    Counter,
-    Gauge,
-    Histogram,
-    MetricsRegistry,
-)
-from repro.obs.recorder import (
-    NULL_RECORDER,
-    ActiveRecorder,
-    Recorder,
-    TenantRecorder,
-    attach_recorder,
-)
-from repro.obs.tracing import Span, Tracer
+from repro._lazy import lazy_exports
 
-__all__ = [
-    "ArbitrationRecord",
-    "AuditLog",
-    "AuditRecord",
-    "DivergenceRecord",
-    "ModelEventRecord",
-    "explain",
-    "format_audit_table",
-    "record_from_json",
-    "Counter",
-    "Gauge",
-    "Histogram",
-    "MetricsRegistry",
-    "DEFAULT_BUCKETS",
-    "Recorder",
-    "ActiveRecorder",
-    "TenantRecorder",
-    "NULL_RECORDER",
-    "attach_recorder",
-    "Span",
-    "Tracer",
-]
+#: Exported name -> defining module, imported on first use.
+_EXPORTS = {
+    "ArbitrationRecord": "repro.obs.audit",
+    "AuditLog": "repro.obs.audit",
+    "AuditRecord": "repro.obs.audit",
+    "DivergenceRecord": "repro.obs.audit",
+    "ModelEventRecord": "repro.obs.audit",
+    "explain": "repro.obs.audit",
+    "format_audit_table": "repro.obs.audit",
+    "record_from_json": "repro.obs.audit",
+    "Counter": "repro.obs.metrics",
+    "Gauge": "repro.obs.metrics",
+    "Histogram": "repro.obs.metrics",
+    "MetricsRegistry": "repro.obs.metrics",
+    "DEFAULT_BUCKETS": "repro.obs.metrics",
+    "Recorder": "repro.obs.recorder",
+    "ActiveRecorder": "repro.obs.recorder",
+    "TenantRecorder": "repro.obs.recorder",
+    "NULL_RECORDER": "repro.obs.recorder",
+    "attach_recorder": "repro.obs.recorder",
+    "Span": "repro.obs.tracing",
+    "Tracer": "repro.obs.tracing",
+}
+
+__getattr__, __dir__ = lazy_exports(__name__, _EXPORTS)
+__all__ = list(_EXPORTS)

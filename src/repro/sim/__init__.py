@@ -18,44 +18,31 @@ managers:
 The main entry point is :class:`~repro.sim.cluster.ClusterSimulator`.
 """
 
-from repro.sim.tier import TierKind, TierSpec
-from repro.sim.graph import AppGraph, RequestType
-from repro.sim.telemetry import (
-    IntervalStats,
-    TelemetryLog,
-    LATENCY_PERCENTILES,
-    RESOURCE_CHANNELS,
-)
-from repro.sim.behaviors import Behavior, CapacityFault
-from repro.sim.engine import QueueingEngine
-from repro.sim.faults import (
-    FAULT_PROFILES,
-    FaultEvent,
-    FaultInjector,
-    FaultProfile,
-    resolve_profile,
-)
-from repro.sim.cluster import ClusterSimulator, PlatformSpec, LOCAL_PLATFORM, GCE_PLATFORM
+from repro._lazy import lazy_exports
 
-__all__ = [
-    "TierKind",
-    "TierSpec",
-    "AppGraph",
-    "RequestType",
-    "IntervalStats",
-    "TelemetryLog",
-    "LATENCY_PERCENTILES",
-    "RESOURCE_CHANNELS",
-    "Behavior",
-    "CapacityFault",
-    "FAULT_PROFILES",
-    "FaultEvent",
-    "FaultInjector",
-    "FaultProfile",
-    "resolve_profile",
-    "QueueingEngine",
-    "ClusterSimulator",
-    "PlatformSpec",
-    "LOCAL_PLATFORM",
-    "GCE_PLATFORM",
-]
+#: Exported name -> defining module, imported on first use.
+_EXPORTS = {
+    "TierKind": "repro.sim.tier",
+    "TierSpec": "repro.sim.tier",
+    "AppGraph": "repro.sim.graph",
+    "RequestType": "repro.sim.graph",
+    "IntervalStats": "repro.sim.telemetry",
+    "TelemetryLog": "repro.sim.telemetry",
+    "LATENCY_PERCENTILES": "repro.sim.telemetry",
+    "RESOURCE_CHANNELS": "repro.sim.telemetry",
+    "Behavior": "repro.sim.behaviors",
+    "CapacityFault": "repro.sim.behaviors",
+    "FAULT_PROFILES": "repro.sim.faults",
+    "FaultEvent": "repro.sim.faults",
+    "FaultInjector": "repro.sim.faults",
+    "FaultProfile": "repro.sim.faults",
+    "resolve_profile": "repro.sim.faults",
+    "QueueingEngine": "repro.sim.engine",
+    "ClusterSimulator": "repro.sim.cluster",
+    "PlatformSpec": "repro.sim.cluster",
+    "LOCAL_PLATFORM": "repro.sim.cluster",
+    "GCE_PLATFORM": "repro.sim.cluster",
+}
+
+__getattr__, __dir__ = lazy_exports(__name__, _EXPORTS)
+__all__ = list(_EXPORTS)

@@ -12,7 +12,6 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 
-import networkx as nx
 import numpy as np
 
 from repro.sim.tier import TierSpec
@@ -111,20 +110,38 @@ class AppGraph:
                         f"request type {rtype.name} visits unknown tier {tier!r}"
                     )
 
-        self.digraph = nx.DiGraph()
-        self.digraph.add_nodes_from(names)
-        self.digraph.add_edges_from(edges)
-        if not nx.is_directed_acyclic_graph(self.digraph):
-            raise ValueError("RPC call graph must be acyclic")
+        # Callees per caller in first-insertion order; a repeated edge
+        # keeps its first place.  ``edges`` lists the unique edges with
+        # callers in tier order.
+        callees: dict[str, dict[str, None]] = {n: {} for n in names}
+        for caller, callee in edges:
+            callees[caller].setdefault(callee)
+        self.edges = tuple((n, c) for n in names for c in callees[n])
 
         # Children lists (callees) per tier index, and a reverse topological
         # order so the engine can compute downstream sojourns before the
-        # tiers that wait on them.
+        # tiers that wait on them.  The order is Kahn's, one generation at
+        # a time from the zero-in-degree tiers in tier order; a tier on a
+        # cycle (or a self-loop) never reaches in-degree zero.
         self.children: list[np.ndarray] = [
-            np.array([self.index[c] for c in self.digraph.successors(n)], dtype=int)
-            for n in names
+            np.array([self.index[c] for c in callees[n]], dtype=int) for n in names
         ]
-        topo = list(nx.topological_sort(self.digraph))
+        in_degree = dict.fromkeys(names, 0)
+        for _, callee in self.edges:
+            in_degree[callee] += 1
+        generation = [n for n in names if in_degree[n] == 0]
+        topo: list[str] = []
+        while generation:
+            topo.extend(generation)
+            later = []
+            for caller in generation:
+                for callee in callees[caller]:
+                    in_degree[callee] -= 1
+                    if in_degree[callee] == 0:
+                        later.append(callee)
+            generation = later
+        if len(topo) != len(names):
+            raise ValueError("RPC call graph must be acyclic")
         self.reverse_topo_order = np.array(
             [self.index[n] for n in reversed(topo)], dtype=int
         )
@@ -170,7 +187,7 @@ class AppGraph:
         return AppGraph(
             self.name,
             tiers,
-            list(self.digraph.edges),
+            list(self.edges),
             self.request_types,
         )
 

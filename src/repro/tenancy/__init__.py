@@ -22,29 +22,23 @@ The harness entry points are
 ``repro multitenant`` on the CLI.
 """
 
-from repro.tenancy.arbiter import (
-    QUANTUM_CPU,
-    AllocationRequest,
-    ArbiterDecision,
-    CreditArbiter,
-    StaticPartitionArbiter,
-    TenantGrant,
-)
-from repro.tenancy.credit import CreditConfig, CreditLedger
-from repro.tenancy.simulator import MultiTenantSimulator
-from repro.tenancy.tenant import Tenant, TenantSpec, build_tenant
+from repro._lazy import lazy_exports
 
-__all__ = [
-    "QUANTUM_CPU",
-    "AllocationRequest",
-    "ArbiterDecision",
-    "CreditArbiter",
-    "StaticPartitionArbiter",
-    "TenantGrant",
-    "CreditConfig",
-    "CreditLedger",
-    "MultiTenantSimulator",
-    "Tenant",
-    "TenantSpec",
-    "build_tenant",
-]
+#: Exported name -> defining module, imported on first use.
+_EXPORTS = {
+    "QUANTUM_CPU": "repro.tenancy.arbiter",
+    "AllocationRequest": "repro.tenancy.arbiter",
+    "ArbiterDecision": "repro.tenancy.arbiter",
+    "CreditArbiter": "repro.tenancy.arbiter",
+    "StaticPartitionArbiter": "repro.tenancy.arbiter",
+    "TenantGrant": "repro.tenancy.arbiter",
+    "CreditConfig": "repro.tenancy.credit",
+    "CreditLedger": "repro.tenancy.credit",
+    "MultiTenantSimulator": "repro.tenancy.simulator",
+    "Tenant": "repro.tenancy.tenant",
+    "TenantSpec": "repro.tenancy.tenant",
+    "build_tenant": "repro.tenancy.tenant",
+}
+
+__getattr__, __dir__ = lazy_exports(__name__, _EXPORTS)
+__all__ = list(_EXPORTS)

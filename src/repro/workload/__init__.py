@@ -6,28 +6,23 @@ under a Poisson process with a 1 RPS mean arrival rate per user (Section
 package provides open-loop load patterns with per-request-type mixes.
 """
 
-from repro.workload.patterns import (
-    LoadPattern,
-    ConstantLoad,
-    StepLoad,
-    DiurnalLoad,
-    RampLoad,
-    TraceLoad,
-)
-from repro.workload.generator import Workload, RequestMix
-from repro.workload.mixes import SOCIAL_MIXES, social_mix, hotel_mix, media_mix
+from repro._lazy import lazy_exports
 
-__all__ = [
-    "LoadPattern",
-    "ConstantLoad",
-    "StepLoad",
-    "DiurnalLoad",
-    "RampLoad",
-    "TraceLoad",
-    "Workload",
-    "RequestMix",
-    "SOCIAL_MIXES",
-    "social_mix",
-    "hotel_mix",
-    "media_mix",
-]
+#: Exported name -> defining module, imported on first use.
+_EXPORTS = {
+    "LoadPattern": "repro.workload.patterns",
+    "ConstantLoad": "repro.workload.patterns",
+    "StepLoad": "repro.workload.patterns",
+    "DiurnalLoad": "repro.workload.patterns",
+    "RampLoad": "repro.workload.patterns",
+    "TraceLoad": "repro.workload.patterns",
+    "Workload": "repro.workload.generator",
+    "RequestMix": "repro.workload.generator",
+    "SOCIAL_MIXES": "repro.workload.mixes",
+    "social_mix": "repro.workload.mixes",
+    "hotel_mix": "repro.workload.mixes",
+    "media_mix": "repro.workload.mixes",
+}
+
+__getattr__, __dir__ = lazy_exports(__name__, _EXPORTS)
+__all__ = list(_EXPORTS)

@@ -321,8 +321,38 @@ class TestSerialization:
                 {"format": 2, "kind": "repro.HybridPredictor", "predictor": trained},
                 fh,
             )
-        with pytest.raises(ValueError, match="format 2.*format 3"):
+        with pytest.raises(
+            ValueError, match=f"format 2.*format {HybridPredictor.SAVE_FORMAT}"
+        ):
             HybridPredictor.load(path)
+
+    def test_load_rejects_format_3(self, trained, tmp_path):
+        """Format 3 pickled the application graph with a networkx
+        ``DiGraph``; such a file is refused, not half-loaded."""
+        path = tmp_path / "v3.pkl"
+        with open(path, "wb") as fh:
+            pickle.dump(
+                {"format": 3, "kind": "repro.HybridPredictor", "predictor": trained},
+                fh,
+            )
+        with pytest.raises(ValueError, match="format 3.*re-train"):
+            HybridPredictor.load(path)
+
+    def test_pickle_holds_no_graph_library(self, trained, tmp_path):
+        """The application graph is stored as tiers, call-edge tuples and
+        index arrays: no networkx class and no ``digraph`` attribute, so
+        a served model loads where networkx is not installed."""
+        path = tmp_path / "served.pkl"
+        trained.save(path)
+        for blob in (pickle.dumps(trained), path.read_bytes()):
+            assert b"networkx" not in blob
+            assert b"digraph" not in blob
+        graph = HybridPredictor.load(path).graph
+        assert graph.edges == trained.graph.edges
+        assert np.array_equal(graph.reverse_topo_order, trained.graph.reverse_topo_order)
+        assert [c.tolist() for c in graph.children] == [
+            c.tolist() for c in trained.graph.children
+        ]
 
 
 class TestScalerAlpha:

@@ -77,3 +77,61 @@ def test_public_items_documented():
             obj = getattr(module, name)
             if inspect.isclass(obj) or inspect.isfunction(obj):
                 assert inspect.getdoc(obj), f"{module_name}.{name} undocumented"
+
+
+#: Packages whose exports load on first use (``repro.apps`` is eager).
+LAZY_PACKAGES = [
+    "repro.baselines", "repro.core", "repro.harness", "repro.ml",
+    "repro.obs", "repro.sim", "repro.tenancy", "repro.workload",
+]
+
+
+class TestLazyExports:
+    """Exports that load on first use read exactly like eager ones."""
+
+    @pytest.mark.parametrize("package", LAZY_PACKAGES)
+    def test_each_name_is_its_defining_modules_object(self, package):
+        import inspect
+
+        pkg = importlib.import_module(package)
+        assert pkg.__all__ == list(pkg._EXPORTS)
+        for name in pkg.__all__:
+            module = importlib.import_module(pkg._EXPORTS[name])
+            obj = getattr(pkg, name)
+            assert obj is getattr(module, name), f"{package}.{name}"
+            if inspect.isclass(obj) or inspect.isfunction(obj):
+                assert obj.__module__ == module.__name__, f"{package}.{name}"
+            assert vars(pkg)[name] is obj, f"{package}.{name} not stored"
+
+    @pytest.mark.parametrize("package", LAZY_PACKAGES)
+    def test_dir_lists_every_export(self, package):
+        pkg = importlib.import_module(package)
+        assert set(pkg.__all__) <= set(dir(pkg))
+
+    @pytest.mark.parametrize("package", LAZY_PACKAGES)
+    def test_star_import_binds_every_export(self, package):
+        pkg = importlib.import_module(package)
+        namespace: dict = {}
+        exec(f"from {package} import *", namespace)
+        namespace.pop("__builtins__")
+        assert set(namespace) == set(pkg.__all__)
+        for name, value in namespace.items():
+            assert value is getattr(pkg, name)
+
+    @pytest.mark.parametrize("package", LAZY_PACKAGES)
+    def test_unknown_name_raises_attribute_error(self, package):
+        pkg = importlib.import_module(package)
+        with pytest.raises(AttributeError, match=f"{package}.*no_such_export"):
+            pkg.no_such_export
+        assert not hasattr(pkg, "no_such_export")
+
+    def test_app_factories_are_functions_not_modules(self):
+        import inspect
+
+        import repro.apps
+
+        for name in ("social_network", "hotel_reservation", "media_service"):
+            importlib.import_module(f"repro.apps.{name}")
+            factory = getattr(repro.apps, name)
+            assert inspect.isfunction(factory), f"repro.apps.{name} is {factory!r}"
+            assert factory().n_tiers > 0
