@@ -193,6 +193,8 @@ class WindowEncoder:
         cands = np.asarray(candidates, dtype=float)
         if cands.ndim != 2 or cands.shape[1] != self.graph.n_tiers:
             raise ValueError("candidates must have shape (B, n_tiers)")
+        if len(cands) == 0:
+            raise ValueError("no candidate allocations to score")
         x_rh, x_lh = self.encode_history(log)
         return x_rh[None], x_lh[None], cands
 

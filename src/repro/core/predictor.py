@@ -23,6 +23,7 @@ from repro.sim.telemetry import CPU_ALLOC_CHANNEL, CPU_UTIL_CHANNEL
 from repro.ml.boosted_trees import BoostedTrees, BoostedTreesConfig
 from repro.ml.cnn import CNNConfig, LatencyCNN
 from repro.ml.dataset import FeatureNormalizer, SinanDataset, TrainValSplit
+from repro.ml.layers import Workspace
 from repro.ml.losses import LatencyScaler, ScaledMSELoss
 from repro.ml.metrics import (
     false_negative_rate,
@@ -130,18 +131,23 @@ class HybridPredictor:
         return self._train_on_split(split, lr=self.config.lr, epochs=self.config.epochs)
 
     def _model_inputs(
-        self, x_rh: np.ndarray, x_lh: np.ndarray, x_rc: np.ndarray
+        self,
+        x_rh: np.ndarray,
+        x_lh: np.ndarray,
+        x_rc: np.ndarray,
+        out: np.ndarray | None = None,
     ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
         """Normalized CNN inputs from raw feature arrays.
 
         The candidate-allocation branch receives both the absolute
         candidate and its delta from the currently applied allocation
-        (read off the resource-history tensor's alloc channel).
+        (read off the resource-history tensor's alloc channel).  Those
+        ``(B, 2N)`` rows are concatenated into ``out`` when one is given.
         """
         rh, lh, rc = self.normalizer.transform(x_rh, x_lh, x_rc)
         current = x_rh[:, CPU_ALLOC_CHANNEL, :, -1]
         delta = (x_rc - current) / self.normalizer.rc_scale
-        return rh, lh, np.concatenate([rc, delta], axis=1)
+        return rh, lh, np.concatenate([rc, delta], axis=1, out=out)
 
     def _bt_features(
         self,
@@ -149,12 +155,18 @@ class HybridPredictor:
         x_rh: np.ndarray,
         x_lh: np.ndarray,
         x_rc: np.ndarray,
+        out: np.ndarray | None = None,
+        rc_rows: np.ndarray | None = None,
     ) -> np.ndarray:
         """Violation-predictor input: the CNN latent plus the candidate
-        allocation, current utilization, and current latency level."""
-        rc = x_rc / self.normalizer.rc_scale
-        current = x_rh[:, CPU_ALLOC_CHANNEL, :, -1]
-        delta = (x_rc - current) / self.normalizer.rc_scale
+        allocation, current utilization, and current latency level.
+
+        The features are concatenated into ``out`` when one is given.
+        ``rc_rows``, the rows :meth:`_model_inputs` made from the same
+        ``x_rh`` and ``x_rc``, are the candidate and delta columns: the
+        same operations on the same operands, so the same bits, and no
+        second set of ``(B, N)`` temporaries.
+        """
         util = x_rh[:, CPU_UTIL_CHANNEL, :, -1]
         lat = x_lh[:, -1, :] / self.qos.latency_ms
         b = len(latent)
@@ -165,7 +177,12 @@ class HybridPredictor:
             # an explicit tile.
             util = np.broadcast_to(util, (b, util.shape[1]))
             lat = np.broadcast_to(lat, (b, lat.shape[1]))
-        return np.concatenate([latent, rc, delta, util, lat], axis=1)
+        if rc_rows is not None:
+            return np.concatenate([latent, rc_rows, util, lat], axis=1, out=out)
+        rc = x_rc / self.normalizer.rc_scale
+        current = x_rh[:, CPU_ALLOC_CHANNEL, :, -1]
+        delta = (x_rc - current) / self.normalizer.rc_scale
+        return np.concatenate([latent, rc, delta, util, lat], axis=1, out=out)
 
     def _train_on_split(
         self, split: TrainValSplit, lr: float, epochs: int
@@ -271,17 +288,27 @@ class HybridPredictor:
 
         The telemetry window is encoded once (zero-copy, incrementally
         cached) and the conv trunk runs a single time per decision
-        instead of once per candidate.  The results are bitwise those of
-        scoring every candidate with its own copy of the history (the
-        reference path in ``tests/oracles/decision.py``).
+        instead of once per candidate.  The candidate rows and the tree
+        features are written into this predictor's grow-only workspace
+        (:class:`~repro.ml.layers.Workspace`, as the CNN's are into its
+        own), so a warm call allocates little beyond what it returns,
+        and a predictor scores one decision at a time.  The results are
+        new arrays, bitwise those of scoring every candidate with its
+        own copy of the history (the reference path in
+        ``tests/oracles/decision.py``).
         """
         x_rh, x_lh, x_rc = self.encoder.encode_candidates_shared(
             log, candidates
         )
-        rh, lh, rc = self._model_inputs(x_rh, x_lh, x_rc)
+        workspace = Workspace.of(self)
+        b, n = x_rc.shape
+        rh, lh, rc = self._model_inputs(
+            x_rh, x_lh, x_rc, out=workspace.get("rc", (b, 2 * n))
+        )
         latency, latent = self.cnn.predict_candidates((rh, lh, rc))
+        features = workspace.get("bt", (b, latent.shape[1] + 3 * n + x_lh.shape[2]))
         prob = self.trees.predict_proba(
-            self._bt_features(latent, x_rh, x_lh, x_rc)
+            self._bt_features(latent, x_rh, x_lh, x_rc, out=features, rc_rows=rc)
         )
         recorder = self.__dict__.get("recorder")
         if recorder is not None and recorder.enabled:
@@ -351,14 +378,16 @@ class HybridPredictor:
     SAVE_FORMAT = 4
 
     def __getstate__(self) -> dict:
-        # Observability state is per-episode, not part of the model:
-        # serialized predictors start detached.  With the layers' and
-        # the encoder's own state rules, a format-4 checkpoint carries
-        # parameters, normalizer and encoder state, and the compiled
-        # trees.
+        # Observability state is per-episode and the decision workspace
+        # is scratch, neither part of the model: serialized predictors
+        # start detached and make a workspace on their first decision.
+        # With the layers', the CNN's and the encoder's own state rules,
+        # a format-4 checkpoint carries parameters, normalizer and
+        # encoder state, and the compiled trees.
         state = dict(self.__dict__)
         state.pop("recorder", None)
         state.pop("_lat_buckets", None)
+        state.pop("_workspace", None)
         return state
 
     def save(self, path) -> None:

@@ -47,14 +47,17 @@ class QoSTarget:
         exceeds the target — the Boosted-Trees training label of the
         paper ("anticipating a QoS violation over the next 5 intervals").
         The tail, where the full horizon is unavailable, is labelled from
-        the remaining intervals.
+        the remaining intervals.  An unknown latency (NaN: a reading a
+        faulty agent lost) counts as a violation, not as QoS met: the
+        label must not claim safety that nothing measured, and the
+        scheduler treats an unknown reading as unsafe too.
         """
         if horizon < 1:
             raise ValueError("horizon must be >= 1")
         series = np.asarray(latency_series, dtype=float)
         if series.size == 0:
             return np.zeros(0, dtype=np.int64)
-        violated = series > self.latency_ms
+        violated = ~(series <= self.latency_ms)
         # Sliding-window maximum: right-pad with False so the tail windows
         # shrink to the remaining intervals, then OR over each window.
         padded = np.concatenate([violated, np.zeros(horizon - 1, dtype=bool)])

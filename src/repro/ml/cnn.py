@@ -48,6 +48,23 @@ promises:
 
 ``tests/ml/test_layers.py`` pins both facts at the served shapes, and
 ``tests/ml/test_models.py`` the whole model at 4 to 28 tiers.
+
+A decision's candidate-batch temporaries go into a grow-only
+:class:`~repro.ml.layers.Workspace` the model owns, not into fresh
+arrays: the trunk block (``block[...] = h`` gives the values and the
+C-contiguous layout ``np.repeat`` gave), the ``rc`` Dense output and the
+heads' ``(B, 88)`` concatenation.  The ``rc`` branch and the latent head
+run :meth:`Dense.forward` and :meth:`ReLU.forward` into a destination:
+``np.matmul(x, W, out=t); t += b`` is the GEMM and the add of ``x @ W +
+b``, and the buffered ReLU zeroes every entry where ``x > 0`` fails, as
+``np.where`` does (NaN and -0.0 included).  Every GEMM keeps its
+operands, shapes and layouts, so every bit stays.  Warm, the buffers
+spare a decision its largest allocations, which the C allocator would
+hand back to the kernel and fault in again on the next decision.  The
+workspace holds nothing derived from weights, so training needs no
+invalidation; it is never pickled or copied (``__getstate__``), and the
+returned arrays are the caller's.  ``tests/ml/test_decision_workspace.py``
+pins the reuse, ownership, pickling and memory rules.
 """
 
 from __future__ import annotations
@@ -56,7 +73,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from repro.ml.layers import Conv2D, Dense, Flatten, ReLU
+from repro.ml.layers import Conv2D, Dense, Flatten, ReLU, Workspace
 from repro.ml.network import NeuralRegressor, Sequential
 
 #: Multiply-adds in the block of identical rows that
@@ -230,15 +247,21 @@ class LatencyCNN(NeuralRegressor):
         The conv trunk runs once; the trunk's dense layer and the ``lh``
         branch run on a block of ``_shared_block_rows`` copies, and the
         first row of each stands in for all B.  The ``rc`` branch and
-        the heads run at the full batch.  The result is bit-identical to
-        :meth:`predict_with_latent` on B copies of the history (see the
-        module docstring for why).  Returns ``(latency (B, M), latent
-        L_f (B, latent))``.
+        the heads run at the full batch.  The block, the ``rc`` branch's
+        output and the heads' concatenation live in this model's
+        workspace (see the module docstring), so a model scores one
+        batch at a time; the two returned arrays are new.  The result is
+        bit-identical to :meth:`predict_with_latent` on B copies of the
+        history (see the module docstring for why).  Returns ``(latency
+        (B, M), latent L_f (B, latent))``; an empty batch is refused.
         """
         x_rh, x_lh, x_rc = inputs
         if len(x_rh) != 1 or len(x_lh) != 1:
             raise ValueError("shared history tensors must have batch size 1")
         b = len(x_rc)
+        if b == 0:
+            raise ValueError("no candidate rows to score")
+        workspace = Workspace.of(self)
         trunk_len = self._rh_trunk_len
         h_rh = x_rh
         for layer in self.rh_branch.layers[:trunk_len]:
@@ -246,7 +269,9 @@ class LatencyCNN(NeuralRegressor):
         m = _shared_block_rows(b, self.rh_branch.layers[trunk_len + 1])
         # A contiguous block: matmul gives a stride-0 view the same bits
         # but runs it more slowly at 1680 columns.
-        h_rh = np.repeat(h_rh, m, axis=0)
+        block = workspace.get("trunk", (m, *h_rh.shape[1:]))
+        block[...] = h_rh
+        h_rh = block
         for layer in self.rh_branch.layers[trunk_len:]:
             h_rh = layer.forward(h_rh, training=False)
         # A stride-0 block: matmul gives it the bits of a materialized
@@ -254,13 +279,38 @@ class LatencyCNN(NeuralRegressor):
         h_lh = self.lh_branch.forward(
             np.broadcast_to(x_lh, (m, *x_lh.shape[1:])), training=False
         )
-        h_rc = self.rc_branch.forward(x_rc, training=False)
-        return self._heads(
-            np.broadcast_to(h_rh[:1], (b, h_rh.shape[1])),
-            np.broadcast_to(h_lh[:1], (b, h_lh.shape[1])),
-            h_rc,
-            training=False,
+        h_rc = _dense_relu(
+            self.rc_branch, x_rc, workspace.get("rc", (b, self.config.rc_embed))
         )
+        concat = np.concatenate(
+            [
+                np.broadcast_to(h_rh[:1], (b, h_rh.shape[1])),
+                np.broadcast_to(h_lh[:1], (b, h_lh.shape[1])),
+                h_rc,
+            ],
+            axis=1,
+            out=workspace.get(
+                "concat", (b, h_rh.shape[1] + h_lh.shape[1] + h_rc.shape[1])
+            ),
+        )
+        latent = _dense_relu(
+            self.latent_head, concat, np.empty((b, self.config.latent_dim))
+        )
+        return self.output_head.forward(latent, training=False), latent
+
+    def __getstate__(self) -> dict:
+        # The decision workspace is scratch: never pickled or copied.
+        state = dict(self.__dict__)
+        state.pop("_workspace", None)
+        return state
+
+
+def _dense_relu(branch: Sequential, x: np.ndarray, out: np.ndarray) -> np.ndarray:
+    """Inference through a ``Dense, ReLU`` branch, written into ``out``:
+    the bits of ``branch.forward(x)`` (see :meth:`Dense.forward` and
+    :meth:`ReLU.forward`)."""
+    dense, relu = branch.layers
+    return relu.forward(dense.forward(x, out=out), out=out)
 
 
 __all__ = ["LatencyCNN", "CNNConfig"]

@@ -16,9 +16,15 @@ training forward only (``training=True``); pickling or deep-copying a
 layer drops that per-batch state and the gradient buffers, which come
 back as zeros the next time training asks for them.  A served model
 therefore carries its weights and nothing else.
+
+``Dense`` and ``ReLU`` can write an inference forward into a caller's
+array (``out``) with the bits of a fresh one; the decision path's
+:class:`Workspace` provides those arrays.
 """
 
 from __future__ import annotations
+
+import math
 
 import numpy as np
 
@@ -101,9 +107,18 @@ class Dense(_Weighted):
         self.W = rng.normal(0.0, scale, size=(in_dim, out_dim))
         self.b = np.zeros(out_dim)
 
-    def forward(self, x: np.ndarray, training: bool = False) -> np.ndarray:
+    def forward(
+        self, x: np.ndarray, training: bool = False, out: np.ndarray | None = None
+    ) -> np.ndarray:
+        """``x @ W + b``, into ``out`` when one is given: a C-contiguous
+        ``(len(x), out_dim)`` array, which gets the same bits (the same
+        GEMM on the same operands, then the same add)."""
         self._x = x if training else None
-        return x @ self.W + self.b
+        if out is None:
+            return x @ self.W + self.b
+        np.matmul(x, self.W, out=out)
+        out += self.b
+        return out
 
     def backward(
         self, dout: np.ndarray, *, input_grad: bool = True
@@ -119,10 +134,21 @@ class ReLU(Layer):
     _backward_state = ("_mask",)
     _mask: np.ndarray | None = None
 
-    def forward(self, x: np.ndarray, training: bool = False) -> np.ndarray:
+    def forward(
+        self, x: np.ndarray, training: bool = False, out: np.ndarray | None = None
+    ) -> np.ndarray:
+        """``np.where(x > 0, x, 0.0)``, into ``out`` (which may be ``x``)
+        when one is given.  Every entry where ``x > 0`` fails becomes
+        +0.0, NaN and -0.0 included, as ``np.where`` makes it;
+        ``np.maximum(x, 0.0)`` would keep both."""
         mask = x > 0
         self._mask = mask if training else None
-        return np.where(mask, x, 0.0)
+        if out is None:
+            return np.where(mask, x, 0.0)
+        if out is not x:
+            out[...] = x
+        np.copyto(out, 0.0, where=~mask)
+        return out
 
     def backward(self, dout: np.ndarray) -> np.ndarray:
         if self._mask is None:
@@ -448,6 +474,42 @@ class LSTMCell(_Weighted):
         return (flat @ self.W[:D].T).reshape(B, T, D)
 
 
+class Workspace:
+    """Grow-only scratch buffers, one per name, for a path that runs the
+    same shapes call after call (the decision path:
+    :meth:`repro.ml.cnn.LatencyCNN.predict_candidates` and
+    :meth:`repro.core.predictor.HybridPredictor.predict_candidates`).
+
+    :meth:`get` returns a C-contiguous float64 view of the first
+    ``prod(shape)`` elements of the named buffer, which grows when a call
+    needs more and never shrinks.  A view still holds an earlier call's
+    values, so a caller writes every element before reading it and hands
+    nothing that shares its memory back to its own caller.  A workspace
+    serves one call at a time; its owner keeps it out of pickles and
+    copies (``__getstate__``) and makes it again on first use
+    (:meth:`of`).
+    """
+
+    def __init__(self) -> None:
+        self._buffers: dict[str, np.ndarray] = {}
+
+    @staticmethod
+    def of(owner) -> "Workspace":
+        """``owner``'s workspace, its ``_workspace`` attribute, made on
+        first use."""
+        workspace = owner.__dict__.get("_workspace")
+        if workspace is None:
+            workspace = owner._workspace = Workspace()
+        return workspace
+
+    def get(self, name: str, shape: tuple[int, ...]) -> np.ndarray:
+        size = math.prod(shape)
+        buf = self._buffers.get(name)
+        if buf is None or buf.size < size:
+            buf = self._buffers[name] = np.empty(size)
+        return buf[:size].reshape(shape)
+
+
 #: Bytes of column matrix one im2col channel block may span: a block's
 #: k*k runs stay in cache between their copy and their zeroing.
 _IM2COL_BLOCK_BYTES = 1 << 17
@@ -499,4 +561,5 @@ __all__ = [
     "Flatten",
     "Conv2D",
     "LSTMCell",
+    "Workspace",
 ]

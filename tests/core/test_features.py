@@ -5,7 +5,11 @@ import pytest
 
 from repro.core.features import WindowEncoder, build_dataset, sanitize_window
 from repro.core.qos import QoSTarget
-from tests.conftest import make_tiny_cluster
+from repro.sim.cluster import ClusterSimulator
+from repro.sim.faults import FaultInjector, resolve_profile
+from repro.workload.generator import RequestMix, Workload
+from repro.workload.patterns import ConstantLoad
+from tests.conftest import make_tiny_cluster, make_tiny_graph
 from tests.sim.test_telemetry import make_stats
 
 
@@ -190,6 +194,31 @@ class TestBuildDataset:
         assert len(ds) == len(log) - 5
         assert np.isfinite(ds.X_RH).all()
         assert np.isfinite(ds.X_LH).all()
+
+    @pytest.mark.parametrize("profile", ["telemetry-dropout", "chaos"])
+    def test_observed_log_gives_finite_features(self, profile):
+        """A fault-injected ``observed`` log: the windows are repaired,
+        so no NaN reaches the model's features (nor the boosted trees'
+        bins, which a NaN column would collapse).  Lost latency readings
+        stay NaN in ``y_lat``; the CNN's latency cap drops those rows,
+        and their violation labels count them as violations."""
+        graph = make_tiny_graph()
+        workload = Workload(
+            graph, ConstantLoad(150), RequestMix.from_ratios({"Read": 9, "Write": 1})
+        )
+        faults = FaultInjector(resolve_profile(profile), graph.n_tiers, seed=3)
+        cluster = ClusterSimulator(graph, workload, seed=3, faults=faults)
+        cluster.run(120)
+        qos = QoSTarget(200.0)
+        ds = build_dataset(cluster.observed, graph, qos, n_timesteps=5, horizon=3)
+        assert np.isfinite(ds.X_RH).all()
+        assert np.isfinite(ds.X_LH).all()
+        assert np.isfinite(ds.X_RC).all()
+        lost = np.isnan(ds.y_lat[:, qos.percentile_index])
+        assert lost.any()
+        assert (ds.y_viol[lost] == 1).all()
+        capped = ds.filter_latency_below(2.4 * qos.latency_ms)
+        assert not np.isnan(capped.y_lat).any()
 
     def test_meta_propagated(self, recorded_cluster):
         ds = build_dataset(

@@ -72,6 +72,14 @@ class TestViolationLabels:
             ])
             np.testing.assert_array_equal(labels, reference)
 
+    def test_unknown_latency_counts_as_violation(self):
+        """A lost (NaN) reading is not QoS met: ``NaN > target`` is
+        false, so a plain comparison would label it safe."""
+        qos = QoSTarget(latency_ms=100.0)
+        series = np.array([50.0, np.nan, 50.0])
+        np.testing.assert_array_equal(qos.violation_labels(series, 1), [0, 1, 0])
+        np.testing.assert_array_equal(qos.violation_labels(series, 2), [1, 1, 0])
+
     def test_invalid_horizon(self):
         with pytest.raises(ValueError):
             QoSTarget(latency_ms=100.0).violation_labels(np.zeros(3), 0)
