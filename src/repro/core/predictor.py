@@ -135,37 +135,37 @@ class HybridPredictor:
         x_rh: np.ndarray,
         x_lh: np.ndarray,
         x_rc: np.ndarray,
-        out: np.ndarray | None = None,
+        workspace: Workspace | None = None,
     ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
         """Normalized CNN inputs from raw feature arrays.
 
         The candidate-allocation branch receives both the absolute
         candidate and its delta from the currently applied allocation
         (read off the resource-history tensor's alloc channel).  Those
-        ``(B, 2N)`` rows are concatenated into ``out`` when one is given.
+        ``(B, 2N)`` rows go into ``workspace``'s ``rc`` buffer when one
+        is given, into a new array otherwise.
         """
         rh, lh, rc = self.normalizer.transform(x_rh, x_lh, x_rc)
         current = x_rh[:, CPU_ALLOC_CHANNEL, :, -1]
         delta = (x_rc - current) / self.normalizer.rc_scale
-        return rh, lh, np.concatenate([rc, delta], axis=1, out=out)
+        return rh, lh, _concatenate([rc, delta], workspace, "rc")
 
     def _bt_features(
         self,
         latent: np.ndarray,
         x_rh: np.ndarray,
         x_lh: np.ndarray,
-        x_rc: np.ndarray,
-        out: np.ndarray | None = None,
-        rc_rows: np.ndarray | None = None,
+        rc_rows: np.ndarray,
+        workspace: Workspace | None = None,
     ) -> np.ndarray:
         """Violation-predictor input: the CNN latent plus the candidate
         allocation, current utilization, and current latency level.
 
-        The features are concatenated into ``out`` when one is given.
-        ``rc_rows``, the rows :meth:`_model_inputs` made from the same
-        ``x_rh`` and ``x_rc``, are the candidate and delta columns: the
-        same operations on the same operands, so the same bits, and no
-        second set of ``(B, N)`` temporaries.
+        ``rc_rows`` are the candidate-branch rows :meth:`_model_inputs`
+        made from the same ``x_rh`` (the normalized candidate and its
+        delta), so the trees see the CNN's own candidate columns.  The
+        features go into ``workspace``'s ``bt`` buffer when one is
+        given, into a new array otherwise.
         """
         util = x_rh[:, CPU_UTIL_CHANNEL, :, -1]
         lat = x_lh[:, -1, :] / self.qos.latency_ms
@@ -177,12 +177,7 @@ class HybridPredictor:
             # an explicit tile.
             util = np.broadcast_to(util, (b, util.shape[1]))
             lat = np.broadcast_to(lat, (b, lat.shape[1]))
-        if rc_rows is not None:
-            return np.concatenate([latent, rc_rows, util, lat], axis=1, out=out)
-        rc = x_rc / self.normalizer.rc_scale
-        current = x_rh[:, CPU_ALLOC_CHANNEL, :, -1]
-        delta = (x_rc - current) / self.normalizer.rc_scale
-        return np.concatenate([latent, rc, delta, util, lat], axis=1, out=out)
+        return _concatenate([latent, rc_rows, util, lat], workspace, "bt")
 
     def _train_on_split(
         self, split: TrainValSplit, lr: float, epochs: int
@@ -219,8 +214,8 @@ class HybridPredictor:
 
         latent_train = self.cnn.latent(train_in)
         latent_val = self.cnn.latent(val_in)
-        bt_train = self._bt_features(latent_train, train.X_RH, train.X_LH, train.X_RC)
-        bt_val = self._bt_features(latent_val, val.X_RH, val.X_LH, val.X_RC)
+        bt_train = self._bt_features(latent_train, train.X_RH, train.X_LH, train_in[2])
+        bt_val = self._bt_features(latent_val, val.X_RH, val.X_LH, val_in[2])
         self.trees.fit(bt_train, train.y_viol, bt_val, val.y_viol)
 
         val_prob = self.trees.predict_proba(bt_val)
@@ -277,7 +272,7 @@ class HybridPredictor:
         inputs = self._model_inputs(x_rh, x_lh, x_rc)
         latency, latent = self.cnn.predict_with_latent(inputs)
         prob = self.trees.predict_proba(
-            self._bt_features(latent, x_rh, x_lh, x_rc)
+            self._bt_features(latent, x_rh, x_lh, inputs[2])
         )
         return latency, prob
 
@@ -301,14 +296,10 @@ class HybridPredictor:
             log, candidates
         )
         workspace = Workspace.of(self)
-        b, n = x_rc.shape
-        rh, lh, rc = self._model_inputs(
-            x_rh, x_lh, x_rc, out=workspace.get("rc", (b, 2 * n))
-        )
-        latency, latent = self.cnn.predict_candidates((rh, lh, rc))
-        features = workspace.get("bt", (b, latent.shape[1] + 3 * n + x_lh.shape[2]))
+        inputs = self._model_inputs(x_rh, x_lh, x_rc, workspace)
+        latency, latent = self.cnn.predict_candidates(inputs)
         prob = self.trees.predict_proba(
-            self._bt_features(latent, x_rh, x_lh, x_rc, out=features, rc_rows=rc)
+            self._bt_features(latent, x_rh, x_lh, inputs[2], workspace)
         )
         recorder = self.__dict__.get("recorder")
         if recorder is not None and recorder.enabled:
@@ -467,6 +458,17 @@ def qos_percentiles() -> tuple[int, ...]:
     from repro.sim.telemetry import LATENCY_PERCENTILES
 
     return LATENCY_PERCENTILES
+
+
+def _concatenate(
+    parts: list[np.ndarray], workspace: Workspace | None, name: str
+) -> np.ndarray:
+    """The columns of ``parts`` side by side: in ``workspace``'s buffer
+    ``name`` when one is given, in a new array otherwise.  The same
+    copy either way, so the same bits."""
+    if workspace is None:
+        return np.concatenate(parts, axis=1)
+    return workspace.concatenate(name, parts)
 
 
 __all__ = ["HybridPredictor", "PredictorConfig", "TrainingReport"]

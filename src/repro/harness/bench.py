@@ -99,7 +99,12 @@ def make_synthetic_predictor(config: BenchConfig) -> HybridPredictor:
     )
     predictor.normalizer.fit(calib)
 
-    n_bt_features = predictor.cnn.config.latent_dim + 3 * n + m
+    # The trees read as many features as the predictor makes for a row.
+    x_rh, x_lh, x_rc = calib.X_RH[:1], calib.X_LH[:1], calib.X_RC[:1]
+    inputs = predictor._model_inputs(x_rh, x_lh, x_rc)
+    n_bt_features = predictor._bt_features(
+        predictor.cnn.latent(inputs), x_rh, x_lh, inputs[2]
+    ).shape[1]
     predictor.trees._compiled = _compile_trees(
         [
             _grow_tree(rng, n_bt_features, config.tree_depth)

@@ -53,12 +53,13 @@ A decision's candidate-batch temporaries go into a grow-only
 :class:`~repro.ml.layers.Workspace` the model owns, not into fresh
 arrays: the trunk block (``block[...] = h`` gives the values and the
 C-contiguous layout ``np.repeat`` gave), the ``rc`` Dense output and the
-heads' ``(B, 88)`` concatenation.  The ``rc`` branch and the latent head
-run :meth:`Dense.forward` and :meth:`ReLU.forward` into a destination:
-``np.matmul(x, W, out=t); t += b`` is the GEMM and the add of ``x @ W +
-b``, and the buffered ReLU zeroes every entry where ``x > 0`` fails, as
-``np.where`` does (NaN and -0.0 included).  Every GEMM keeps its
-operands, shapes and layouts, so every bit stays.  Warm, the buffers
+heads' ``(B, 88)`` concatenation.  The ``rc`` branch writes
+:meth:`Dense.forward` into its buffer, and it and the latent head
+rectify in place (:meth:`ReLU.forward`): ``np.matmul(x, W, out=t); t +=
+b`` is the GEMM and the add of ``x @ W + b``, and the in-place ReLU
+zeroes every entry where ``x > 0`` fails, as ``np.where`` does (NaN and
+-0.0 included).  Every GEMM keeps its operands, shapes and layouts, so
+every bit stays.  Warm, the buffers
 spare a decision its largest allocations, which the C allocator would
 hand back to the kernel and fault in again on the next decision.  The
 workspace holds nothing derived from weights, so training needs no
@@ -282,20 +283,15 @@ class LatencyCNN(NeuralRegressor):
         h_rc = _dense_relu(
             self.rc_branch, x_rc, workspace.get("rc", (b, self.config.rc_embed))
         )
-        concat = np.concatenate(
+        concat = workspace.concatenate(
+            "concat",
             [
                 np.broadcast_to(h_rh[:1], (b, h_rh.shape[1])),
                 np.broadcast_to(h_lh[:1], (b, h_lh.shape[1])),
                 h_rc,
             ],
-            axis=1,
-            out=workspace.get(
-                "concat", (b, h_rh.shape[1] + h_lh.shape[1] + h_rc.shape[1])
-            ),
         )
-        latent = _dense_relu(
-            self.latent_head, concat, np.empty((b, self.config.latent_dim))
-        )
+        latent = _dense_relu(self.latent_head, concat)
         return self.output_head.forward(latent, training=False), latent
 
     def __getstate__(self) -> dict:
@@ -305,12 +301,15 @@ class LatencyCNN(NeuralRegressor):
         return state
 
 
-def _dense_relu(branch: Sequential, x: np.ndarray, out: np.ndarray) -> np.ndarray:
-    """Inference through a ``Dense, ReLU`` branch, written into ``out``:
-    the bits of ``branch.forward(x)`` (see :meth:`Dense.forward` and
+def _dense_relu(
+    branch: Sequential, x: np.ndarray, out: np.ndarray | None = None
+) -> np.ndarray:
+    """Inference through a ``Dense, ReLU`` branch, written into ``out``
+    (a new array without one) and rectified in place: the bits of
+    ``branch.forward(x)`` (see :meth:`Dense.forward` and
     :meth:`ReLU.forward`)."""
     dense, relu = branch.layers
-    return relu.forward(dense.forward(x, out=out), out=out)
+    return relu.forward(dense.forward(x, out=out), inplace=True)
 
 
 __all__ = ["LatencyCNN", "CNNConfig"]

@@ -17,9 +17,9 @@ layer drops that per-batch state and the gradient buffers, which come
 back as zeros the next time training asks for them.  A served model
 therefore carries its weights and nothing else.
 
-``Dense`` and ``ReLU`` can write an inference forward into a caller's
-array (``out``) with the bits of a fresh one; the decision path's
-:class:`Workspace` provides those arrays.
+``Dense`` can write its forward into a caller's array (``out``) and
+``ReLU`` can rectify in place, each with the bits of a fresh array; the
+decision path's :class:`Workspace` provides those arrays.
 """
 
 from __future__ import annotations
@@ -110,15 +110,13 @@ class Dense(_Weighted):
     def forward(
         self, x: np.ndarray, training: bool = False, out: np.ndarray | None = None
     ) -> np.ndarray:
-        """``x @ W + b``, into ``out`` when one is given: a C-contiguous
-        ``(len(x), out_dim)`` array, which gets the same bits (the same
-        GEMM on the same operands, then the same add)."""
+        """``x @ W + b``, into ``out`` when one is given (a C-contiguous
+        ``(len(x), out_dim)`` array).  ``out`` or not, it is one GEMM on
+        the same operands and then an add of ``b``, so the same bits."""
         self._x = x if training else None
-        if out is None:
-            return x @ self.W + self.b
-        np.matmul(x, self.W, out=out)
-        out += self.b
-        return out
+        y = np.matmul(x, self.W, out=out)
+        y += self.b
+        return y
 
     def backward(
         self, dout: np.ndarray, *, input_grad: bool = True
@@ -135,20 +133,18 @@ class ReLU(Layer):
     _mask: np.ndarray | None = None
 
     def forward(
-        self, x: np.ndarray, training: bool = False, out: np.ndarray | None = None
+        self, x: np.ndarray, training: bool = False, inplace: bool = False
     ) -> np.ndarray:
-        """``np.where(x > 0, x, 0.0)``, into ``out`` (which may be ``x``)
-        when one is given.  Every entry where ``x > 0`` fails becomes
-        +0.0, NaN and -0.0 included, as ``np.where`` makes it;
-        ``np.maximum(x, 0.0)`` would keep both."""
+        """``np.where(x > 0, x, 0.0)``, written over ``x`` itself when
+        ``inplace``.  Either way every entry where ``x > 0`` fails
+        becomes +0.0, NaN and -0.0 included; ``np.maximum(x, 0.0)``
+        would keep both."""
         mask = x > 0
         self._mask = mask if training else None
-        if out is None:
+        if not inplace:
             return np.where(mask, x, 0.0)
-        if out is not x:
-            out[...] = x
-        np.copyto(out, 0.0, where=~mask)
-        return out
+        np.copyto(x, 0.0, where=~mask)
+        return x
 
     def backward(self, dout: np.ndarray) -> np.ndarray:
         if self._mask is None:
@@ -508,6 +504,14 @@ class Workspace:
         if buf is None or buf.size < size:
             buf = self._buffers[name] = np.empty(size)
         return buf[:size].reshape(shape)
+
+    def concatenate(self, name: str, parts: list[np.ndarray]) -> np.ndarray:
+        """``np.concatenate(parts, axis=1)`` of 2-D ``parts`` with equal
+        row counts, written into the named buffer: the width is the
+        parts' own, so the caller's column layout lives in ``parts``."""
+        width = sum(part.shape[1] for part in parts)
+        out = self.get(name, (len(parts[0]), width))
+        return np.concatenate(parts, axis=1, out=out)
 
 
 #: Bytes of column matrix one im2col channel block may span: a block's

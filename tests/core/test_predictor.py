@@ -225,7 +225,7 @@ class TestSerialization:
         x_rc = tiny_dataset.X_RC[:8]
         inputs = predictor._model_inputs(x_rh, x_lh, x_rc)
         _, latent = predictor.cnn.predict_with_latent(inputs)
-        bt_X = predictor._bt_features(latent, x_rh, x_lh, x_rc)
+        bt_X = predictor._bt_features(latent, x_rh, x_lh, inputs[2])
         margin_before = predictor.trees.predict_margin(bt_X)
 
         path = tmp_path / "fast-trained.pkl"

@@ -6,7 +6,7 @@ temporaries into grow-only buffers they own
 (:class:`repro.ml.layers.Workspace`) instead of fresh arrays.  Pinned
 here: a warm call gives the bits of a cold one and of the materialized
 batch, whatever batch came before; what a call returns is the caller's;
-the buffers are never pickled or shared by copies; the buffered ReLU is
+the buffers are never pickled or shared by copies; the in-place ReLU is
 ``np.where``'s; an empty batch is refused; and a warm decision stays
 within a transient-memory budget (the stand-in for the page faults the
 workspace removes, which depend on the host's allocator).
@@ -184,15 +184,13 @@ class TestBufferedReLU:
         2.2250738585072014e-308, -2.2250738585072014e-308, 1.5, -1.5,
     ]
 
-    @pytest.mark.parametrize("in_place", [True, False])
-    def test_matches_where(self, in_place):
+    def test_matches_where(self):
         """NaN and -0.0 become +0.0, as ``np.where`` makes them; the
         subnormals and infinities keep their sign rule."""
         x = np.array(self.VALUES).reshape(3, 4)
         want = np.where(x > 0, x, 0.0)
-        out = x.copy() if in_place else np.full_like(x, 7.0)
-        got = ReLU().forward(out if in_place else x, out=out)
-        assert got is out
+        got = ReLU().forward(x, inplace=True)
+        assert got is x
         assert got.tobytes() == want.tobytes()
 
 

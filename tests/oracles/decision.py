@@ -83,7 +83,7 @@ def predict_candidates_reference(
     inputs = predictor._model_inputs(x_rh, x_lh, x_rc)
     latency, latent = predictor.cnn.predict_with_latent(inputs)
     prob = predict_proba_reference(
-        predictor.trees, predictor._bt_features(latent, x_rh, x_lh, x_rc)
+        predictor.trees, predictor._bt_features(latent, x_rh, x_lh, inputs[2])
     )
     return latency, prob
 
