@@ -17,14 +17,20 @@ layer drops that per-batch state and the gradient buffers, which come
 back as zeros the next time training asks for them.  A served model
 therefore carries its weights and nothing else.
 
-``Dense`` can write its forward into a caller's array (``out``) and
-``ReLU`` can rectify in place, each with the bits of a fresh array; the
-decision path's :class:`Workspace` provides those arrays.
+Two users keep arrays in a grow-only :class:`Workspace` instead of
+fresh ones.  The decision path hands ``Dense`` a caller's array
+(``out``) and has ``ReLU`` rectify in place.  Inside
+:meth:`repro.ml.network.NeuralRegressor.fit` a training forward and
+backward take their temporaries, the ReLU's output and mask aside, from
+the fit's workspace (:meth:`Layer._scratch`).  Either way every GEMM and
+every reduction sees the operands, in the memory layouts, it sees on
+fresh arrays, so the bits are the same.
 """
 
 from __future__ import annotations
 
 import math
+from collections.abc import Hashable
 
 import numpy as np
 
@@ -34,6 +40,9 @@ class Layer:
 
     #: Attributes holding per-batch state for ``backward``; never pickled.
     _backward_state: tuple[str, ...] = ()
+    #: The workspace of the fit this layer is training in, if any: set
+    #: and taken back by :meth:`repro.ml.network.NeuralRegressor.fit`.
+    _workspace: Workspace | None = None
 
     def params(self) -> list[np.ndarray]:
         """Trainable parameter arrays (mutated in place by optimizers)."""
@@ -57,9 +66,29 @@ class Layer:
 
     def __getstate__(self) -> dict:
         state = dict(self.__dict__)
-        for name in self._backward_state + ("dW", "db"):
+        for name in self._backward_state + ("_workspace", "dW", "db"):
             state.pop(name, None)
         return state
+
+    def _release(self) -> None:
+        """Forget the last training forward and the fit's workspace, as
+        a pickle of this layer does."""
+        for name in self._backward_state + ("_workspace",):
+            self.__dict__.pop(name, None)
+
+    def _scratch(
+        self, name: str, shape: tuple[int, ...], *, transient: bool = False
+    ) -> np.ndarray:
+        """An uninitialized C-contiguous float64 array for a training
+        forward or backward: buffer ``name`` of the fit's workspace while
+        a fit runs, a new array otherwise.  A ``transient`` array is dead
+        before the call that took it returns, so every layer shares the
+        buffer; any other is this layer's own and keeps its values until
+        the layer's next training step."""
+        workspace = self._workspace
+        if workspace is None:
+            return np.empty(shape)
+        return workspace.get(name if transient else (id(self), name), shape)
 
     def _needs_training_forward(self) -> RuntimeError:
         return RuntimeError(
@@ -76,7 +105,8 @@ class _Weighted(Layer):
 
     The gradient buffers ``dW``/``db`` are allocated as zeros on first
     access, so a freshly built, unpickled or copied layer trains the
-    same way.
+    same way.  They are C-contiguous, as the weights are, and backward
+    writes its ``dW`` GEMM straight into ``dW``.
     """
 
     def params(self) -> list[np.ndarray]:
@@ -111,9 +141,12 @@ class Dense(_Weighted):
         self, x: np.ndarray, training: bool = False, out: np.ndarray | None = None
     ) -> np.ndarray:
         """``x @ W + b``, into ``out`` when one is given (a C-contiguous
-        ``(len(x), out_dim)`` array).  ``out`` or not, it is one GEMM on
-        the same operands and then an add of ``b``, so the same bits."""
+        ``(len(x), out_dim)`` array; a training forward takes its own
+        from :meth:`_scratch`).  ``out`` or not, it is one GEMM on the
+        same operands and then an add of ``b``, so the same bits."""
         self._x = x if training else None
+        if training and out is None:
+            out = self._scratch("out", (len(x), self.W.shape[1]))
         y = np.matmul(x, self.W, out=out)
         y += self.b
         return y
@@ -123,9 +156,12 @@ class Dense(_Weighted):
     ) -> np.ndarray | None:
         if self._x is None:
             raise self._needs_training_forward()
-        self.dW[...] = self._x.T @ dout
+        np.matmul(self._x.T, dout, out=self.dW)
         self.db[...] = dout.sum(axis=0)
-        return dout @ self.W.T if input_grad else None
+        if not input_grad:
+            return None
+        dx = self._scratch("dx", (len(dout), self.W.shape[0]))
+        return np.matmul(dout, self.W.T, out=dx)
 
 
 class ReLU(Layer):
@@ -136,20 +172,38 @@ class ReLU(Layer):
         self, x: np.ndarray, training: bool = False, inplace: bool = False
     ) -> np.ndarray:
         """``np.where(x > 0, x, 0.0)``, written over ``x`` itself when
-        ``inplace``.  Either way every entry where ``x > 0`` fails
-        becomes +0.0, NaN and -0.0 included; ``np.maximum(x, 0.0)``
-        would keep both."""
+        ``inplace``.  Every entry where ``x > 0`` fails becomes +0.0, NaN
+        and -0.0 included; ``np.maximum(x, 0.0)`` would keep both.
+
+        A training forward computes it as each entry's bit pattern times
+        the mask's 1 or 0, an integer product: the entry itself or all
+        zero bits, which is +0.0.  Same bits and layout (``x``'s), in a
+        fifth of ``np.where``'s time at the served conv's batch."""
         mask = x > 0
-        self._mask = mask if training else None
-        if not inplace:
+        # Kept C-contiguous for backward: the gradient comes back
+        # C-contiguous or channel-major, and numpy multiplies by a mask
+        # laid out as a conv's output is on a path five times slower.
+        self._mask = np.ascontiguousarray(mask) if training else None
+        if inplace:
+            np.copyto(x, 0.0, where=~mask)
+            return x
+        if not training:
             return np.where(mask, x, 0.0)
-        np.copyto(x, 0.0, where=~mask)
-        return x
+        out = np.empty_like(x)
+        bits = np.dtype(f"u{x.itemsize}")
+        np.multiply(x.view(bits), mask, out=out.view(bits))
+        return out
 
     def backward(self, dout: np.ndarray) -> np.ndarray:
+        """``dout * mask`` into a C-contiguous :meth:`_scratch` array,
+        the layout numpy gives that product: the mask is C-contiguous,
+        and where ``dout`` is laid out otherwise (a column slice, a
+        conv's channel-major gradient) numpy resolves the conflict in C
+        order."""
         if self._mask is None:
             raise self._needs_training_forward()
-        return dout * self._mask
+        grad = self._scratch("grad", dout.shape)
+        return np.multiply(dout, self._mask, out=grad)
 
 
 class Sigmoid(Layer):
@@ -187,8 +241,15 @@ class Flatten(Layer):
     _shape: tuple[int, ...] | None = None
 
     def forward(self, x: np.ndarray, training: bool = False) -> np.ndarray:
+        """``x.reshape(len(x), -1)``.  Where that copies, a training
+        forward copies into :meth:`_scratch` instead: the same C-order
+        values, and the next layer keeps them for its backward."""
         self._shape = x.shape if training else None
-        return x.reshape(x.shape[0], -1)
+        if not training or _merges_to_view(x.shape[1:], x.strides[1:]):
+            return x.reshape(x.shape[0], -1)
+        out = self._scratch("out", (x.shape[0], math.prod(x.shape[1:])))
+        out.reshape(x.shape)[...] = x
+        return out
 
     def backward(self, dout: np.ndarray) -> np.ndarray:
         if self._shape is None:
@@ -209,8 +270,11 @@ class Conv2D(_Weighted):
 
     * **Training** (``training=True``) runs ``cols.T @ K`` and keeps
       ``cols``; backward is one GEMM for ``dW`` (against ``cols``) and
-      one GEMM back to column space followed by a col2im fold for
-      ``dx``.
+      one GEMM back to column space, written over ``cols``, followed
+      by a col2im fold for ``dx``.  Its arrays (the channel-major copy,
+      ``cols``, the forward's GEMM output, the ``dout`` copy where
+      numpy's reshape makes one, the folded gradient) come from
+      :meth:`Layer._scratch`: a fit's workspace, or new arrays.
     * **Inference** (``training=False``) runs ``K.T @ cols`` and keeps
       nothing.  These are the operands, in the same layouts, that
       numpy's ``einsum`` hands to ``matmul`` for the padded
@@ -252,8 +316,9 @@ class Conv2D(_Weighted):
     byte for byte (and the einsum oracle there to ~1e-10).
 
     :meth:`backward` needs a training-mode forward first: an inference
-    forward keeps no state to differentiate.  ``input_grad=False`` skips
-    the ``dcols`` GEMM and the fold.
+    forward keeps no state to differentiate, and a backward that
+    computes ``dx`` has used the column matrix up.  ``input_grad=False``
+    skips the ``dcols`` GEMM and the fold.
     """
 
     _backward_state = ("_cols", "_x_shape")
@@ -276,12 +341,13 @@ class Conv2D(_Weighted):
         if C != self.in_ch:
             raise ValueError(f"expected {self.in_ch} channels, got {C}")
         O = self.out_ch
-        cols = self._im2col(x)
+        cols = self._im2col(x, training)
         kernel = self.W.reshape(len(cols), O)
         if training:
             self._x_shape = x.shape
             self._cols = cols
-            out = (cols.T @ kernel).reshape(B, H, W, O)
+            out = np.matmul(cols.T, kernel, out=self._scratch("out", (B * H * W, O)))
+            out = out.reshape(B, H, W, O)
         else:
             self._cols = None
             out = (kernel.T @ cols).reshape(O, B, H, W).transpose(1, 2, 3, 0)
@@ -297,16 +363,21 @@ class Conv2D(_Weighted):
 
     # -- shifted-run im2col / col2im -------------------------------------
 
-    def _im2col(self, x: np.ndarray) -> np.ndarray:
+    def _im2col(self, x: np.ndarray, training: bool) -> np.ndarray:
         """The ``(C*k*k, B*H*W)`` column matrix of ``x``, C-contiguous,
-        rows in the ``(c, i, j)`` order of ``W.reshape(C*k*k, O)``."""
+        rows in the ``(c, i, j)`` order of ``W.reshape(C*k*k, O)``: in
+        :meth:`Layer._scratch` for a training forward, new otherwise."""
         B, C, H, W = x.shape
         k = self.kernel
         n = B * H * W
+        if training:
+            src = self._scratch("src", (C, B, H, W), transient=True)
+            cols = self._scratch("cols", (C, k * k, n))
+        else:
+            src, cols = np.empty((C, B, H, W)), np.empty((C, k * k, n))
         # The input once, channel-major.  32 images at a time: a ReLU
         # hands a training forward's x over (B, H, W, C)-ordered, and
         # transposing the whole batch at once runs out of cache.
-        src = np.empty((C, B, H, W))
         for b in range(0, B, 32):
             src[:, b : b + 32] = x[b : b + 32].transpose(1, 0, 2, 3)
         src = src.reshape(C, n)
@@ -314,7 +385,6 @@ class Conv2D(_Weighted):
         # their off-grid entries are zeroed; one copy per tap fills a
         # block.  The served model's single window is one block, a
         # training batch takes a channel per block.
-        cols = np.empty((C, k * k, n))
         step = max(1, _IM2COL_BLOCK_BYTES // max(1, cols[0].nbytes))
         taps = _tap_shifts(k, B, H, W)
         for c in range(0, C, step):
@@ -333,16 +403,27 @@ class Conv2D(_Weighted):
         k = self.kernel
         O = self.out_ch
         n = B * H * W
-        dout_mat = dout.transpose(0, 2, 3, 1).reshape(n, O)
-        self.dW[...] = (self._cols @ dout_mat).reshape(C, k, k, O)
+        cols = self._cols
+        # A copy only where numpy's reshape copies: at B = 1 the
+        # F-ordered view stays, and with it the GEMMs' operand layouts.
+        hwo = dout.transpose(0, 2, 3, 1)
+        if _merges_to_view(hwo.shape[:3], hwo.strides[:3]):
+            dout_mat = hwo.reshape(n, O)
+        else:
+            dout_mat = self._scratch("dout", (n, O), transient=True)
+            dout_mat.reshape(B, H, W, O)[...] = hwo
+        kernel = self.W.reshape(C * k * k, O)
+        np.matmul(cols, dout_mat, out=self.dW.reshape(C * k * k, O))
         self.db[...] = dout_mat.sum(axis=0)
         if not input_grad:
             return None
-        # dx: one GEMM back to column space, then fold the k*k taps
-        # back onto the input (col2im), each element's taps in (i, j)
-        # order.
-        dcols = (self.W.reshape(C * k * k, O) @ dout_mat.T).reshape(C, k * k, n)
-        dx = np.zeros((C, n), dtype=dout.dtype)
+        # dx: one GEMM back to column space, written over the column
+        # matrix (dW has read it), then fold the k*k taps back onto the
+        # input (col2im), each element's taps in (i, j) order.
+        self._cols = None
+        dcols = np.matmul(kernel, dout_mat.T, out=cols).reshape(C, k * k, n)
+        dx = self._scratch("dx", (C, n))
+        dx.fill(0.0)
         taps = _tap_shifts(k, B, H, W)
         for c in range(C):
             for run, (di, dj, s, lo, hi) in zip(dcols[c], taps):
@@ -472,18 +553,24 @@ class LSTMCell(_Weighted):
 
 class Workspace:
     """Grow-only scratch buffers, one per name, for a path that runs the
-    same shapes call after call (the decision path:
-    :meth:`repro.ml.cnn.LatencyCNN.predict_candidates` and
-    :meth:`repro.core.predictor.HybridPredictor.predict_candidates`).
+    same shapes call after call.  Two paths use one:
+
+    * the decision path (:meth:`repro.ml.cnn.LatencyCNN.predict_candidates`
+      and :meth:`repro.core.predictor.HybridPredictor.predict_candidates`),
+      whose owner keeps it out of pickles and copies (``__getstate__``)
+      and makes it again on first use (:meth:`of`);
+    * a fit's training steps: :meth:`repro.ml.network.NeuralRegressor.fit`
+      makes one when it starts, lends it to every layer, and takes it
+      back when it returns or raises.  A layer's own buffers go by
+      ``(id(layer), name)``, those all layers share by ``name``
+      (:meth:`Layer._scratch`).
 
     :meth:`get` returns a C-contiguous float64 view of the first
     ``prod(shape)`` elements of the named buffer, which grows when a call
     needs more and never shrinks.  A view still holds an earlier call's
     values, so a caller writes every element before reading it and hands
     nothing that shares its memory back to its own caller.  A workspace
-    serves one call at a time; its owner keeps it out of pickles and
-    copies (``__getstate__``) and makes it again on first use
-    (:meth:`of`).
+    serves one call at a time.
     """
 
     def __init__(self) -> None:
@@ -498,7 +585,7 @@ class Workspace:
             workspace = owner._workspace = Workspace()
         return workspace
 
-    def get(self, name: str, shape: tuple[int, ...]) -> np.ndarray:
+    def get(self, name: Hashable, shape: tuple[int, ...]) -> np.ndarray:
         size = math.prod(shape)
         buf = self._buffers.get(name)
         if buf is None or buf.size < size:
@@ -550,6 +637,14 @@ def _zero_off_grid(run: np.ndarray, H: int, W: int, di: int, dj: int) -> None:
         grid[..., :-dj] = 0.0
     elif dj > 0:
         grid[..., max(W - dj, 0) :] = 0.0
+
+
+def _merges_to_view(shape: tuple[int, ...], strides: tuple[int, ...]) -> bool:
+    """Whether numpy's reshape merges axes of these lengths and strides
+    into one axis without a copy.  Its rule: leaving out length-1 axes,
+    each axis's stride must be the next one's times its length."""
+    axes = [(n, s) for n, s in zip(shape, strides) if n != 1]
+    return all(s == n * t for (_, s), (n, t) in zip(axes, axes[1:]))
 
 
 def _sigmoid(x: np.ndarray) -> np.ndarray:

@@ -9,11 +9,13 @@ its networks.
 from __future__ import annotations
 
 import time
+from collections.abc import Iterable, Iterator
+from contextlib import contextmanager
 from dataclasses import dataclass, field
 
 import numpy as np
 
-from repro.ml.layers import Layer
+from repro.ml.layers import Layer, Workspace
 from repro.ml.losses import MSELoss
 from repro.ml.metrics import model_size_kb, rmse
 from repro.ml.optim import SGD
@@ -130,7 +132,18 @@ class NeuralRegressor:
         ``lr`` can be lowered by two orders of magnitude for fine-tuning,
         which is exactly how the paper performs incremental retraining
         (Section 5.4: initial learning rate 1e-5 = lambda/100).
+
+        The input arrays and the targets must share one non-zero length,
+        as must the validation pair, and every target must be finite: a
+        ``ValueError`` says which before any work.  The training steps
+        run in one :class:`~repro.ml.layers.Workspace` that the fit
+        makes, lends every layer and takes back (with what the last
+        training forward kept) when it returns or raises, so a fitted
+        model carries none.
         """
+        _check_fit_data(inputs, targets, "training")
+        if val_inputs is not None and val_targets is not None:
+            _check_fit_data(val_inputs, val_targets, "validation")
         loss = loss or MSELoss()
         rng = np.random.default_rng(seed)
         optimizer = SGD(
@@ -150,60 +163,61 @@ class NeuralRegressor:
         # per-epoch ``rng.permutation(n)``.
         base_order = np.arange(n)
         order = np.empty_like(base_order)
-        max_b = min(batch_size, n) if n else 0
+        max_b = min(batch_size, n)
         in_bufs = tuple(
             np.empty((max_b,) + x.shape[1:], dtype=x.dtype) for x in inputs
         )
         target_buf = np.empty((max_b,) + targets.shape[1:], dtype=targets.dtype)
 
-        for epoch in range(epochs):
-            tick = time.perf_counter()
-            order[...] = base_order
-            rng.shuffle(order)
-            epoch_loss = 0.0
-            batches = 0
-            for start in range(0, n, batch_size):
-                idx = order[start : start + batch_size]
-                m = len(idx)
-                # Gather into the reusable buffers: backward runs
-                # before the next batch overwrites them.
-                batch_in = tuple(
-                    np.take(x, idx, axis=0, out=buf[:m])
-                    for x, buf in zip(inputs, in_bufs)
-                )
-                pred = self.forward_batch(batch_in, training=True)
-                batch_loss, grad = loss(
-                    pred, np.take(targets, idx, axis=0, out=target_buf[:m])
-                )
-                self.backward_batch(grad)
-                optimizer.step()
-                epoch_loss += batch_loss
-                batches += 1
-            result.train_loss.append(epoch_loss / max(batches, 1))
-            result.epoch_time_s.append(time.perf_counter() - tick)
-            result.epochs_run = epoch + 1
-
-            if val_inputs is not None and val_targets is not None:
-                val_pred = self.predict(val_inputs)
-                val_score = rmse(val_pred, val_targets)
-                result.val_rmse.append(val_score)
-                if verbose:
-                    print(
-                        f"epoch {epoch + 1}: loss={result.train_loss[-1]:.4f} "
-                        f"val_rmse={val_score:.2f}"
+        with self._training_workspace():
+            for epoch in range(epochs):
+                tick = time.perf_counter()
+                order[...] = base_order
+                rng.shuffle(order)
+                epoch_loss = 0.0
+                batches = 0
+                for start in range(0, n, batch_size):
+                    idx = order[start : start + batch_size]
+                    m = len(idx)
+                    # Gather into the reusable buffers: backward runs
+                    # before the next batch overwrites them.
+                    batch_in = tuple(
+                        np.take(x, idx, axis=0, out=buf[:m])
+                        for x, buf in zip(inputs, in_bufs)
                     )
-                if val_score < best_val - 1e-6:
-                    best_val = val_score
-                    if best_params is None:
-                        best_params = [np.empty_like(p) for p in self.params()]
-                    for dst, p in zip(best_params, self.params()):
-                        np.copyto(dst, p)
-                    have_best = True
-                    stale = 0
-                else:
-                    stale += 1
-                    if patience and stale >= patience:
-                        break
+                    pred = self.forward_batch(batch_in, training=True)
+                    batch_loss, grad = loss(
+                        pred, np.take(targets, idx, axis=0, out=target_buf[:m])
+                    )
+                    self.backward_batch(grad)
+                    optimizer.step()
+                    epoch_loss += batch_loss
+                    batches += 1
+                result.train_loss.append(epoch_loss / batches)
+                result.epoch_time_s.append(time.perf_counter() - tick)
+                result.epochs_run = epoch + 1
+
+                if val_inputs is not None and val_targets is not None:
+                    val_pred = self.predict(val_inputs)
+                    val_score = rmse(val_pred, val_targets)
+                    result.val_rmse.append(val_score)
+                    if verbose:
+                        print(
+                            f"epoch {epoch + 1}: loss={result.train_loss[-1]:.4f} "
+                            f"val_rmse={val_score:.2f}"
+                        )
+                    if val_score < best_val - 1e-6:
+                        best_val = val_score
+                        if best_params is None:
+                            best_params = [np.empty_like(p) for p in self.params()]
+                        for dst, p in zip(best_params, self.params()):
+                            np.copyto(dst, p)
+                        have_best = True
+                        stale = 0
+                    else:
+                        stale += 1
+                        if patience and stale >= patience:
+                            break
 
         if have_best and best_params is not None:
             for p, best in zip(self.params(), best_params):
@@ -212,6 +226,45 @@ class NeuralRegressor:
         if val_inputs is not None and val_targets is not None:
             result.val_rmse_final = rmse(self.predict(val_inputs), val_targets)
         return result
+
+    @contextmanager
+    def _training_workspace(self) -> Iterator[None]:
+        """Lend every layer one new workspace for the duration of the
+        block, then take it back with each layer's training state."""
+        workspace = Workspace()
+        layers = list(_leaf_layers(vars(self).values()))
+        for layer in layers:
+            layer._workspace = workspace
+        try:
+            yield
+        finally:
+            for layer in layers:
+                layer._release()
+
+
+def _leaf_layers(items: Iterable) -> Iterator[Layer]:
+    """The layers among ``items``, those inside a :class:`Sequential`
+    (nested or not) in its place."""
+    for item in items:
+        if isinstance(item, Sequential):
+            yield from _leaf_layers(item.layers)
+        elif isinstance(item, Layer):
+            yield item
+
+
+def _check_fit_data(
+    inputs: tuple[np.ndarray, ...], targets: np.ndarray, name: str
+) -> None:
+    """Refuse a data set whose input arrays and targets do not share one
+    non-zero length, or whose targets are not all finite."""
+    lengths = [len(x) for x in inputs]
+    if not lengths or set(lengths) != {len(targets)} or not len(targets):
+        raise ValueError(
+            f"{name} inputs and targets must share one non-zero length: "
+            f"inputs {lengths}, targets {len(targets)}"
+        )
+    if not np.isfinite(targets).all():
+        raise ValueError(f"{name} targets must be finite")
 
 
 __all__ = ["Sequential", "NeuralRegressor", "FitResult"]

@@ -217,6 +217,9 @@ class TestBuildDataset:
         lost = np.isnan(ds.y_lat[:, qos.percentile_index])
         assert lost.any()
         assert (ds.y_viol[lost] == 1).all()
+        # A lost reading loses the whole row, so the cap on p99 alone
+        # leaves the CNN's fit finite targets (it refuses any other).
+        assert np.array_equal(np.isnan(ds.y_lat).any(axis=1), lost)
         capped = ds.filter_latency_below(2.4 * qos.latency_ms)
         assert not np.isnan(capped.y_lat).any()
 

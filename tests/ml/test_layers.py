@@ -400,10 +400,13 @@ def conv_case(rng, kernel, hw, batch, special):
 
 
 def run_conv(layer, x, dout):
-    """Training forward + backward: (out, cols, dx, dW, db) copies."""
+    """Training forward + backward: (out, cols, dx, dW, db) copies.  The
+    column matrix is read before ``backward``, which writes ``dcols``
+    over it."""
     out = layer.forward(x, training=True)
+    cols = layer._cols.copy()
     dx = layer.backward(dout)
-    return out, layer._cols.copy(), dx, layer.dW.copy(), layer.db.copy()
+    return out, cols, dx, layer.dW.copy(), layer.db.copy()
 
 
 def hw_id(hw):
@@ -424,6 +427,24 @@ class TestConv2DBitwise:
         with np.errstate(all="ignore"):  # inf - inf in the GEMMs
             got = run_conv(layer, x, dout)
             want = run_conv(oracle, x, dout)
+        for name, a, b in zip(("out", "cols", "dx", "dW", "db"), got, want):
+            assert_same_bytes(a, b, name)
+
+    @pytest.mark.parametrize("batch", [7, 44, 127, 256, 383])
+    @pytest.mark.parametrize("in_ch", [6, 12])
+    def test_matches_padded_oracle_at_served_shapes(self, rng, in_ch, batch):
+        """The served trunk's layers (6 and 12 channels in, 12 out, 28
+        tiers x 5 intervals) at the batches a ``train`` fit runs: 383
+        rows at batch 256 end every epoch on 127 images.  A training
+        forward run as ``W.T @ cols`` keeps every bit on two BLAS
+        threads but not on one, and only these shapes show it."""
+        layer = Conv2D(in_ch, 12, 3, rng)
+        layer.b[...] = rng.normal(0.0, 0.1, 12)
+        x = rng.normal(size=(batch, in_ch, 28, 5))
+        dout = rng.normal(size=(batch, 12, 28, 5))
+        oracle = use_padded_training(copy.deepcopy(layer))
+        got = run_conv(layer, x, dout)
+        want = run_conv(oracle, x, dout)
         for name, a, b in zip(("out", "cols", "dx", "dW", "db"), got, want):
             assert_same_bytes(a, b, name)
 

@@ -217,6 +217,50 @@ class TestFitInstrumentation:
         )
 
 
+def bad_data_cases():
+    """(training inputs, targets, validation pair, message) that ``fit``
+    must refuse before any work."""
+    inputs, y = synthetic(40)
+    x_rh, x_lh, x_rc = inputs
+    nan_y = y.copy()
+    nan_y[7, 2] = np.nan
+    inf_y = y.copy()
+    inf_y[0, 0] = np.inf
+    val = synthetic(10, seed=1)
+    return {
+        "nan-target": (inputs, nan_y, None, "finite"),
+        "inf-target": (inputs, inf_y, None, "finite"),
+        "inputs-longer": (inputs, y[:30], None, "length"),
+        "targets-longer": ((x_rh[:30], x_lh[:30], x_rc[:30]), y, None, "length"),
+        "empty": ((x_rh[:0], x_lh[:0], x_rc[:0]), y[:0], None, "non-zero"),
+        "ragged-inputs": ((x_rh, x_lh[:39], x_rc), y, None, "length"),
+        "val-ragged": (inputs, y, (val[0], val[1][:9]), "validation"),
+        "val-nan-target": (inputs, y, (val[0], np.full_like(val[1], np.nan)), "validation"),
+    }
+
+
+BAD_DATA = bad_data_cases()
+
+
+class TestFitRefusesBadData:
+    """``fit`` raises ``ValueError`` before any work when the input
+    arrays and targets (or the validation pair) do not share one
+    non-zero length, or a target is not finite: no parameter moves and
+    no layer is left holding a workspace."""
+
+    @pytest.mark.parametrize("case", BAD_DATA.values(), ids=BAD_DATA)
+    def test_refused(self, case):
+        inputs, y, val, message = case
+        model = LatencyCNN(N, T, F, M, config=SMALL, seed=0)
+        before = [p.copy() for p in model.params()]
+        val_inputs, val_y = val if val is not None else (None, None)
+        with pytest.raises(ValueError, match=message):
+            model.fit(inputs, y, val_inputs, val_y, epochs=2, batch_size=16)
+        for a, b in zip(model.params(), before):
+            assert a.tobytes() == b.tobytes()
+        assert all("_workspace" not in vars(layer) for layer in model.rh_branch.layers)
+
+
 TWO_CONV = CNNConfig(
     conv_channels=(4, 3), rh_embed=16, lh_embed=8, rc_embed=8, latent_dim=16
 )

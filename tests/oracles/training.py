@@ -131,8 +131,17 @@ def assert_same_structure(fast: BoostedTrees, ref: BoostedTrees) -> None:
 class PaddedConv2D(Conv2D):
     """Conv2D trained with the padded im2col path (bit-exact oracle).
 
-    It always computes the input gradient, whatever ``input_grad`` asks.
+    A training forward builds the padded column matrix; inference is
+    production's.  It always computes the input gradient, whatever
+    ``input_grad`` asks.
     """
+
+    def forward(self, x: np.ndarray, training: bool = False) -> np.ndarray:
+        if not training:
+            return super().forward(x)
+        if x.shape[1] != self.in_ch:
+            raise ValueError(f"expected {self.in_ch} channels, got {x.shape[1]}")
+        return self._forward_im2col(x)
 
     def backward(self, dout: np.ndarray, *, input_grad: bool = True) -> np.ndarray:
         if self._cols is None:
