@@ -172,27 +172,18 @@ class ReLU(Layer):
         self, x: np.ndarray, training: bool = False, inplace: bool = False
     ) -> np.ndarray:
         """``np.where(x > 0, x, 0.0)``, written over ``x`` itself when
-        ``inplace``.  Every entry where ``x > 0`` fails becomes +0.0, NaN
-        and -0.0 included; ``np.maximum(x, 0.0)`` would keep both.
-
-        A training forward computes it as each entry's bit pattern times
-        the mask's 1 or 0, an integer product: the entry itself or all
-        zero bits, which is +0.0.  Same bits and layout (``x``'s), in a
-        fifth of ``np.where``'s time at the served conv's batch."""
+        ``inplace``.  Either way every entry where ``x > 0`` fails
+        becomes +0.0, NaN and -0.0 included; ``np.maximum(x, 0.0)``
+        would keep both."""
         mask = x > 0
         # Kept C-contiguous for backward: the gradient comes back
         # C-contiguous or channel-major, and numpy multiplies by a mask
         # laid out as a conv's output is on a path five times slower.
         self._mask = np.ascontiguousarray(mask) if training else None
-        if inplace:
-            np.copyto(x, 0.0, where=~mask)
-            return x
-        if not training:
+        if not inplace:
             return np.where(mask, x, 0.0)
-        out = np.empty_like(x)
-        bits = np.dtype(f"u{x.itemsize}")
-        np.multiply(x.view(bits), mask, out=out.view(bits))
-        return out
+        np.copyto(x, 0.0, where=~mask)
+        return x
 
     def backward(self, dout: np.ndarray) -> np.ndarray:
         """``dout * mask`` into a C-contiguous :meth:`_scratch` array,
@@ -444,21 +435,18 @@ class LSTMCell(_Weighted):
     The input half of the gate projection is hoisted out of the
     timestep loop — one ``(B*T, D) @ (D, 4H)`` GEMM for the whole
     sequence — leaving only the ``h @ W_h`` recurrence per step; backward
-    writes the four gate gradients into one preallocated ``(B, T, 4H)``
-    buffer (no per-step ``concatenate``), accumulates ``dW_h`` per step,
-    and recovers ``dW_x`` / ``dx`` / ``db`` with single whole-sequence
-    GEMMs.  It agrees with the per-step concatenated oracle in
+    writes the four gate gradients into one ``(B, T, 4H)`` buffer (no
+    per-step ``concatenate``), accumulates ``dW_h`` per step, and
+    recovers ``dW_x`` / ``dx`` / ``db`` with single whole-sequence GEMMs.  It agrees with the per-step concatenated oracle in
     ``tests/oracles/training.py`` to float rounding (~1e-10), since a
     split GEMM sums products in a different order than the fused one.
 
-    Only a training forward keeps the sequence and fills the buffers; an
-    inference forward (validation, prediction) leaves them alone, so
-    :meth:`backward` after it raises.
+    Only a training forward keeps the sequence and fills the caches, which
+    come from :meth:`Layer._scratch`; an inference forward (validation,
+    prediction) leaves them alone, so :meth:`backward` after it raises.
     """
 
-    _backward_state = (
-        "_x", "_buf_shape", "_gate_acts", "_c_prev", "_tanh_c", "_h_prev", "_dgates",
-    )
+    _backward_state = ("_x", "_gate_acts", "_c_prev", "_tanh_c", "_h_prev")
     _x: np.ndarray | None = None
 
     def __init__(self, in_dim: int, hidden: int, rng: np.random.Generator) -> None:
@@ -470,25 +458,17 @@ class LSTMCell(_Weighted):
         self.hidden = hidden
         self.in_dim = in_dim
 
-    def _buffers(self, B: int, T: int) -> None:
-        """(Re)allocate the per-sequence caches only on a shape change."""
-        H = self.hidden
-        cached = self.__dict__.get("_buf_shape")
-        if cached == (B, T):
-            return
-        self._buf_shape = (B, T)
-        self._gate_acts = np.empty((4, B, T, H))  # i, f, o, g
-        self._c_prev = np.empty((B, T, H))
-        self._tanh_c = np.empty((B, T, H))
-        self._h_prev = np.empty((B, T, H))
-        self._dgates = np.empty((B, T, 4 * H))
-
     def forward(self, x: np.ndarray, training: bool = False) -> np.ndarray:
         B, T, D = x.shape
         H = self.hidden
         self._x = x if training else None
         if training:
-            self._buffers(B, T)
+            # Every element is written below before backward reads it.
+            # The gate activations in i, f, o, g order.
+            self._gate_acts = self._scratch("gate_acts", (4, B, T, H))
+            self._c_prev = self._scratch("c_prev", (B, T, H))
+            self._tanh_c = self._scratch("tanh_c", (B, T, H))
+            self._h_prev = self._scratch("h_prev", (B, T, H))
             ig, fg, og, gg = self._gate_acts
         # All timestep input projections in one GEMM; the recurrence
         # keeps only the (B, H) @ (H, 4H) product per step.
@@ -525,7 +505,7 @@ class LSTMCell(_Weighted):
         H = self.hidden
         W_h = self.W[D:]
         ig, fg, og, gg = self._gate_acts
-        dgates = self._dgates
+        dgates = self._scratch("dgates", (B, T, 4 * H))
         dWh = np.zeros((H, 4 * H))
         dh = dout
         dc = np.zeros((B, H))

@@ -350,7 +350,7 @@ class TestLSTMFastPath:
         np.testing.assert_allclose(db_f, db_r, atol=1e-10)
 
     def test_buffers_survive_batch_size_change(self, rng):
-        """Preallocated gate buffers re-key on (B, T) changes."""
+        """The gate caches follow (B, T) changes between training steps."""
         cell = LSTMCell(3, 4, rng)
         ref = reference_copy(cell)
         for shape in ((4, 5, 3), (2, 5, 3), (4, 3, 3), (4, 5, 3)):

@@ -5,15 +5,15 @@ lends it to every layer, and takes it back when it returns or raises.  A
 training forward and backward write their temporaries into it (the
 conv's column matrix and, over it, ``dcols``; every GEMM's output; the
 channel-major and ``dout`` copies; the folded and ReLU gradients;
-Flatten's copy) instead of fresh arrays.  Pinned here: a fit in the
-workspace gives the bits of a fit whose every buffer is a fresh
-NaN-filled array, at batch sizes that shrink and grow; no fitted,
-pickled or copied model carries the workspace or the last step's state,
-after a fit that raised too; numpy's reshape rule for the ``dout`` and
-Flatten copies; the training ReLU's integer select; and a warm training
-step at the served shapes stays within a transient-memory budget (the
-stand-in for the page faults the workspace removes, which depend on the
-host's allocator).  ``tests/ml/test_models.py::TestBitwiseTraining`` and
+Flatten's copy; an LSTM's per-sequence caches) instead of fresh arrays.
+Pinned here: a fit in the workspace gives the bits of a fit whose every
+buffer is a fresh NaN-filled array, at batch sizes that shrink and
+grow; no fitted, pickled or copied model carries the workspace or the
+last step's state, after a fit that raised too; numpy's reshape rule
+for the ``dout`` and Flatten copies; and a warm training step at the
+served shapes stays within a transient-memory budget (the stand-in for
+the page faults the workspace removes, which depend on the host's
+allocator).  ``tests/ml/test_models.py::TestBitwiseTraining`` and
 ``tests/ml/test_layers.py::TestConv2DBitwise`` hold the same fits and
 layers against the padded oracle.
 """
@@ -27,7 +27,7 @@ import numpy as np
 import pytest
 
 from repro.ml.cnn import CNNConfig, LatencyCNN
-from repro.ml.layers import ReLU, Workspace, _merges_to_view
+from repro.ml.layers import Workspace, _merges_to_view
 from repro.ml.losses import MSELoss
 from repro.ml.lstm import LatencyLSTM
 from repro.ml.mlp import LatencyMLP
@@ -201,22 +201,6 @@ def test_reshape_rule_matches_numpy():
                 view = np.shares_memory(x.reshape(shape), x)
                 merges = _merges_to_view(x.shape[start:stop], x.strides[start:stop])
                 assert merges == view, (x.shape, x.strides, start, stop)
-
-
-class TestTrainingReLU:
-    VALUES = [
-        np.nan, -np.nan, np.inf, -np.inf, 0.0, -0.0, 5e-324, -5e-324,
-        2.2250738585072014e-308, -2.2250738585072014e-308, 1.5, -1.5,
-    ]
-
-    def test_matches_where_bit_for_bit(self):
-        """The integer select gives ``np.where``'s bits, NaN and -0.0
-        included, and ``x``'s memory layout."""
-        x = np.array(self.VALUES * 2).reshape(2, 4, 3).transpose(0, 2, 1)
-        want = np.where(x > 0, x, 0.0)
-        got = ReLU().forward(x, training=True)
-        assert got.tobytes() == want.tobytes()
-        assert got.strides == want.strides
 
 
 #: Traced bytes one warm training step of the default architecture at
