@@ -57,8 +57,7 @@ def _add_jobs(parser: argparse.ArgumentParser) -> None:
         "--jobs", type=int, default=None, metavar="N",
         help="fan episodes out over N worker processes "
              "(0 = one per CPU; default: $REPRO_JOBS, else serial). "
-             "Fanned-out calls share a warm worker pool that broadcasts "
-             "the model once",
+             "Fanned-out calls share a warm worker pool",
     )
 
 

@@ -318,8 +318,7 @@ class RetrainWorker:
     When ``collect`` fans out over processes (``BoundaryCollector`` with
     ``jobs > 1``), successive retrain cycles reuse the process-wide warm
     worker pool (:mod:`repro.harness.pool`) instead of cold-starting one
-    per cycle; a promoted challenger re-broadcasts under a new content
-    fingerprint, so stale worker-side model caches cannot serve it.
+    per cycle.
     """
 
     def __init__(self, collect, config: RetrainConfig | None = None) -> None:

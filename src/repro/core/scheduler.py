@@ -172,11 +172,6 @@ class OnlineScheduler(Manager):
         model, and carrying them over would leave a freshly promoted
         model permanently untrusted.  Episode-level counters
         (``decisions``, ``prediction_trace``) are preserved.
-
-        A promoted predictor also pickles to different bytes than the
-        incumbent, so fan-out layers that broadcast models by content
-        fingerprint (:mod:`repro.harness.pool`) republish it and worker
-        caches invalidate automatically — no explicit flush needed.
         """
         self.predictor = predictor
         self.refresh_thresholds()

@@ -13,7 +13,6 @@ _EXPORTS = {
     "RunSummary": "repro.harness.parallel",
     "resolve_jobs": "repro.harness.parallel",
     "run_episodes": "repro.harness.parallel",
-    "ModelRef": "repro.harness.pool",
     "WorkerPool": "repro.harness.pool",
     "close_shared_pool": "repro.harness.pool",
     "shared_pool": "repro.harness.pool",

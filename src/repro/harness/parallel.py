@@ -10,8 +10,7 @@ shares:
 * :func:`run_episodes` executes a list of :class:`EpisodeTask` either
   inline (``jobs=1``, the default) or on a persistent warm worker pool
   (see :mod:`repro.harness.pool`) that is shared across calls within a
-  run and broadcasts heavy model payloads once instead of per task.
-  Both paths run the *same* per-episode worker function with the same
+  run.  Both paths run the *same* per-episode worker function with the same
   per-episode seeds, so results are bit-identical regardless of worker
   count; outcomes are always returned in task order.
 * A failed episode is retried once with its seed bumped by
@@ -102,13 +101,6 @@ class EpisodeOutcome:
     own log records never reach the parent, so the dispatcher re-logs
     these when the outcome arrives (see :func:`run_episodes`)."""
 
-    model_cache_hits: int = 0
-    """Broadcast payloads this episode resolved from its worker's
-    deserialized-model cache (see :mod:`repro.harness.pool`)."""
-
-    model_cache_misses: int = 0
-    """Broadcast payloads the worker had to attach + deserialize."""
-
     @property
     def ok(self) -> bool:
         """Whether the episode produced a result."""
@@ -126,13 +118,6 @@ class RunSummary:
     pool_reused: bool = False
     """Whether a warm worker pool from an earlier call served this run."""
 
-    broadcast_bytes: int = 0
-    """Bytes newly published to shared memory for this run (0 when every
-    model was already broadcast by an earlier call, or none was used)."""
-
-    broadcast_publishes: int = 0
-    model_cache_hits: int = 0
-    model_cache_misses: int = 0
     recovered_inline: int = 0
     """Tasks whose pool-level dispatch failed (worker crash, unpicklable
     payload/result) and that were re-run inline in the parent."""
@@ -280,7 +265,7 @@ def run_episodes(
     recorder:
         Optional :class:`repro.obs.Recorder`; when enabled, episode
         counts, failures, retries, durations, and the pool's
-        reuse/broadcast counters land in its metrics registry.
+        reuse/recovery counters land in its metrics registry.
         Recording happens in this (parent) process only, so it works
         identically for serial and pooled runs.
     pool:
@@ -322,10 +307,6 @@ def run_episodes(
     )
     if stats is not None:
         summary.pool_reused = stats.reused
-        summary.broadcast_bytes = stats.broadcast_bytes
-        summary.broadcast_publishes = stats.broadcast_publishes
-        summary.model_cache_hits = stats.cache_hits
-        summary.model_cache_misses = stats.cache_misses
         summary.recovered_inline = stats.recovered_inline
     logger.info("%s", summary.format())
     return summary

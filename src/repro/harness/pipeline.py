@@ -20,10 +20,10 @@ Collection fans out per-load episodes over worker processes when
 ``jobs`` is given (see :mod:`repro.harness.parallel`); the dataset is
 bit-identical to the serial run for a given seed regardless of worker
 count, because every episode is independently seeded ``seed + i``.
-Fanned-out calls share the process-wide warm pool and broadcast the
-predictor once per content fingerprint (:mod:`repro.harness.pool`), so
-the on-policy refinement rounds stop re-pickling the model per task and
-successive pipeline stages reuse live workers.
+Fanned-out calls share the process-wide warm pool
+(:mod:`repro.harness.pool`), so successive pipeline stages reuse live
+workers; each on-policy task carries the predictor as it stands when its
+refinement round starts.
 
 Budgets scale the pipeline: ``small`` for unit tests, ``medium`` for the
 benchmark suite, ``large`` for higher-fidelity runs approaching the

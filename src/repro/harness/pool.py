@@ -1,30 +1,18 @@
-"""Persistent warm worker pool with one-time model broadcast.
+"""Persistent warm worker pool for episode fan-out.
 
-Fan-out used to be the last cold path of the harness: every
-:func:`~repro.harness.parallel.run_episodes` call built a fresh
-``ProcessPoolExecutor`` and pickled the full hybrid predictor (CNN
-weights plus the compiled boosted trees — 0.86 MB for the served
-``social_network`` model at the ``medium`` budget) into *every* task payload,
-so a 64-episode sweep paid 64 model serializations plus a pool spin-up
-per call site.  This module gives all five call sites
-(``pipeline.sweep_loads``-style sweeps, collection, on-policy
-refinement, resilience grids, and the CLI sweep) one shared
-serialize-once/execute-many substrate — the same shape parameter-server
-and inference-serving stacks use for weight broadcast:
+Every :func:`~repro.harness.parallel.run_episodes` call that fans out
+runs here.  All five call sites (``sweep_loads``-style sweeps,
+collection, on-policy refinement, resilience grids, and the CLI sweep)
+share one pool:
 
 * :class:`WorkerPool` — a lazily created pool of worker processes that
   survives across calls.  :func:`shared_pool` keeps one process-wide
   instance warm; ``run_episodes`` reuses it by default, so successive
-  sweeps skip the spin-up and the workers keep their deserialized
-  models.
-* **One-time model broadcast** — a predictor appearing in task kwargs
-  is pickled once, published to ``multiprocessing.shared_memory`` keyed
-  by a content fingerprint (sha256 of the pickle), and replaced in the
-  submitted payload by a slim :class:`ModelRef`.  Each worker keeps a
-  small fingerprint-keyed cache of deserialized predictors, so N tasks
-  x heavy pickle becomes 1 publish + at most 1 deserialize per worker.
-  A promoted challenger (``adopt_predictor``) pickles to different
-  bytes, so its fingerprint changes and caches invalidate naturally.
+  sweeps skip the spin-up.
+* **Per-task payloads** — a task's kwargs, predictor included, travel
+  as the executor pickles them, so every task sees its model as it is
+  when the run is submitted: a new object, or one retrained in place
+  between two runs on the warm pool.
 * **Longest-expected-first scheduling** — tasks are submitted in
   descending expected-cost order (decision intervals x load when the
   kwargs carry them, submission order otherwise) to cut tail idle on
@@ -32,34 +20,23 @@ and inference-serving stacks use for weight broadcast:
   per worker are in flight.  Outcomes still come back in task order,
   and ordering never changes results — episodes are independent and
   individually seeded.
-* **Guaranteed cleanup** — the parent owns every shared-memory segment
-  and unlinks them on :meth:`WorkerPool.close`, via a ``weakref``
-  finalizer (which also runs at interpreter exit), and when a broken
-  pool is replaced.  Workers only ever attach and read, so a worker
-  crash cannot leak ``/dev/shm`` segments; a task lost to a crash (or
-  an unpicklable payload/result) is recovered by re-running it inline
-  in the parent with measured timing and a consistent attempt count.
+* **Inline recovery** — a task lost to a worker crash (or an
+  unpicklable payload/result) is re-run inline in the parent with
+  measured timing and a consistent attempt count, and a broken executor
+  is replaced on the next run.
 
-Results are bit-identical to ``jobs=1``: broadcast only moves the
-*same* pickle bytes through shared memory instead of the task queue,
-and the worker deserializes them exactly as it would a per-task
-payload.
+Results are bit-identical to ``jobs=1``: a worker unpickles the same
+kwargs and runs the same ``_run_task`` the serial path runs.
 """
 
 from __future__ import annotations
 
-import contextlib
-import hashlib
 import logging
-import pickle
 import threading
 import time
-import weakref
-from collections import OrderedDict
 from concurrent.futures import FIRST_COMPLETED, ProcessPoolExecutor, wait
 from concurrent.futures.process import BrokenProcessPool
-from dataclasses import dataclass, replace
-from multiprocessing import shared_memory
+from dataclasses import dataclass
 
 from repro.harness.parallel import (
     EpisodeOutcome,
@@ -72,76 +49,6 @@ from repro.harness.parallel import (
 )
 
 logger = logging.getLogger(__name__)
-
-#: Deserialized models kept per worker process, keyed by fingerprint.
-#: Small on purpose: a run touches one or two predictors (incumbent and
-#: a promoted challenger), and each can be several hundred MB-seconds
-#: of deserialization work worth keeping.
-MODEL_CACHE_LIMIT = 4
-
-
-@dataclass(frozen=True)
-class ModelRef:
-    """Slim stand-in for a broadcast model in a task payload.
-
-    Carries everything a worker needs to resolve the real object: the
-    content fingerprint (cache key), the shared-memory segment name,
-    and the payload length (segments may be page-rounded).
-    """
-
-    fingerprint: str
-    shm_name: str
-    n_bytes: int
-
-
-# -- worker side -------------------------------------------------------
-
-_model_cache: OrderedDict[str, object] = OrderedDict()
-
-
-def _resolve_ref(ref: ModelRef) -> tuple[object, bool]:
-    """Fetch a broadcast model in a worker: cache hit or attach+load.
-
-    Attach-and-load happens at most once per (worker, fingerprint); the
-    segment is closed immediately after the bytes are copied out, and
-    never unlinked — the parent owns the segment's lifetime.
-    """
-    cached = _model_cache.get(ref.fingerprint)
-    if cached is not None:
-        _model_cache.move_to_end(ref.fingerprint)
-        return cached, True
-    shm = shared_memory.SharedMemory(name=ref.shm_name)
-    try:
-        obj = pickle.loads(bytes(shm.buf[: ref.n_bytes]))
-    finally:
-        shm.close()
-    _model_cache[ref.fingerprint] = obj
-    while len(_model_cache) > MODEL_CACHE_LIMIT:
-        _model_cache.popitem(last=False)
-    return obj, False
-
-
-def _run_pool_task(task: EpisodeTask, retries: int) -> EpisodeOutcome:
-    """Worker entry point: resolve :class:`ModelRef` kwargs, then run.
-
-    Module-level so the pool can pickle it by reference; wraps the same
-    ``_run_task`` the serial path uses, so results are bit-identical.
-    """
-    resolved: dict[str, object] = {}
-    hits = misses = 0
-    for key, value in task.kwargs.items():
-        if isinstance(value, ModelRef):
-            obj, hit = _resolve_ref(value)
-            resolved[key] = obj
-            hits += int(hit)
-            misses += int(not hit)
-    if resolved:
-        task = replace(task, kwargs={**task.kwargs, **resolved})
-    outcome = _run_task(task, retries=retries)
-    outcome.model_cache_hits = hits
-    outcome.model_cache_misses = misses
-    return outcome
-
 
 # -- scheduling --------------------------------------------------------
 
@@ -183,7 +90,7 @@ def _schedule(tasks: list[EpisodeTask]) -> list[int]:
     )
 
 
-# -- parent side -------------------------------------------------------
+# -- the pool ----------------------------------------------------------
 
 
 @dataclass
@@ -191,36 +98,18 @@ class PoolRunStats:
     """Per-run pool accounting, surfaced on the ``RunSummary``."""
 
     reused: bool = False
-    broadcast_bytes: int = 0
-    broadcast_publishes: int = 0
-    cache_hits: int = 0
-    cache_misses: int = 0
     recovered_inline: int = 0
 
 
-def _cleanup_store(store: dict) -> None:
-    """Unlink every owned shared-memory segment (idempotent).
-
-    Used by :meth:`WorkerPool.close`, by the pool's ``weakref``
-    finalizer (GC'd pools), and — because finalizers run at interpreter
-    shutdown — as the atexit guarantee that no ``/dev/shm`` segment
-    outlives the process on a normal exit.
-    """
-    while store:
-        _, (shm, _) = store.popitem()
-        with contextlib.suppress(Exception):
-            shm.close()
-        with contextlib.suppress(Exception):
-            shm.unlink()
-
-
 class WorkerPool:
-    """A reusable process pool with shared-memory model broadcast.
+    """A reusable process pool for independent episode tasks.
 
     Context-managed (``with WorkerPool(...) as pool``) or long-lived
     via :func:`shared_pool`.  Thread-safe for concurrent ``run`` calls
     (the continuous-learning retrain worker may fan out from a thread
-    while the main thread sweeps).
+    while the main thread sweeps): creating, replacing and closing the
+    executor happen under one lock, so concurrent runs share one set of
+    workers.
 
     Parameters
     ----------
@@ -233,8 +122,6 @@ class WorkerPool:
         self.n_jobs = max(1, resolve_jobs(jobs))
         self._mp_context = mp_context or _mp_context()
         self._executor: ProcessPoolExecutor | None = None
-        self._store: dict[str, tuple[shared_memory.SharedMemory, int]] = {}
-        self._fingerprints: weakref.WeakKeyDictionary = weakref.WeakKeyDictionary()
         self._lock = threading.Lock()
         self._broken = False
         self._closed = False
@@ -242,7 +129,6 @@ class WorkerPool:
         """Completed :meth:`run` calls (the pool-reuse counter)."""
         self.worker_spinups = 0
         """Times a fresh executor was created (1 = never recycled)."""
-        self._finalizer = weakref.finalize(self, _cleanup_store, self._store)
 
     # -- lifecycle -----------------------------------------------------
 
@@ -251,88 +137,35 @@ class WorkerPool:
         return self._closed
 
     def _ensure_executor(self) -> ProcessPoolExecutor:
-        if self._closed:
-            raise RuntimeError("WorkerPool is closed")
-        if self._broken and self._executor is not None:
-            self._executor.shutdown(wait=False, cancel_futures=True)
-            self._executor = None
-            self._broken = False
-        if self._executor is None:
-            self._executor = ProcessPoolExecutor(
-                max_workers=self.n_jobs, mp_context=self._mp_context
-            )
-            self.worker_spinups += 1
-        return self._executor
+        with self._lock:
+            if self._closed:
+                raise RuntimeError("WorkerPool is closed")
+            if self._broken and self._executor is not None:
+                self._executor.shutdown(wait=False, cancel_futures=True)
+                self._executor = None
+                self._broken = False
+            if self._executor is None:
+                self._executor = ProcessPoolExecutor(
+                    max_workers=self.n_jobs, mp_context=self._mp_context
+                )
+                self.worker_spinups += 1
+            return self._executor
 
     def close(self) -> None:
-        """Shut workers down and unlink every shared-memory segment."""
-        if self._closed:
-            return
-        self._closed = True
-        if self._executor is not None:
-            self._executor.shutdown(wait=True, cancel_futures=True)
-            self._executor = None
-        _cleanup_store(self._store)
+        """Shut the workers down; later ``run`` calls raise."""
+        with self._lock:
+            if self._closed:
+                return
+            self._closed = True
+            if self._executor is not None:
+                self._executor.shutdown(wait=True, cancel_futures=True)
+                self._executor = None
 
     def __enter__(self) -> "WorkerPool":
         return self
 
     def __exit__(self, *exc_info) -> None:
         self.close()
-
-    # -- broadcast -----------------------------------------------------
-
-    def broadcast(self, obj) -> tuple[ModelRef, int]:
-        """Publish ``obj`` to shared memory (once per content).
-
-        Returns the :class:`ModelRef` and the number of *newly*
-        published bytes (0 when the fingerprint was already live).  The
-        fingerprint is the sha256 of the pickle, so a model mutated or
-        replaced between calls republishes under a new key and worker
-        caches miss exactly when they must.
-        """
-        with self._lock:
-            if self._closed:
-                raise RuntimeError("WorkerPool is closed")
-            payload: bytes | None = None
-            try:
-                fingerprint = self._fingerprints.get(obj)
-            except TypeError:  # unhashable / non-weakrefable object
-                fingerprint = None
-            if fingerprint is None or fingerprint not in self._store:
-                payload = pickle.dumps(obj, protocol=pickle.HIGHEST_PROTOCOL)
-                fingerprint = hashlib.sha256(payload).hexdigest()
-                with contextlib.suppress(TypeError):
-                    self._fingerprints[obj] = fingerprint
-            entry = self._store.get(fingerprint)
-            if entry is not None:
-                shm, n_bytes = entry
-                return ModelRef(fingerprint, shm.name, n_bytes), 0
-            shm = shared_memory.SharedMemory(
-                create=True, size=max(len(payload), 1)
-            )
-            shm.buf[: len(payload)] = payload
-            self._store[fingerprint] = (shm, len(payload))
-            logger.info(
-                "broadcast %s: %.1f MB -> %s",
-                type(obj).__name__, len(payload) / 1e6, shm.name,
-            )
-            return ModelRef(fingerprint, shm.name, len(payload)), len(payload)
-
-    def _slim_task(
-        self, task: EpisodeTask, stats: PoolRunStats
-    ) -> EpisodeTask:
-        """Replace broadcastable kwargs with :class:`ModelRef` stubs."""
-        slim: dict[str, object] = {}
-        for key, value in task.kwargs.items():
-            if _broadcastable(key, value):
-                ref, new_bytes = self.broadcast(value)
-                slim[key] = ref
-                stats.broadcast_bytes += new_bytes
-                stats.broadcast_publishes += int(new_bytes > 0)
-        if not slim:
-            return task
-        return replace(task, kwargs={**task.kwargs, **slim})
 
     # -- execution -----------------------------------------------------
 
@@ -350,9 +183,9 @@ class WorkerPool:
         (a warm pool sized for a big sweep can serve a small one
         without recreating workers).  A pool-level dispatch failure —
         worker crash, unpicklable payload or result — is retried inline
-        in the parent with the original (un-slimmed) kwargs: infra
-        failures are not simulation crashes, so the seed is *not*
-        bumped and a recovered result is the canonical one.
+        in the parent with the task's own kwargs: infra failures are not
+        simulation crashes, so the seed is *not* bumped and a recovered
+        result is the canonical one.
         """
         stats = PoolRunStats(reused=self.runs > 0 and self._executor is not None)
         if not tasks:
@@ -360,7 +193,6 @@ class WorkerPool:
         limit = max(1, min(n_jobs or self.n_jobs, self.n_jobs))
         record = recorder is not None and recorder.enabled
         executor = self._ensure_executor()
-        prepared = [self._slim_task(task, stats) for task in tasks]
         order = _schedule(tasks)
         # Chunked submission: a small buffer of queued futures keeps the
         # feeder busy without flooding the call queue with payloads; when
@@ -386,15 +218,13 @@ class WorkerPool:
                     ))
                     finish(outcomes[-1])
                     continue
-                future = executor.submit(_run_pool_task, prepared[idx], retries)
+                future = executor.submit(_run_task, tasks[idx], retries)
                 pending[future] = (idx, time.perf_counter())
 
         def finish(outcome: EpisodeOutcome) -> None:
             nonlocal done_count
             done_count += 1
             _emit_warnings(outcome)
-            stats.cache_hits += outcome.model_cache_hits
-            stats.cache_misses += outcome.model_cache_misses
             if record:
                 _record_outcome(recorder, outcome)
             if progress is not None:
@@ -423,7 +253,8 @@ class WorkerPool:
             submit_ready()
 
         outcomes.sort(key=lambda o: o.index)
-        self.runs += 1
+        with self._lock:
+            self.runs += 1
         if record:
             self._record_pool_metrics(recorder, stats)
         return outcomes, stats
@@ -461,42 +292,10 @@ class WorkerPool:
         recorder.counter("harness_pool_runs_total")
         if stats.reused:
             recorder.counter("harness_pool_reuse_total")
-        if stats.broadcast_publishes:
-            recorder.counter(
-                "harness_broadcast_publishes_total",
-                float(stats.broadcast_publishes),
-            )
-            recorder.counter(
-                "harness_broadcast_bytes_total", float(stats.broadcast_bytes)
-            )
-        if stats.cache_hits:
-            recorder.counter(
-                "harness_model_cache_hits_total", float(stats.cache_hits)
-            )
-        if stats.cache_misses:
-            recorder.counter(
-                "harness_model_cache_misses_total", float(stats.cache_misses)
-            )
         if stats.recovered_inline:
             recorder.counter(
                 "harness_pool_recoveries_total", float(stats.recovered_inline)
             )
-
-
-def _broadcastable(key: str, value) -> bool:
-    """Whether a task kwarg should travel via shared-memory broadcast.
-
-    Anything bound to the conventional ``predictor=`` kwarg plus any
-    :class:`~repro.core.predictor.HybridPredictor` under another name.
-    ``None`` predictors (non-sinan managers) stay inline.
-    """
-    if value is None or isinstance(value, ModelRef):
-        return False
-    if key == "predictor":
-        return True
-    from repro.core.predictor import HybridPredictor
-
-    return isinstance(value, HybridPredictor)
 
 
 # -- the process-wide shared pool --------------------------------------
@@ -511,7 +310,8 @@ def shared_pool(jobs: int | None = None) -> WorkerPool:
     Reused as long as the existing pool is open and at least as large
     as the request (``run`` caps per-call concurrency, so a larger pool
     can serve a smaller request exactly); a bigger request replaces it.
-    Closed automatically at interpreter exit via the pool's finalizer.
+    At interpreter exit ``concurrent.futures``' own exit hook joins its
+    workers.
     """
     global _shared
     n_jobs = max(1, resolve_jobs(jobs if jobs is not None else 0))
@@ -529,7 +329,7 @@ def shared_pool(jobs: int | None = None) -> WorkerPool:
 
 
 def close_shared_pool() -> None:
-    """Tear down the shared warm pool (workers + shared memory)."""
+    """Tear down the shared warm pool's workers."""
     global _shared
     with _shared_lock:
         if _shared is not None:
@@ -538,8 +338,6 @@ def close_shared_pool() -> None:
 
 
 __all__ = [
-    "MODEL_CACHE_LIMIT",
-    "ModelRef",
     "PoolRunStats",
     "WorkerPool",
     "shared_pool",

@@ -16,9 +16,8 @@ a fault-injected episode and measures, against ground-truth telemetry:
 parallel episode harness and :func:`format_resilience_report` renders
 the resulting table.  Results are bit-identical for a fixed seed
 regardless of ``jobs``.  Fanned-out grids run on the process-wide warm
-pool (:mod:`repro.harness.pool`): the sinan cells' predictor is
-broadcast once via shared memory instead of being pickled into every
-(profile x manager) task, and repeated sweeps reuse live workers.
+pool (:mod:`repro.harness.pool`), so repeated sweeps reuse live
+workers.
 """
 
 from __future__ import annotations
@@ -29,6 +28,7 @@ import numpy as np
 
 from repro.core.manager import Manager
 from repro.core.qos import QoSTarget
+from repro.harness.experiment import run_episode
 from repro.harness.parallel import EpisodeTask, run_episodes
 from repro.harness.reporting import format_table
 from repro.sim.cluster import ClusterSimulator
@@ -124,26 +124,20 @@ def run_resilience_episode(
 ) -> ResilienceResult:
     """Run one fault-injected episode and collect resilience metrics.
 
-    Works for fault-free clusters too (``n_faults`` is then 0), so the
-    same scorer can baseline a manager with and without faults.
+    The episode itself is :func:`~repro.harness.experiment.run_episode`,
+    which also scores QoS and CPU; faults are scored here from its
+    ground-truth telemetry.  Works for fault-free clusters too
+    (``n_faults`` is then 0), so the same scorer can baseline a manager
+    with and without faults.
 
     ``recorder`` attaches a :class:`repro.obs.Recorder` for the episode
     (default off; the episode is then bitwise-identical).
     """
-    if duration <= warmup:
-        raise ValueError("duration must exceed warmup")
-    if recorder is not None:
-        from repro.obs.recorder import attach_recorder
-
-        attach_recorder(recorder, manager=manager, cluster=cluster)
-    manager.reset()
-    for _ in range(duration):
-        alloc = manager.decide(cluster.observed)
-        cluster.step(alloc)
-
-    log = cluster.telemetry  # ground truth, never the corrupted view
+    episode = run_episode(
+        manager, cluster, duration, qos, warmup=warmup, recorder=recorder
+    )
+    log = episode.telemetry  # ground truth, never the corrupted view
     p99 = np.array([qos.latency_of(s) for s in log])
-    total_cpu = log.total_cpu_series()
     injector = cluster.faults
 
     recovery_times: list[float] = []
@@ -161,14 +155,14 @@ def run_resilience_episode(
             )
 
     return ResilienceResult(
-        manager_name=manager.name,
+        manager_name=episode.manager_name,
         profile=profile_name or (injector.profile.name if injector else "none"),
-        users=cluster.workload.pattern.users(0.0),
-        qos_ms=qos.latency_ms,
+        users=episode.users,
+        qos_ms=episode.qos_ms,
         duration=duration,
-        qos_fraction=float(np.mean(p99[warmup:] <= qos.latency_ms)),
-        mean_total_cpu=float(total_cpu[warmup:].mean()),
-        max_total_cpu=float(total_cpu[warmup:].max()),
+        qos_fraction=episode.qos_fraction,
+        mean_total_cpu=episode.mean_total_cpu,
+        max_total_cpu=episode.max_total_cpu,
         n_faults=n_faults,
         recovery_times=recovery_times,
         mispredictions=getattr(manager, "mispredictions", None),

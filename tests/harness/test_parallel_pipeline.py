@@ -1,8 +1,9 @@
 """Pipeline-level fan-out: parallel collection/training/sweeps produce
 exactly the serial results (same seeds, independent episodes)."""
 
+import dataclasses
+
 import numpy as np
-import pytest
 
 from repro.apps import hotel_reservation
 from repro.baselines.autoscale import AutoScale
@@ -23,12 +24,11 @@ def test_collect_training_data_parallel_identical(monkeypatch):
         np.testing.assert_array_equal(getattr(serial, name), getattr(fanned, name))
 
 
-def test_trained_predictor_identical_across_jobs(tmp_path, monkeypatch):
-    """End to end: fanned-out collection (including the on-policy
-    refinement round) trains the same model as the serial pipeline."""
+def _assert_trained_identical_across_jobs(tmp_path, monkeypatch,
+                                          refine_rounds):
     monkeypatch.setenv("REPRO_CACHE_DIR", str(tmp_path))
     tiny = Budget("tiny", collection_loads=2, seconds_per_load=20, epochs=2,
-                  batch_size=32, refine_rounds=1)
+                  batch_size=32, refine_rounds=refine_rounds)
     pl._memory_cache.clear()
     serial = pl.get_trained_predictor("hotel_reservation", tiny, seed=2,
                                       use_cache=False)
@@ -37,6 +37,20 @@ def test_trained_predictor_identical_across_jobs(tmp_path, monkeypatch):
     pl._memory_cache.clear()
     for a, b in zip(serial.cnn.params(), fanned.cnn.params()):
         np.testing.assert_array_equal(a, b)
+
+
+def test_trained_predictor_identical_across_jobs(tmp_path, monkeypatch):
+    """End to end: fanned-out collection (including the on-policy
+    refinement round) trains the same model as the serial pipeline."""
+    _assert_trained_identical_across_jobs(tmp_path, monkeypatch, 1)
+
+
+def test_trained_predictor_identical_across_jobs_two_refine_rounds(
+        tmp_path, monkeypatch):
+    """The second refinement round collects under the predictor the
+    first round retrained in place: its pooled episodes must see the
+    retrained weights, as the serial ones do."""
+    _assert_trained_identical_across_jobs(tmp_path, monkeypatch, 2)
 
 
 def _tiny_autoscale():
@@ -59,6 +73,12 @@ def test_sweep_loads_parallel_matches_serial():
     fanned = sweep_loads(**kwargs, jobs=2)
     assert [r.users for r in fanned] == [50, 100, 150]
     for a, b in zip(serial, fanned):
-        assert a.mean_total_cpu == pytest.approx(b.mean_total_cpu)
-        assert a.max_total_cpu == pytest.approx(b.max_total_cpu)
-        assert a.qos_fraction == pytest.approx(b.qos_fraction)
+        assert a.mean_total_cpu == b.mean_total_cpu
+        assert a.max_total_cpu == b.max_total_cpu
+        assert a.qos_fraction == b.qos_fraction
+        assert len(a.telemetry) == len(b.telemetry)
+        for x, y in zip(a.telemetry, b.telemetry):
+            for field in dataclasses.fields(x):
+                np.testing.assert_array_equal(
+                    getattr(x, field.name), getattr(y, field.name)
+                )

@@ -150,9 +150,9 @@ class TestSweepResilience:
             assert a.dropped_intervals == b.dropped_intervals
 
     def test_broadcast_model_under_chaos_matches_serial(self):
-        """Sinan cells ship their predictor to the warm pool by shared-
-        memory broadcast; under the chaos profile the pooled cells must
-        equal the serial ones field for field."""
+        """Sinan cells carry their predictor in each pooled task; under
+        the chaos profile the pooled cells must equal the serial ones
+        field for field."""
         predictor = make_synthetic_predictor(
             BenchConfig(n_trees=20, tree_depth=3)
         )
