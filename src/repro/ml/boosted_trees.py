@@ -52,6 +52,7 @@ so both stay until a model-quality gate can judge the change.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
 
@@ -113,6 +114,36 @@ class _CompiledEnsemble:
     value: np.ndarray  # (n_nodes,) float64
     roots: np.ndarray  # (n_trees,) intp
     max_depth: int
+
+    @cached_property
+    def n_columns(self) -> int:
+        """Feature columns a row needs: one past the last split column
+        (none when every tree is a single leaf)."""
+        return int(self.feature.max()) + 1 if self.max_depth else 0
+
+    def kernel_args(self, ffi) -> tuple:
+        """The ensemble's leading ``sinan_tree_margin`` arguments, with
+        ``ffi`` buffers over the arrays, made once per ``ffi``."""
+        cached = self.__dict__.get("_kernel_args")
+        if cached is None or cached[0] is not ffi:
+            args = (
+                len(self.roots), self.max_depth,
+                *(ffi.from_buffer(f"{ctype}[]", a) for ctype, a in (
+                    ("intptr_t", self.roots), ("intptr_t", self.feature),
+                    ("double", self.threshold), ("intptr_t", self.children),
+                    ("double", self.value),
+                )),
+            )
+            cached = self.__dict__["_kernel_args"] = (ffi, args)
+        return cached[1]
+
+    def __getstate__(self) -> dict:
+        # What predict_margin derives from the arrays on first use is
+        # never pickled or copied: a stored ensemble is its arrays.
+        state = dict(self.__dict__)
+        state.pop("_kernel_args", None)
+        state.pop("n_columns", None)
+        return state
 
 
 def _compile_trees(trees: list[_Node]) -> _CompiledEnsemble | None:
@@ -525,28 +556,20 @@ class BoostedTrees:
         compiled = self._compiled
         if compiled is None:
             return margin
-        if compiled.max_depth and d <= compiled.feature.max():
+        if d < compiled.n_columns:
             raise ValueError(
                 f"X has {d} feature columns; the trees split on column "
-                f"{compiled.feature.max()}"
+                f"{compiled.n_columns - 1}"
             )
         kernel = _ckernel.load_kernel()
         if kernel is None:
             _descend_numpy(compiled, X, margin)
         else:
             ffi, lib = kernel
-
-            def buf(ctype: str, a: np.ndarray):
-                return ffi.from_buffer(f"{ctype}[]", a)
-
             lib.sinan_tree_margin(
-                len(compiled.roots), compiled.max_depth,
-                buf("intptr_t", compiled.roots),
-                buf("intptr_t", compiled.feature),
-                buf("double", compiled.threshold),
-                buf("intptr_t", compiled.children),
-                buf("double", compiled.value),
-                n, d, buf("double", X), buf("double", margin),
+                *compiled.kernel_args(ffi), n, d,
+                ffi.from_buffer("double[]", X),
+                ffi.from_buffer("double[]", margin),
             )
         return margin
 
@@ -722,7 +745,14 @@ def _descend_numpy(
 
 
 def _sigmoid(x: np.ndarray) -> np.ndarray:
-    return 1.0 / (1.0 + np.exp(-np.clip(x, -60.0, 60.0)))
+    """``1.0 / (1.0 + np.exp(-np.clip(x, -60.0, 60.0)))``, each step
+    written over the clipped copy: the same ufuncs on the same operands,
+    so the same bits, in one new array."""
+    out = np.clip(x, -60.0, 60.0)
+    np.negative(out, out=out)
+    np.exp(out, out=out)
+    np.add(1.0, out, out=out)
+    return np.divide(1.0, out, out=out)
 
 
 def _logit(p: float) -> float:

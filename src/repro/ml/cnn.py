@@ -38,13 +38,13 @@ promises:
   small-matrix kernel) and anything larger (its blocked GEMM).  The last
   two differ only when K exceeds the GEMM's K block of 384.  Every row
   of one product has the same bits, at one thread or two.  So the block
-  holds ``m = min(B, max(2, ceil(2**21 / (K*N))))`` copies.  It is never
-  a single row.  When it is smaller than the batch it does at least
-  ``2**21`` multiply-adds, past the small-matrix kernel's ``10**6``, so
-  it and the B-row product are both blocked GEMMs; otherwise it is the
-  batch.  That is 27 rows at the served 1680 x 48 trunk Dense.  A fixed
-  block does not do: 32 rows at 8 tiers (K = 480) is a small-matrix
-  product, and every batch of 44 or more is not.
+  holds ``m = min(B, max(2, ceil((10**6 + 1) / (K*N))))`` copies.  It is
+  never a single row.  When it is smaller than the batch it does more
+  than the small-matrix kernel's ``10**6`` multiply-adds, the fewest
+  that do, so it and the B-row product are both blocked GEMMs;
+  otherwise it is the batch.  That is 13 rows at the served 1680 x 48
+  trunk Dense.  A fixed block does not do: 32 rows at 8 tiers (K = 480)
+  is a small-matrix product, and every batch of 44 or more is not.
 
 ``tests/ml/test_layers.py`` pins both facts at the served shapes, and
 ``tests/ml/test_models.py`` the whole model at 4 to 28 tiers.
@@ -79,16 +79,19 @@ from repro.ml.network import NeuralRegressor, Sequential
 
 #: Multiply-adds in the block of identical rows that
 #: :meth:`LatencyCNN.predict_candidates` runs through a candidate-invariant
-#: dense layer.  A product this large takes the BLAS path that the full
-#: candidate batch's product takes (see the module docstring).
-_SHARED_BLOCK_MACS = 1 << 21
+#: dense layer: the smallest product past OpenBLAS's small-matrix bound
+#: of ``10**6``, which takes the BLAS path that the full candidate
+#: batch's product takes (see the module docstring).
+_SHARED_BLOCK_MACS = 10**6 + 1
 
 
 def _shared_block_rows(batch: int, dense: Dense) -> int:
     """Rows of the block that stands in for ``batch`` identical rows
     through ``dense``: at least two (one row is a matrix-vector
     product, with other bits) and enough for ``_SHARED_BLOCK_MACS``,
-    but never more than the batch."""
+    but never more than the batch.  At the trunk Dense (``60 * tiers``
+    in, 48 out) that is 13 rows at 27 and 28 tiers, 21 at 17 and 44 at
+    8."""
     k, n = dense.W.shape
     return min(batch, max(2, -(-_SHARED_BLOCK_MACS // (k * n))))
 

@@ -3,8 +3,8 @@
 Minimal but complete: every layer implements ``forward``/``backward``
 and exposes parameter/gradient pairs for the optimizers in
 :mod:`repro.ml.optim`.  Convolution uses im2col so the heavy lifting is
-a single matrix multiply; the column matrix is built from, and folded
-back into, shifted contiguous runs of a channel-major copy of the input.
+a single matrix multiply; the column matrix is built, and folded back,
+in one compiled-kernel call each (numpy shifted runs without a kernel).
 
 ``backward(dout, input_grad=False)`` on a layer with parameters fills
 its parameter gradients and skips the gradient with respect to its
@@ -33,6 +33,8 @@ import math
 from collections.abc import Hashable
 
 import numpy as np
+
+from repro.sim import _ckernel
 
 
 class Layer:
@@ -293,23 +295,29 @@ class Conv2D(_Weighted):
       between one thread and two.  Decisions are bitwise for one
       thread count, not across thread counts.
 
-    Both folds work on shifted runs.  With the input copied channel-major
-    to ``(C, B*H*W)``, the kernel tap ``(di, dj)`` (offsets from the
-    centre) reads row ``c`` shifted by ``s = di*W + dj``: one contiguous
-    copy per block of channels fills the tap's rows of the column
-    matrix.  The entries whose source ``(h+di, w+dj)`` falls off the
-    grid — exactly those the shift pulled from a neighbouring row or
-    image — are then set to 0.0, the value "same" padding supplies, so
-    ``cols`` holds the padded windows' values.  col2im zeroes the same
-    entries of each ``dcols`` tap (their gradient belongs to the
-    padding) and adds the tap's run, shifted back, into a zeroed
-    ``(C, B*H*W)`` gradient, taps in ``(i, j)`` order.  Every input
-    gradient is the padded scatter-add's sequence of sums plus extra
-    ``+0.0`` terms, which are exact no-ops (a sum started at +0.0 never
-    becomes -0.0), and the three GEMMs see the same operands, in the
-    same layouts, as the padded version, so training outputs and
-    gradients match the padded oracle in ``tests/oracles/training.py``
-    byte for byte (and the einsum oracle there to ~1e-10).
+    Both folds are one call each into the compiled kernel
+    (:mod:`repro.sim._ckernel`).  ``sinan_im2col`` fills ``cols`` with
+    the padded windows' values by copies and +0.0 alone, reading ``x``
+    in place (C-contiguous, or a ReLU's ``(B, H, W, C)``-ordered
+    output).  ``sinan_col2im`` starts each input gradient at +0.0 and
+    adds its on-grid taps in ``(i, j)`` order: the padded scatter-add's
+    sums.  Without a kernel both run on numpy shifted runs.  With the
+    input copied channel-major to ``(C, B*H*W)``, the kernel tap ``(di,
+    dj)`` (offsets from the centre) reads row ``c`` shifted by ``s =
+    di*W + dj``: one contiguous copy per block of channels fills the
+    tap's rows of the column matrix.  The entries whose source ``(h+di,
+    w+dj)`` falls off the grid — exactly those the shift pulled from a
+    neighbouring row or image — are then set to 0.0, the value "same"
+    padding supplies.  col2im zeroes the same entries of each ``dcols``
+    tap (their gradient belongs to the padding) and adds the tap's run,
+    shifted back, into a zeroed ``(C, B*H*W)`` gradient, taps in ``(i,
+    j)`` order: the padded scatter-add's sums plus extra ``+0.0``
+    terms, which are exact no-ops (a sum started at +0.0 never becomes
+    -0.0).  So both backends give the same bits, and the three GEMMs see
+    the same operands, in the same layouts, as the padded version:
+    training outputs and gradients match the padded oracle in
+    ``tests/oracles/training.py`` byte for byte (and the einsum oracle
+    there to ~1e-10).
 
     :meth:`backward` needs a training-mode forward first: an inference
     forward keeps no state to differentiate, and a backward that
@@ -357,7 +365,7 @@ class Conv2D(_Weighted):
             raise self._needs_training_forward()
         return self._backward_im2col(dout, input_grad)
 
-    # -- shifted-run im2col / col2im -------------------------------------
+    # -- im2col / col2im ---------------------------------------------------
 
     def _im2col(self, x: np.ndarray, training: bool) -> np.ndarray:
         """The ``(C*k*k, B*H*W)`` column matrix of ``x``, C-contiguous,
@@ -367,10 +375,34 @@ class Conv2D(_Weighted):
         k = self.kernel
         n = B * H * W
         if training:
-            src = self._scratch("src", (C, B, H, W), transient=True)
             cols = self._scratch("cols", (C, k * k, n))
         else:
-            src, cols = np.empty((C, B, H, W)), np.empty((C, k * k, n))
+            cols = np.empty((C, k * k, n))
+        compiled = _ckernel.load_kernel()
+        if compiled is None:
+            self._im2col_numpy(x, cols, training)
+        else:
+            ffi, lib = compiled
+            x, base = _kernel_input(x)
+            lib.sinan_im2col(
+                B, C, H, W, k, ffi.from_buffer("double[]", base),
+                *(s // 8 for s in x.strides), ffi.from_buffer("double[]", cols),
+            )
+        return cols.reshape(C * k * k, n)
+
+    def _im2col_numpy(
+        self, x: np.ndarray, cols: np.ndarray, training: bool
+    ) -> None:
+        """:meth:`_im2col` without the kernel: fills the ``(C, k*k,
+        B*H*W)`` array ``cols`` from shifted runs of a channel-major
+        copy of ``x``."""
+        B, C, H, W = x.shape
+        k = self.kernel
+        n = B * H * W
+        if training:
+            src = self._scratch("src", (C, B, H, W), transient=True)
+        else:
+            src = np.empty((C, B, H, W))
         # The input once, channel-major.  32 images at a time: a ReLU
         # hands a training forward's x over (B, H, W, C)-ordered, and
         # transposing the whole batch at once runs out of cache.
@@ -390,7 +422,6 @@ class Conv2D(_Weighted):
                 run[:, lo:hi] = src[c : c + step, lo + s : hi + s]
                 # Entries outside [lo, hi) are off the grid too.
                 _zero_off_grid(run, H, W, di, dj)
-        return cols.reshape(C * k * k, n)
 
     def _backward_im2col(
         self, dout: np.ndarray, input_grad: bool
@@ -417,18 +448,37 @@ class Conv2D(_Weighted):
         # matrix (dW has read it), then fold the k*k taps back onto the
         # input (col2im), each element's taps in (i, j) order.
         self._cols = None
-        dcols = np.matmul(kernel, dout_mat.T, out=cols).reshape(C, k * k, n)
+        dcols = np.matmul(kernel, dout_mat.T, out=cols)
         dx = self._scratch("dx", (C, n))
-        dx.fill(0.0)
-        taps = _tap_shifts(k, B, H, W)
-        for c in range(C):
-            for run, (di, dj, s, lo, hi) in zip(dcols[c], taps):
-                _zero_off_grid(run, H, W, di, dj)
-                dx[c, lo + s : hi + s] += run[lo:hi]
+        self._col2im(dcols, dx)
         # A (B, C, H, W) view, like the padded fold's: the ReLU below
         # still multiplies it into a C-contiguous gradient, so the next
         # conv's dout_mat keeps its layout (and its GEMMs their bits).
         return dx.reshape(C, B, H, W).transpose(1, 0, 2, 3)
+
+    def _col2im(self, dcols: np.ndarray, dx: np.ndarray) -> None:
+        """Fold the C-contiguous ``(C*k*k, B*H*W)`` column gradient
+        ``dcols`` of the last training forward into ``dx``, ``(C,
+        B*H*W)``: each input element's on-grid taps summed from +0.0 in
+        ``(i, j)`` order.  Without the kernel, the shifted runs of
+        ``dcols``, their off-grid entries zeroed, are added onto a zeroed
+        ``dx``: the same sums plus exact +0.0 no-ops."""
+        B, C, H, W = self._x_shape
+        k = self.kernel
+        compiled = _ckernel.load_kernel()
+        if compiled is not None:
+            ffi, lib = compiled
+            lib.sinan_col2im(
+                B, C, H, W, k, ffi.from_buffer("double[]", dcols),
+                ffi.from_buffer("double[]", dx),
+            )
+            return
+        dx.fill(0.0)
+        taps = _tap_shifts(k, B, H, W)
+        for c, runs in enumerate(dcols.reshape(C, k * k, B * H * W)):
+            for run, (di, dj, s, lo, hi) in zip(runs, taps):
+                _zero_off_grid(run, H, W, di, dj)
+                dx[c, lo + s : hi + s] += run[lo:hi]
 
 
 class LSTMCell(_Weighted):
@@ -584,6 +634,23 @@ class Workspace:
         width = sum(part.shape[1] for part in parts)
         out = self.get(name, (len(parts[0]), width))
         return np.concatenate(parts, axis=1, out=out)
+
+
+def _kernel_input(x: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """``x``, a ``(B, C, H, W)`` array, as the kernel's im2col reads it:
+    float64 and aligned, with a C-contiguous view (of ``x`` itself or,
+    for a ReLU's ``(B, H, W, C)``-ordered output, of its channels-last
+    transpose) that starts at its first element.  Returns ``(x, view)``;
+    ``x`` is a float64 copy where it had neither, which keeps every value
+    (a float32 widens exactly)."""
+    if x.dtype == np.float64 and x.flags.aligned:
+        if x.flags.c_contiguous:
+            return x, x
+        view = x.transpose(0, 2, 3, 1)
+        if view.flags.c_contiguous:
+            return x, view
+    x = np.array(x, dtype=np.float64, order="C")
+    return x, x
 
 
 #: Bytes of column matrix one im2col channel block may span: a block's

@@ -1,7 +1,7 @@
 """Optional compiled kernel: the simulator's interval, the boosted-tree
-descent and growth, and the Table 1 candidate set.
+descent and growth, the Table 1 candidate set and the conv folds.
 
-Four layers run here, each with a numpy fallback that computes the
+Five layers run here, each with a numpy fallback that computes the
 identical bits:
 
 * the simulator's interval (``sinan_interval``, one call per
@@ -22,16 +22,24 @@ identical bits:
 * the control loop's candidate generation
   (:meth:`repro.core.actions.ActionSpace.candidates`), whose numpy code
   is ``ActionSpace._generate_numpy``: dozens of small numpy passes per
-  decision, the last a ``lexsort`` dedupe of the whole rounded matrix.
+  decision, the last a ``lexsort`` dedupe of the whole rounded matrix;
+* the convolution's im2col and col2im folds (``sinan_im2col`` and
+  ``sinan_col2im``, one call each per
+  :class:`repro.ml.layers.Conv2D` fold), whose numpy code is
+  ``Conv2D._im2col_numpy`` and the shifted-run branch of
+  ``Conv2D._col2im``: a channel-major copy, then a copy and a few
+  off-grid zeroings per kernel tap, about thirty numpy calls per fold
+  on the served model's single window.
 
-In all four, per-call dispatch and argument checking (and the grower's
+In all five, per-call dispatch and argument checking (and the grower's
 per-node Python) cost more than the arithmetic or the draws.  This
 module compiles them into a tiny C kernel at first use (cffi ABI mode
 plus the system C compiler) and caches the shared object under the
-user's temp directory, keyed by a digest of the source.  Everything is
-best-effort and all-or-nothing: any failure — no ``cffi``, no compiler,
-an unwritable temp directory, a numpy whose distribution functions or
-float64 loops do not resolve — degrades silently to the numpy code.
+user's temp directory, keyed by a digest of the source and the compiler
+flags.  Everything is best-effort and all-or-nothing: any failure — no
+``cffi``, no compiler, an unwritable temp directory, a numpy whose
+distribution functions or float64 loops do not resolve — degrades
+silently to the numpy code.
 
 Bitwise equality with the numpy code relies on four things:
 
@@ -45,7 +53,9 @@ Bitwise equality with the numpy code relies on four things:
   grower's histograms and prefix sums in ``np.bincount``'s and
   ``np.cumsum``'s order, and every ``.sum()`` — a tree node's gradient
   and hessian totals, a candidate's total CPU, an interval's request
-  count — in numpy's pairwise order),
+  count — in numpy's pairwise order; the column matrix by copies and
+  +0.0 alone, and each input gradient's on-grid taps summed from +0.0
+  in ``(i, j)`` order, the padded scatter-add's terms in its order),
 * compilation uses ``-ffp-contract=off`` so no multiply-add pair is
   contracted into an FMA,
 * every random value comes from the C function numpy's own
@@ -138,6 +148,13 @@ intptr_t sinan_grow_tree(
     intptr_t *rows, double *vals, double *hist, intptr_t *stack,
     intptr_t *feature, double *threshold, intptr_t *children, double *value,
     intptr_t *depth);
+void sinan_im2col(
+    intptr_t B, intptr_t C, intptr_t H, intptr_t W, intptr_t k,
+    const double *x, intptr_t sb, intptr_t sc, intptr_t sh, intptr_t sw,
+    double *cols);
+void sinan_col2im(
+    intptr_t B, intptr_t C, intptr_t H, intptr_t W, intptr_t k,
+    const double *dcols, double *dx);
 intptr_t sinan_candidates(
     intptr_t n, const double *current, const double *cpu_util,
     const double *lo, const double *hi,
@@ -1168,6 +1185,114 @@ intptr_t sinan_interval(
     return count;
 }
 
+/* [lo, hi) of a k x k tap's offset d along an axis of length len: the
+ * output indices whose source index + d lies on the axis.  Empty (lo ==
+ * hi) when |d| >= len, and never outside [0, len). */
+static void on_grid(intptr_t d, intptr_t len, intptr_t *lo, intptr_t *hi)
+{
+    *lo = d < 0 ? (-d < len ? -d : len) : 0;
+    *hi = d > 0 ? (len - d > *lo ? len - d : *lo) : len;
+}
+
+/* One tap's runs of a conv's column matrix over m consecutive images,
+ * C-contiguous (m, H, W): entry (b, h, w) is centre[b, h + di, w + dj],
+ * or +0.0 where that lies off the H x W grid.  One flat copy shifted by
+ * s = di*W + dj fills the entries whose source lies in the block, the
+ * on-grid ones among them; every other entry, like every entry the
+ * shift pulled from a neighbouring row or image, has its column w + dj
+ * or its row h + di off the grid, and those are zeroed: a stride-W pass
+ * per column (a loop over a row's few entries would become a memset call
+ * per row), then the rows. */
+static void shifted_runs(
+    double *restrict run, const double *restrict centre, intptr_t m,
+    intptr_t H, intptr_t W, intptr_t di, intptr_t dj)
+{
+    intptr_t hw = H * W, s = di * W + dj, lo, hi, h0, h1, w0, w1;
+    on_grid(s, m * hw, &lo, &hi);
+    on_grid(di, H, &h0, &h1);
+    on_grid(dj, W, &w0, &w1);
+    if (hi > lo)
+        memcpy(run + lo, centre + lo + s, (size_t)(hi - lo) * sizeof *run);
+    for (intptr_t w = 0; w < W; w++)
+        if (w < w0 || w >= w1)
+            for (intptr_t r = 0; r < m * H; r++) run[r * W + w] = 0.0;
+    if (h0 > 0 || h1 < H)
+        for (intptr_t b = 0; b < m; b++) {
+            double *image = run + b * hw;
+            memset(image, 0, (size_t)(h0 * W) * sizeof *run);
+            memset(image + h1 * W, 0, (size_t)((H - h1) * W) * sizeof *run);
+        }
+}
+
+/* Conv2D's column matrix (repro.ml.layers): cols, C-contiguous (C*k*k,
+ * B*H*W), rows in (c, i, j) order and columns in (b, h, w) order, of the
+ * (B, C, H, W) input x, whose strides sb, sc, sh, sw count elements.
+ * Entry ((c, i, j), (b, h, w)) is x[b, c, h + di, w + dj] with (di, dj) =
+ * (i - k/2, j - k/2), or +0.0 where that lies off the H x W grid: the
+ * padded windows' values, by copies and zeros alone.  IM2COL_IMAGES
+ * images at a time, channel by channel: the centre tap's runs are the
+ * images' planes, copied in, and every other tap copies them shifted.
+ * A block whose channels interleave in x stays in cache meanwhile. */
+#define IM2COL_IMAGES 32
+
+void sinan_im2col(
+    intptr_t B, intptr_t C, intptr_t H, intptr_t W, intptr_t k,
+    const double *x, intptr_t sb, intptr_t sc, intptr_t sh, intptr_t sw,
+    double *restrict cols)
+{
+    intptr_t p = k / 2, hw = H * W, n = B * hw;
+    for (intptr_t b0 = 0; b0 < B; b0 += IM2COL_IMAGES) {
+        intptr_t m = B - b0 < IM2COL_IMAGES ? B - b0 : IM2COL_IMAGES;
+        for (intptr_t c = 0; c < C; c++) {
+            double *taps = cols + c * k * k * n + b0 * hw;
+            double *centre = taps + (p * k + p) * n;
+            for (intptr_t b = 0; b < m; b++) {
+                const double *plane = x + (b0 + b) * sb + c * sc;
+                double *out = centre + b * hw;
+                if (sw == 1 && (sh == W || H == 1))
+                    memcpy(out, plane, (size_t)hw * sizeof *out);
+                else
+                    for (intptr_t h = 0; h < H; h++)
+                        for (intptr_t w = 0; w < W; w++)
+                            out[h * W + w] = plane[h * sh + w * sw];
+            }
+            for (intptr_t t = 0; t < k * k; t++)
+                if (t != p * k + p)
+                    shifted_runs(
+                        taps + t * n, centre, m, H, W, t / k - p, t % k - p);
+        }
+    }
+}
+
+/* Conv2D's col2im fold: dx, C-contiguous (C, B*H*W), of the column
+ * gradient dcols laid out as sinan_im2col's cols.  Each input element
+ * starts at +0.0 and adds, taps in (i, j) order, the entries of the
+ * output positions whose window read it on the grid: the terms, in the
+ * order, that the padded scatter-add sums. */
+void sinan_col2im(
+    intptr_t B, intptr_t C, intptr_t H, intptr_t W, intptr_t k,
+    const double *restrict dcols, double *restrict dx)
+{
+    intptr_t p = k / 2, hw = H * W, n = B * hw;
+    for (intptr_t c = 0; c < C; c++)
+        for (intptr_t b = 0; b < B; b++) {
+            double *grad = dx + c * n + b * hw;
+            const double *run = dcols + c * k * k * n + b * hw;
+            for (intptr_t q = 0; q < hw; q++) grad[q] = 0.0;
+            for (intptr_t di = -p; di <= p; di++)
+                for (intptr_t dj = -p; dj <= p; dj++, run += n) {
+                    intptr_t h0, h1, w0, w1;
+                    on_grid(di, H, &h0, &h1);
+                    on_grid(dj, W, &w0, &w1);
+                    for (intptr_t h = h0; h < h1; h++) {
+                        double *dst = grad + (h + di) * W;
+                        const double *src = run + h * W;
+                        for (intptr_t w = w0; w < w1; w++) dst[w + dj] += src[w];
+                    }
+                }
+        }
+}
+
 /* The interval's numpy math on n inputs, for the tests that pin it to
  * numpy: op 0 and op 1 run each input through the one-element exp and
  * sin calls of the rate modulation, op 2 is the knee's power(x, 4) over
@@ -1307,7 +1432,31 @@ def _build() -> tuple | None:
     cc = shutil.which("cc") or shutil.which("gcc") or shutil.which("clang")
     if cc is None:
         return None
-    digest = hashlib.sha256(_SOURCE.encode()).hexdigest()[:16]
+    so_path = _shared_object(cc)
+    ffi = cffi.FFI()
+    ffi.cdef(_CDEF)
+    ffi.cdef(_NUMPY_CDEF)
+    lib = ffi.dlopen(so_path)
+    # numpy's own Generator code, already loaded (kept referenced for
+    # the process), and its float64 loops: resolving a missing symbol or
+    # loop raises, and then there is no kernel at all.
+    _numpy_lib = ffi.dlopen(np.random._generator.__file__)
+    capsules, infos = _resolve_loops(ffi)
+    lib.sinan_bind_numpy(
+        *(ffi.cast("void *", getattr(_numpy_lib, name))
+          for name in _NUMPY_DRAWS),
+        *infos,
+    )
+    _loop_capsules.update(capsules)
+    return ffi, lib
+
+
+def _shared_object(cc: str) -> str:
+    """The path of the kernel compiled by ``cc`` from :data:`_SOURCE`
+    with :data:`_CFLAGS`, cached under the user's temp directory by a
+    digest of both (a flag change builds anew); compiled when missing."""
+    key = "\0".join([_SOURCE, *_CFLAGS]).encode()
+    digest = hashlib.sha256(key).hexdigest()[:16]
     uid = getattr(os, "getuid", lambda: 0)()
     cache = os.path.join(tempfile.gettempdir(), f"repro-fastsim-{uid}")
     os.makedirs(cache, exist_ok=True)
@@ -1334,22 +1483,7 @@ def _build() -> tuple | None:
                     os.unlink(path)
                 except OSError:
                     pass
-    ffi = cffi.FFI()
-    ffi.cdef(_CDEF)
-    ffi.cdef(_NUMPY_CDEF)
-    lib = ffi.dlopen(so_path)
-    # numpy's own Generator code, already loaded (kept referenced for
-    # the process), and its float64 loops: resolving a missing symbol or
-    # loop raises, and then there is no kernel at all.
-    _numpy_lib = ffi.dlopen(np.random._generator.__file__)
-    capsules, infos = _resolve_loops(ffi)
-    lib.sinan_bind_numpy(
-        *(ffi.cast("void *", getattr(_numpy_lib, name))
-          for name in _NUMPY_DRAWS),
-        *infos,
-    )
-    _loop_capsules.update(capsules)
-    return ffi, lib
+    return so_path
 
 
 __all__ = [

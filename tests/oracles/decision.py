@@ -14,7 +14,7 @@ import numpy as np
 
 from repro.core.features import WindowEncoder, sanitize_window
 from repro.core.predictor import HybridPredictor
-from repro.ml.boosted_trees import BoostedTrees, _CompiledEnsemble, _Node, _sigmoid
+from repro.ml.boosted_trees import BoostedTrees, _CompiledEnsemble, _Node
 from repro.sim.telemetry import TelemetryLog
 
 
@@ -69,8 +69,10 @@ def predict_margin_reference(trees: BoostedTrees, X: np.ndarray) -> np.ndarray:
 
 
 def predict_proba_reference(trees: BoostedTrees, X: np.ndarray) -> np.ndarray:
-    """p_V via the recursive per-tree walk (equivalence oracle)."""
-    return _sigmoid(predict_margin_reference(trees, X))
+    """p_V via the recursive per-tree walk (equivalence oracle), through
+    the logistic as one expression."""
+    margin = predict_margin_reference(trees, X)
+    return 1.0 / (1.0 + np.exp(-np.clip(margin, -60.0, 60.0)))
 
 
 def predict_candidates_reference(
