@@ -6,10 +6,10 @@ identical bits:
 
 * the simulator's interval (``sinan_interval``, one call per
   :meth:`repro.sim.engine.QueueingEngine.run_interval`), whose numpy
-  code is ``QueueingEngine._run_interval_numpy``: ten Python rounds of
-  rate modulation and ``Generator`` draws per interval, ten
-  ``np.matmul`` calls, ~50 numpy calls per tick over vectors of a few
-  dozen tiers, and the sampler's per-type draws, gathers and sort;
+  code is the engine's per-tick loop, ``_run_interval_loop``: per tick
+  the rate modulation, the ``Generator`` draws and a level-by-level
+  sojourn sweep of small numpy calls, then the sampler's per-stage
+  draws and gathers and ``np.percentile``;
 * the trees' flat descent
   (:meth:`repro.ml.boosted_trees.BoostedTrees.predict_margin`), whose
   numpy code is ``_descend_numpy`` and pays about nine numpy passes per
@@ -38,8 +38,11 @@ plus the system C compiler) and caches the shared object under the
 user's temp directory, keyed by a digest of the source and the compiler
 flags.  Everything is best-effort and all-or-nothing: any failure — no
 ``cffi``, no compiler, an unwritable temp directory, a numpy whose
-distribution functions or float64 loops do not resolve — degrades
-silently to the numpy code.
+distribution functions or float64 loops do not resolve — leaves all
+five layers on their numpy code.  The first failure is logged once at
+WARNING and :func:`load_failure` returns its reason: on the fallback,
+the simulator's per-tick loop takes about ten times the kernel's time
+per interval.
 
 Bitwise equality with the numpy code relies on four things:
 
@@ -91,12 +94,15 @@ from __future__ import annotations
 
 import ctypes
 import hashlib
+import logging
 import os
 import shutil
 import subprocess
 import tempfile
 
 import numpy as np
+
+logger = logging.getLogger(__name__)
 
 #: The interval layer's plan: sizes, constants and buffers, built once
 #: per engine plan (``repro.sim.engine._FastPlan``).  One declaration
@@ -977,7 +983,7 @@ static int sample_latencies(
     return 0;
 }
 
-/* The sampler's set-up, as _sample_latencies_fast computes it: each
+/* The sampler's set-up, as the per-tick sampler computes it: each
  * type's share int(count / total * budget), at least 3 for a type that
  * arrived, into k_per_type; and, when a tier dropped requests, each
  * type's drop probability 1 - prod(keep) over the tiers it visits, the
@@ -1012,7 +1018,7 @@ static intptr_t plan_samples(const sinan_plan *p, int *drops)
     return count;
 }
 
-/* _fast_percentiles(samples) * 1000.0: numpy's linear interpolation
+/* np.percentile(samples, pct_q) * 1000.0: numpy's linear interpolation
  * between order statistics, with its gamma >= 0.5 rewrite.  No index it
  * reads is below floor(q_min / 100 * (n - 1)), so only the m order
  * statistics from there up are put in order, in top, by np.sort's order
@@ -1048,10 +1054,10 @@ static void percentiles(const sinan_plan *p, intptr_t n, double *out)
     }
 }
 
-/* One interval of QueueingEngine._run_interval_fast, from the rates and
+/* One interval of QueueingEngine.run_interval, from the rates and
  * allocations to the latency percentiles, on the plan's buffers: the
  * draws (draw_ticks), type_counts and arrivals_total (rows added in
- * order from 0.0, as the axis-0 add.reduce adds them), the arrival
+ * order from 0.0, as the tick loop's += adds them), the arrival
  * products, the demand EWMA, the saturation and its knee (one power call
  * over the (n_ticks, n) block), the inflation and jitter, the permuted
  * gathers, the tick recurrence, the un-permute, the samples and the
@@ -1363,7 +1369,8 @@ DRAW_ERRORS = {
 SAMPLER_REFUSAL = 3
 
 _cached: tuple | None = None
-_failed = False
+#: The first load failure's exception type and message.
+_failure: str | None = None
 _numpy_lib = None
 #: name -> the ``numpy_1.24_ufunc_call_info`` capsule of a bound loop;
 #: numpy ties the loop's data to the capsule, so it lives as long as the
@@ -1374,19 +1381,31 @@ _loop_capsules: dict = {}
 def load_kernel() -> tuple | None:
     """Return ``(ffi, lib)`` for the compiled kernel, or ``None``.
 
-    The first failure is remembered: later calls return ``None``
-    immediately instead of re-running the compiler.
+    The first failure is remembered and logged once at WARNING: later
+    calls return ``None`` immediately instead of re-running the
+    compiler, and :func:`load_failure` says why.
     """
-    global _cached, _failed
-    if _cached is not None or _failed:
+    global _cached, _failure
+    if _cached is not None or _failure is not None:
         return _cached
     try:
         _cached = _build()
-    except Exception:
-        _cached = None
-    if _cached is None:
-        _failed = True
+    except Exception as exc:  # noqa: BLE001 - any failure means no kernel
+        _failure = f"{type(exc).__name__}: {exc}"
+        logger.warning(
+            "compiled kernel not loaded (%s): the simulator runs its "
+            "per-tick loop, and the trees, candidates and conv folds "
+            "their numpy code", _failure,
+        )
+        logger.debug("compiled kernel load failure", exc_info=True)
     return _cached
+
+
+def load_failure() -> str | None:
+    """Why :func:`load_kernel` returns ``None``: the first failure's
+    exception type and message; ``None`` when the kernel loads."""
+    load_kernel()
+    return _failure
 
 
 def bound_loops() -> tuple[str, ...]:
@@ -1425,13 +1444,13 @@ def _resolve_loops(ffi) -> tuple[dict, list]:
     return capsules, infos
 
 
-def _build() -> tuple | None:
+def _build() -> tuple:
     global _numpy_lib
     import cffi  # gated: absent in minimal environments
 
     cc = shutil.which("cc") or shutil.which("gcc") or shutil.which("clang")
     if cc is None:
-        return None
+        raise FileNotFoundError("no C compiler (cc, gcc or clang) on PATH")
     so_path = _shared_object(cc)
     ffi = cffi.FFI()
     ffi.cdef(_CDEF)
@@ -1487,6 +1506,6 @@ def _shared_object(cc: str) -> str:
 
 
 __all__ = [
-    "load_kernel", "bound_loops", "DRAW_ERRORS", "NUMPY_LOOPS",
+    "load_kernel", "load_failure", "bound_loops", "DRAW_ERRORS", "NUMPY_LOOPS",
     "POISSON_LAM_MAX", "SAMPLER_REFUSAL",
 ]

@@ -27,14 +27,10 @@ Stages of a request run sequentially; tiers within a stage in parallel
 (the request advances when the slowest parallel visit finishes), the
 same composition rule the fluid engine uses.
 
-The simulation runs as a struct-of-arrays loop: request state is held
-in preallocated arrays, heap entries are index-encoded into one integer,
-the per-tier ``busy * speed`` vector is maintained incrementally on state
-change, and arrival streams are pre-drawn in bulk.  It must consume the
-RNG in the order of the per-event object loop kept as the oracle in
-``tests/oracles/event_engine.py`` and produce bitwise-identical
-summaries and final ``bit_generator`` state.  Heap entries carry the tier in 8
-bits, so graphs are limited to 255 tiers.
+The simulation is one loop over a ``(when, seq, kind, payload)`` event
+heap: arrivals are pre-drawn per request type, each completion frees a
+server or starts the tier's next queued visit, and the ``seq`` counter
+breaks time ties in push order.
 """
 
 from __future__ import annotations
@@ -46,6 +42,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from repro.sim.engine import validate_load
 from repro.sim.graph import AppGraph
 from repro.sim.telemetry import LATENCY_PERCENTILES
 
@@ -61,112 +58,44 @@ class EventEngineConfig:
     base_lat_mult: float = 1.0
 
 
-#: Heap-entry encoding: one integer packs ``(seq, tier, request)`` with
-#: the monotonically increasing push sequence in the top bits, so
-#: ``(when, code)`` tuples order exactly like the object loop's
-#: ``(when, seq, ...)`` entries.
-_REQ_BITS = 32
-_TIER_BITS = 8
-_SEQ_SHIFT = _REQ_BITS + _TIER_BITS
-_REQ_MASK = (1 << _REQ_BITS) - 1
-_TIER_MASK = (1 << _TIER_BITS) - 1
+@dataclass
+class _Request:
+    rtype: int
+    arrival: float
+    stage: int = 0
+    pending: int = 0
+    dropped: bool = False
+
+
+@dataclass
+class _Visit:
+    request: _Request
+    work: float
 
 
 class _TierServer:
-    """Allocation and counters of one tier's FCFS multi-server station."""
+    """One tier's FCFS multi-server station: its allocation, counters,
+    object queue and per-visit service sampling."""
 
-    def __init__(self, spec) -> None:
+    def __init__(self, spec, config: EventEngineConfig) -> None:
         self.spec = spec
+        self.config = config
         self.busy = 0
         self.set_alloc(spec.min_cpu)
         self.completed_work = 0.0
+        self.queue: deque[_Visit] = deque()
 
     def set_alloc(self, alloc: float) -> None:
         self.alloc = float(alloc)
         self.servers = max(int(math.ceil(alloc)), 1)
         self.speed = alloc / self.servers
 
-
-class _SoAState:
-    """Struct-of-arrays state of the event loop.
-
-    Persists across :meth:`EventDrivenEngine.run` calls — queued and
-    in-service visits carry over between runs.  The request table is a
-    set of preallocated parallel arrays (grown by doubling before each
-    run, never mid-loop); a heap
-    entry is ``(when, code)`` with the payload index-encoded in
-    ``code``; queues hold plain request indices (a visit's work factor
-    is a pure function of request type and tier, so it is looked up,
-    not stored).
-    """
-
-    __slots__ = (
-        "capacity", "n_requests", "rtype", "arrival", "stage", "pending",
-        "dropped", "finished", "heap", "queues", "busy", "servers",
-        "speed", "completed_work", "stage_plan", "work",
-        "svc_coef", "svc_base",
-    )
-
-    def __init__(self, engine: EventDrivenEngine) -> None:
-        graph = engine.graph
-        cfg = engine.config
-        n = graph.n_tiers
-        self.capacity = 1024
-        self.n_requests = 0
-        self.rtype = np.zeros(self.capacity, dtype=np.int32)
-        self.arrival = np.zeros(self.capacity, dtype=np.float64)
-        self.stage = np.zeros(self.capacity, dtype=np.int32)
-        self.pending = np.zeros(self.capacity, dtype=np.int32)
-        self.dropped = np.zeros(self.capacity, dtype=np.bool_)
-        self.finished = np.zeros(self.capacity, dtype=np.bool_)
-        self.heap: list[tuple[float, int]] = []
-        self.queues: list[deque[int]] = [deque() for _ in range(n)]
-        # Tier state mirrors, adopted from the object tiers so manual
-        # pre-run adjustments (tests poke ``tiers[i].busy``) carry over.
-        self.busy = [t.busy for t in engine.tiers]
-        self.servers = [t.servers for t in engine.tiers]
-        self.speed = [t.speed for t in engine.tiers]
-        self.completed_work = [t.completed_work for t in engine.tiers]
-        # Static plans: per (type, stage) the (tier, work) visits, and
-        # per (type, tier) the work factor for dequeued visits.
-        self.stage_plan = [
-            [
-                [
-                    (int(t), float(rt.work.get(graph.tier_names[int(t)], 1.0)))
-                    for t in tier_ids
-                ]
-                for tier_ids in graph.stage_indices[r]
-            ]
-            for r, rt in enumerate(graph.request_types)
-        ]
-        self.work = [
-            [float(rt.work.get(name, 1.0)) for name in graph.tier_names]
-            for rt in graph.request_types
-        ]
-        self.svc_coef = [
-            spec.cpu_per_req * cfg.service_mult for spec in graph.tiers
-        ]
-        self.svc_base = [
-            spec.base_latency * cfg.base_lat_mult for spec in graph.tiers
-        ]
-
-    @property
-    def in_flight(self) -> bool:
-        return bool(self.heap) or any(self.queues)
-
-    def ensure_capacity(self, need: int) -> None:
-        if need <= self.capacity:
-            return
-        new_cap = max(self.capacity * 2, need)
-        used = self.n_requests
-        for name in (
-            "rtype", "arrival", "stage", "pending", "dropped", "finished"
-        ):
-            old = getattr(self, name)
-            grown = np.zeros(new_cap, dtype=old.dtype)
-            grown[:used] = old[:used]
-            setattr(self, name, grown)
-        self.capacity = new_cap
+    def service_time(self, work: float, rng: np.random.Generator) -> float:
+        cfg = self.config
+        mean = self.spec.cpu_per_req * cfg.service_mult * work / self.speed
+        sigma = cfg.noise_sigma
+        noise = rng.lognormal(-0.5 * sigma * sigma, sigma)
+        return mean * noise + self.spec.base_latency * cfg.base_lat_mult
 
 
 class EventDrivenEngine:
@@ -183,55 +112,61 @@ class EventDrivenEngine:
         config: EventEngineConfig | None = None,
         seed: int = 0,
     ) -> None:
-        if graph.n_tiers > _TIER_MASK:
-            raise ValueError(
-                f"the event engine supports at most {_TIER_MASK} tiers, "
-                f"{graph.name!r} has {graph.n_tiers}"
-            )
         self.graph = graph
         self.config = config or EventEngineConfig()
         self._rng = np.random.default_rng(seed)
-        self.tiers = [_TierServer(spec) for spec in graph.tiers]
+        self.tiers = [_TierServer(spec, self.config) for spec in graph.tiers]
+        self._events: list[tuple[float, int, str, object]] = []
         self._seq = 0
-        self._soa: _SoAState | None = None
         self.time = 0.0
         self.latencies: list[tuple[float, float]] = []
         self.dropped = 0
 
     # ------------------------------------------------------------------
-    # Simulation
+    # Event plumbing
     # ------------------------------------------------------------------
 
-    def _predraw_arrivals(self, rate: float, horizon: float) -> np.ndarray:
-        """Arrival times for one request type, pre-drawn in bulk.
+    def _push(self, when: float, kind: str, payload) -> None:
+        self._seq += 1
+        heapq.heappush(self._events, (when, self._seq, kind, payload))
 
-        The object loop draws exponentials one by one until the
-        accumulated time crosses the horizon — consuming the draw that
-        crosses.  The draw count is unknown upfront, so this probes in
-        chunks, rewinds the bit generator, and re-draws exactly the
-        consumed count: identical values, identical final RNG state.
-        """
-        rng = self._rng
-        bit_gen = rng.bit_generator
-        scale = 1.0 / rate
-        state0 = bit_gen.state
-        total = 0
-        carry = self.time
-        while True:
-            expected = (horizon - carry) * rate
-            chunk = min(max(int(expected * 1.25) + 16, 16), 1 << 20)
-            draws = rng.exponential(scale, size=chunk)
-            cum = np.cumsum(np.concatenate(([carry], draws)))[1:]
-            hit = int(np.searchsorted(cum, horizon, side="left"))
-            if hit < chunk:
-                total += hit + 1
-                break
-            total += chunk
-            carry = float(cum[-1])
-        bit_gen.state = state0
-        draws = rng.exponential(scale, size=total)
-        times = np.cumsum(np.concatenate(([self.time], draws)))[1:]
-        return times[:-1]  # the crossing draw lands past the horizon
+    def _start_or_queue(self, tier_idx: int, visit: _Visit) -> None:
+        tier = self.tiers[tier_idx]
+        if tier.busy < tier.servers:
+            tier.busy += 1
+            svc = tier.service_time(visit.work, self._rng)
+            self._push(self.time + svc, "done", (tier_idx, visit))
+        elif len(tier.queue) < self.config.max_queue:
+            tier.queue.append(visit)
+        else:
+            visit.request.dropped = True
+            self.dropped += 1
+            self._finish(visit.request, timeout=True)
+
+    def _dispatch_stage(self, request: _Request) -> None:
+        stages = self.graph.stage_indices[request.rtype]
+        if request.stage >= len(stages):
+            self._finish(request)
+            return
+        rtype = self.graph.request_types[request.rtype]
+        tier_ids = stages[request.stage]
+        request.pending = len(tier_ids)
+        for tier_idx in tier_ids:
+            work = rtype.work.get(self.graph.tier_names[tier_idx], 1.0)
+            self._start_or_queue(tier_idx, _Visit(request, work))
+
+    def _finish(self, request: _Request, timeout: bool = False) -> None:
+        if getattr(request, "_finished", False):
+            return
+        request._finished = True
+        latency = (
+            self.config.drop_latency if timeout else self.time - request.arrival
+        )
+        self.latencies.append((self.time, min(latency, self.config.drop_latency)))
+
+    # ------------------------------------------------------------------
+    # Simulation
+    # ------------------------------------------------------------------
 
     def run(
         self,
@@ -243,302 +178,78 @@ class EventDrivenEngine:
 
         Returns a summary with the pooled latency percentiles, the
         per-1s-interval p99 series, drop count, and per-tier mean
-        utilization.
-
-        Each popped event advances the busy-time integral with one
-        fused multiply-add over the incrementally maintained
-        ``busy * speed`` vector; service-noise lognormals stream from
-        bulk draws with a final rewind so the RNG ends in exactly the
-        object loop's state.
+        utilization.  The load is refused, before any draw, unless every
+        allocation is finite and positive, every rate finite and
+        non-negative and the duration finite and positive.
         """
-        allocs = np.asarray(allocs, dtype=float)
-        if allocs.shape != (self.graph.n_tiers,):
-            raise ValueError("allocs shape mismatch")
-        type_rates = np.asarray(type_rates, dtype=float)
-        if type_rates.shape != (self.graph.n_types,):
-            raise ValueError("type_rates shape mismatch")
-        st = self._soa
-        if st is None:
-            st = self._soa = _SoAState(self)
-        busy = st.busy
-        servers = st.servers
-        speed = st.speed
-        for i, (tier, alloc) in enumerate(zip(self.tiers, allocs)):
+        allocs, type_rates = validate_load(self.graph, allocs, type_rates)
+        if not (math.isfinite(duration) and duration > 0):
+            raise ValueError("duration must be finite and positive")
+        for tier, alloc in zip(self.tiers, allocs):
             tier.set_alloc(alloc)
-            servers[i] = tier.servers
-            speed[i] = tier.speed
-        # Incrementally maintained busy * speed vector — the object-loop
-        # oracle rebuilds this array from the tier objects at every event.  A
-        # wide vector integrates through numpy ufuncs (two `out=` calls
-        # per event); a narrow one through a plain-Python loop, which
-        # beats ufunc dispatch overhead below ~10 tiers.  Both produce
-        # the same IEEE double sequence as the object loop's vector ops.
-        n_tiers = self.graph.n_tiers
-        np_madd = n_tiers >= 10
-        bs = [b * s for b, s in zip(busy, speed)]
-        if np_madd:
-            bs = np.array(bs, dtype=np.float64)
+        # Window this run's summary: queues and in-flight requests carry
+        # over between runs, but completions and drops booked by earlier
+        # runs must not pollute this run's percentiles.
         lat_start = len(self.latencies)
         dropped_start = self.dropped
-        horizon = self.time + duration
 
-        # Pre-drawn arrival streams, one per type in the object loop's RNG
-        # order; merged by (time, push-sequence) so ties break exactly
-        # like the object loop's heap.
-        times_parts: list[np.ndarray] = []
-        rtype_parts: list[np.ndarray] = []
-        seq_parts: list[np.ndarray] = []
+        # Pre-generate Poisson arrivals per type.
+        horizon = self.time + duration
         for rtype in range(self.graph.n_types):
             rate = type_rates[rtype]
             if rate <= 0:
                 continue
-            times = self._predraw_arrivals(float(rate), horizon)
-            if times.size:
-                times_parts.append(times)
-                rtype_parts.append(np.full(times.size, rtype, dtype=np.int64))
-                seq_parts.append(
-                    self._seq + 1 + np.arange(times.size, dtype=np.int64)
-                )
-                self._seq += times.size
-        if times_parts:
-            times_cat = np.concatenate(times_parts)
-            rtype_cat = np.concatenate(rtype_parts)
-            seq_cat = np.concatenate(seq_parts)
-            order = np.lexsort((seq_cat, times_cat))
-            arr_times = times_cat[order]
-            arr_rtypes = rtype_cat[order]
-            arr_times_l = arr_times.tolist()
-            arr_seqs_l = seq_cat[order].tolist()
-            arr_rtypes_l = arr_rtypes.tolist()
-        else:
-            arr_times = np.empty(0)
-            arr_rtypes = np.empty(0, dtype=np.int64)
-            arr_times_l = []
-            arr_seqs_l = []
-            arr_rtypes_l = []
-        n_arr = len(arr_times_l)
-        base = st.n_requests
-        st.ensure_capacity(base + n_arr)
-        st.rtype[base:base + n_arr] = arr_rtypes
-        st.arrival[base:base + n_arr] = arr_times
-        st.n_requests = base + n_arr
-        n_req = st.n_requests
-        # Hot-loop working views of the request table: numpy scalar
-        # indexing costs ~100 ns per access, so the columns run as
-        # plain lists and the mutated ones are written back at the end.
-        req_rtype = st.rtype[:n_req].tolist()
-        req_arrival = st.arrival[:n_req].tolist()
-        req_stage = st.stage[:n_req].tolist()
-        req_pending = st.pending[:n_req].tolist()
-        req_dropped = st.dropped[:n_req].tolist()
-        req_finished = st.finished[:n_req].tolist()
-
-        # Service-noise stream: lognormals are consumed strictly
-        # sequentially during the loop (nothing else draws), so bulk
-        # blocks + a final rewind reproduce the object loop's consumption.
-        rng = self._rng
-        bit_gen = rng.bit_generator
-        sigma = self.config.noise_sigma
-        mu = -0.5 * sigma * sigma
-        noise_state = bit_gen.state
-        noise_buf: list[float] = []
-        noise_pos = 0
-        noise_end = 0
-        noise_drawn = 0
-
-        heap = st.heap
-        heappush = heapq.heappush
-        heappop = heapq.heappop
-        queues = st.queues
-        completed_work = st.completed_work
-        stage_plan = st.stage_plan
-        work_of = st.work
-        svc_coef = st.svc_coef
-        svc_base = st.svc_base
-        lat_append = self.latencies.append
-        max_queue = self.config.max_queue
-        drop_latency = self.config.drop_latency
-        seq = self._seq
-        dropped_total = self.dropped
-        tier_range = range(n_tiers)
-        if np_madd:
-            busy_integral = np.zeros(n_tiers)
-            tmp = np.empty(n_tiers)
-            multiply = np.multiply
-            add = np.add
-        else:
-            busy_integral = [0.0] * n_tiers
-        last_t = self.time
-        ai = 0
-
-        def finish(req: int, now: float, timeout: bool) -> None:
-            if req_finished[req]:
-                return
-            req_finished[req] = True
-            if timeout:
-                lat = drop_latency
-            else:
-                lat = now - req_arrival[req]
-                if lat > drop_latency:
-                    lat = drop_latency
-            lat_append((now, lat))
-
-        def dispatch(req: int, rtype: int, stage_idx: int, now: float) -> None:
-            # Start-or-queue is inlined per visit: the dispatch →
-            # start call pair is the hottest edge in the loop.
-            nonlocal noise_buf, noise_pos, noise_end, noise_drawn
-            nonlocal seq, dropped_total
-            stages = stage_plan[rtype]
-            if stage_idx >= len(stages):
-                finish(req, now, False)
-                return
-            stage = stages[stage_idx]
-            req_pending[req] = len(stage)
-            for tier, work in stage:
-                b = busy[tier]
-                if b < servers[tier]:
-                    busy[tier] = b + 1
-                    sp = speed[tier]
-                    bs[tier] = (b + 1) * sp
-                    if noise_pos == noise_end:
-                        noise_buf = rng.lognormal(mu, sigma, size=512).tolist()
-                        noise_drawn += 512
-                        noise_pos = 0
-                        noise_end = 512
-                    noise = noise_buf[noise_pos]
-                    noise_pos += 1
-                    svc = svc_coef[tier] * work / sp * noise + svc_base[tier]
-                    seq += 1
-                    heappush(
-                        heap,
-                        (
-                            now + svc,
-                            (seq << _SEQ_SHIFT) | (tier << _REQ_BITS) | req,
-                        ),
-                    )
-                elif len(queues[tier]) < max_queue:
-                    queues[tier].append(req)
-                else:
-                    req_dropped[req] = True
-                    dropped_total += 1
-                    finish(req, now, True)
-
-        while True:
-            if heap:
-                head = heap[0]
-                when = head[0]
-                if ai < n_arr:
-                    a_when = arr_times_l[ai]
-                    take_heap = when < a_when or (
-                        when == a_when
-                        and (head[1] >> _SEQ_SHIFT) < arr_seqs_l[ai]
-                    )
-                elif when >= horizon:
+            t = self.time
+            while True:
+                t += self._rng.exponential(1.0 / rate)
+                if t >= horizon:
                     break
-                else:
-                    take_heap = True
-            elif ai < n_arr:
-                take_heap = False
-                when = None
-            else:
-                break
+                self._push(t, "arrive", rtype)
 
-            if take_heap:
-                heappop(heap)
-                code = head[1]
-                dt = when - last_t
-                if dt != 0.0:
-                    if np_madd:
-                        multiply(bs, dt, out=tmp)
-                        add(busy_integral, tmp, out=busy_integral)
-                    else:
-                        for i in tier_range:
-                            busy_integral[i] += dt * bs[i]
-                    last_t = when
-                tier = (code >> _REQ_BITS) & _TIER_MASK
-                req = code & _REQ_MASK
-                rtype = req_rtype[req]
-                completed_work[tier] += work_of[rtype][tier]
-                queue = queues[tier]
-                if queue:
-                    nxt = queue.popleft()
-                    nxt_work = work_of[req_rtype[nxt]][tier]
-                    sp = speed[tier]
-                    if noise_pos == noise_end:
-                        noise_buf = rng.lognormal(mu, sigma, size=512).tolist()
-                        noise_drawn += 512
-                        noise_pos = 0
-                        noise_end = 512
-                    noise = noise_buf[noise_pos]
-                    noise_pos += 1
-                    svc = svc_coef[tier] * nxt_work / sp * noise + svc_base[tier]
-                    seq += 1
-                    heappush(
-                        heap,
-                        (
-                            when + svc,
-                            (seq << _SEQ_SHIFT) | (tier << _REQ_BITS) | nxt,
-                        ),
-                    )
+        busy_integral = np.zeros(self.graph.n_tiers)
+        last_t = self.time
+        while self._events and self._events[0][0] < horizon:
+            when, _, kind, payload = heapq.heappop(self._events)
+            busy_integral += (when - last_t) * np.array(
+                [t.busy * t.speed for t in self.tiers]
+            )
+            last_t = when
+            self.time = when
+            if kind == "arrive":
+                request = _Request(rtype=payload, arrival=when)
+                self._dispatch_stage(request)
+            else:  # service completion
+                tier_idx, visit = payload
+                tier = self.tiers[tier_idx]
+                tier.completed_work += visit.work
+                if tier.queue:
+                    nxt = tier.queue.popleft()
+                    svc = tier.service_time(nxt.work, self._rng)
+                    self._push(when + svc, "done", (tier_idx, nxt))
                 else:
-                    b = busy[tier] - 1
-                    busy[tier] = b
-                    bs[tier] = b * speed[tier]
-                if req_dropped[req]:
+                    tier.busy -= 1
+                request = visit.request
+                if request.dropped:
                     continue
-                pending = req_pending[req] - 1
-                req_pending[req] = pending
-                if pending == 0:
-                    stage_idx = req_stage[req] + 1
-                    req_stage[req] = stage_idx
-                    dispatch(req, rtype, stage_idx, when)
-            else:
-                when = arr_times_l[ai]
-                dt = when - last_t
-                if dt != 0.0:
-                    if np_madd:
-                        multiply(bs, dt, out=tmp)
-                        add(busy_integral, tmp, out=busy_integral)
-                    else:
-                        for i in tier_range:
-                            busy_integral[i] += dt * bs[i]
-                    last_t = when
-                req = base + ai
-                rtype = arr_rtypes_l[ai]
-                ai += 1
-                dispatch(req, rtype, 0, when)
-
-        # Tail segment to the horizon: servers still busy at the boundary
-        # accrue busy time up to it.
-        dt = horizon - last_t
-        if np_madd:
-            multiply(bs, dt, out=tmp)
-            add(busy_integral, tmp, out=busy_integral)
-        else:
-            for i in tier_range:
-                busy_integral[i] += dt * bs[i]
+                request.pending -= 1
+                if request.pending == 0:
+                    request.stage += 1
+                    self._dispatch_stage(request)
+        # Tail segment: servers busy between the last in-horizon event and
+        # the horizon itself still accrue busy time.  Dropping it
+        # under-counts utilization for every run whose servers are busy at
+        # the boundary (most loaded runs).
+        busy_integral += (horizon - last_t) * np.array(
+            [t.busy * t.speed for t in self.tiers]
+        )
         self.time = horizon
-        self._seq = seq
-        self.dropped = dropped_total
-        st.stage[:n_req] = req_stage
-        st.pending[:n_req] = req_pending
-        st.dropped[:n_req] = req_dropped
-        st.finished[:n_req] = req_finished
-        for i, tier in enumerate(self.tiers):
-            tier.busy = busy[i]
-            tier.completed_work = completed_work[i]
-        if noise_drawn:
-            consumed = noise_drawn - (noise_end - noise_pos)
-            bit_gen.state = noise_state
-            rng.lognormal(mu, sigma, size=consumed)
+
         return self._summary(
-            duration, np.array(busy_integral), allocs, lat_start,
-            dropped_start, np.array([len(q) for q in queues]),
+            duration, busy_integral, allocs, lat_start, dropped_start
         )
 
     def _summary(
         self, duration, busy_integral, allocs, lat_start, dropped_start,
-        queued,
     ) -> dict:
         lat = self.latencies[lat_start:]
         if lat:
@@ -576,7 +287,7 @@ class EventDrivenEngine:
             "n_requests": len(lat),
             "dropped": self.dropped - dropped_start,
             "cpu_util": np.clip(utilization, 0.0, 1.0),
-            "queued": queued,
+            "queued": np.array([len(t.queue) for t in self.tiers]),
         }
 
 

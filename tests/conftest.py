@@ -11,6 +11,7 @@ import numpy as np
 import pytest
 
 from repro.sim import _ckernel
+from repro.sim.engine import QueueingEngine, validate_load
 from repro.sim.graph import AppGraph, RequestType
 from repro.sim.tier import TierKind, TierSpec
 from repro.workload.generator import RequestMix, Workload
@@ -77,3 +78,19 @@ def backend(request, monkeypatch):
     elif _ckernel.load_kernel() is None:
         pytest.skip("no compiled kernel")
     return request.param
+
+
+class PerTickEngine(QueueingEngine):
+    """A fluid engine that runs every interval on its per-tick loop, the
+    path ``run_interval`` takes when no compiled kernel loads; the
+    equivalence suites compare the kernel against it."""
+
+    def run_interval(self, allocs, type_rates):
+        allocs, type_rates = validate_load(self.graph, allocs, type_rates)
+        return self._run_interval_loop(allocs, type_rates)
+
+
+def per_tick(engine: QueueingEngine) -> QueueingEngine:
+    """Switch ``engine`` in place to :class:`PerTickEngine`."""
+    engine.__class__ = PerTickEngine
+    return engine

@@ -28,14 +28,13 @@ from repro.sim.cluster import ClusterSimulator
 from repro.sim.faults import FaultInjector, resolve_profile
 from repro.workload.generator import RequestMix, Workload
 from repro.workload.patterns import ConstantLoad
-from tests.conftest import make_tiny_cluster, make_tiny_graph
+from tests.conftest import make_tiny_cluster, make_tiny_graph, per_tick
 from tests.oracles.control import use_reference_control
 from tests.oracles.decision import (
     encode_candidates,
     predict_candidates_reference,
     use_reference_predictor,
 )
-from tests.oracles.engine import use_reference_engine
 from tests.oracles.training import (
     ReferenceBoostedTrees,
     assert_same_structure,
@@ -186,18 +185,17 @@ class TestClosedLoopTrace:
     """Whole closed loops — cluster, telemetry, scheduler, predictor —
     run once on the production path and once with some layers on their
     oracles: the predictor's scoring, the control loop's candidate
-    generation and selection, or every layer including the fluid
-    engine.  Decisions feed back into the simulator, so a single
-    divergence would compound; allocations, the scheduler's prediction
-    trace, and every interval's telemetry must be bitwise equal.  The
-    loops run with the compiled kernel (simulator and tree descent) and
-    again on the numpy code that runs without it."""
+    generation and selection, or every layer, the fluid engine on its
+    per-tick loop included.  Decisions feed back into the simulator, so
+    a single divergence would compound; allocations, the scheduler's
+    prediction trace, and every interval's telemetry must be bitwise
+    equal.  The loops run with the compiled kernel (simulator and tree
+    descent) and again on the code that runs without it."""
 
     ORACLES = {
         "predictor": (use_reference_predictor,),
         "control": (use_reference_control,),
-        "all": (use_reference_predictor, use_reference_control,
-                use_reference_engine),
+        "all": (use_reference_predictor, use_reference_control, per_tick),
     }
 
     def _run(self, trained, oracles, profile):
@@ -213,7 +211,7 @@ class TestClosedLoopTrace:
         targets = {
             use_reference_predictor: predictor,
             use_reference_control: scheduler,
-            use_reference_engine: cluster.engine,
+            per_tick: cluster.engine,
         }
         for use in oracles:
             use(targets[use])

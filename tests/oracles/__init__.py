@@ -7,8 +7,11 @@ test-side subclass.  The equivalence suites compare the production path
 against these, bitwise (or split-for-split, or to 1e-10 for gradients).
 Nothing under ``src/`` imports this package.
 
-* :mod:`tests.oracles.engine` — the fluid engine's per-tick loop.
-* :mod:`tests.oracles.event_engine` — the event engine's object loop.
+The simulators keep no oracle here: each has one Python loop, in
+``src/``.  The fluid engine's per-tick loop is the path that runs when
+no compiled kernel loads, and the suites compare the kernel against it
+through ``tests.conftest.PerTickEngine``.
+
 * :mod:`tests.oracles.decision` — candidate encoding with materialized
   history copies, the recursive tree walk, and the scoring path built
   on them.

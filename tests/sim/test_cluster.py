@@ -186,4 +186,4 @@ class TestCopy:
             twin.engine._rng.bit_generator.state
             == cluster.engine._rng.bit_generator.state
         )
-        assert (twin.engine._fast_plan.clib is None) == (backend == "numpy")
+        assert (twin.engine._fast_plan is None) == (backend == "numpy")

@@ -4,10 +4,10 @@ fluid engine."""
 import numpy as np
 import pytest
 
+from repro.harness.pipeline import app_spec
 from repro.sim.engine import EngineConfig, QueueingEngine
 from repro.sim.event_engine import EventDrivenEngine, EventEngineConfig
-from repro.sim.graph import AppGraph, RequestType
-from repro.sim.tier import TierSpec
+from repro.sim.telemetry import LATENCY_PERCENTILES
 from tests.conftest import make_tiny_graph
 
 GRAPH = make_tiny_graph()
@@ -43,30 +43,49 @@ class TestBasics:
         with pytest.raises(ValueError):
             engine.run(np.ones(4), np.ones(3), 5.0)
 
-    def test_rejects_graphs_over_255_tiers(self):
-        """Heap entries carry the tier in 8 bits."""
-        names = [f"t{i}" for i in range(256)]
-        wide = AppGraph(
-            "wide",
-            [TierSpec(name) for name in names],
-            [("t0", name) for name in names[1:]],
-            [RequestType(name="Fan", stages=(("t0",), tuple(names[1:])))],
-        )
-        with pytest.raises(ValueError, match="at most 255 tiers"):
-            EventDrivenEngine(wide)
-        narrow = AppGraph(
-            "narrow",
-            [TierSpec(name) for name in names[:255]],
-            [("t0", name) for name in names[1:255]],
-            [RequestType(name="Fan", stages=(("t0",), tuple(names[1:255])))],
-        )
-        assert len(EventDrivenEngine(narrow).tiers) == 255
-
     def test_deterministic_by_seed(self):
         a = run_event(np.full(4, 3.0), seed=42)
         b = run_event(np.full(4, 3.0), seed=42)
         np.testing.assert_allclose(a["latency_ms"], b["latency_ms"])
         assert a["n_requests"] == b["n_requests"]
+
+
+class TestRefusedLoads:
+    """The event engine refuses what the fluid engine refuses, before any
+    draw: allocations finite and positive, rates finite and
+    non-negative, and a finite, positive duration."""
+
+    CASES = {
+        "zero-alloc": ([2.0, 0.0, 2.0, 2.0], RATES, 5.0, "must be positive"),
+        "negative-alloc": ([2.0, -1.0, 2.0, 2.0], RATES, 5.0,
+                           "must be positive"),
+        "nan-alloc": ([2.0, np.nan, 2.0, 2.0], RATES, 5.0, "must be finite"),
+        "inf-alloc": ([np.inf, 2.0, 2.0, 2.0], RATES, 5.0, "must be finite"),
+        "inf-rate": ([2.0] * 4, [np.inf, 12.0], 5.0,
+                     "finite and non-negative"),
+        "nan-rate": ([2.0] * 4, [120.0, np.nan], 5.0,
+                     "finite and non-negative"),
+        "negative-rate": ([2.0] * 4, [-1.0, 12.0], 5.0,
+                          "finite and non-negative"),
+        "negative-duration": ([2.0] * 4, RATES, -5.0, "duration"),
+        "zero-duration": ([2.0] * 4, RATES, 0.0, "duration"),
+        "nan-duration": ([2.0] * 4, RATES, np.nan, "duration"),
+        "inf-duration": ([2.0] * 4, RATES, np.inf, "duration"),
+    }
+
+    @pytest.mark.parametrize("case", sorted(CASES))
+    def test_refused_before_any_draw(self, case):
+        allocs, rates, duration, message = self.CASES[case]
+        engine = EventDrivenEngine(GRAPH, EventEngineConfig(), seed=0)
+        engine.run(np.full(4, 2.0), RATES, 2.0)
+        state = engine._rng.bit_generator.state
+        clock, served = engine.time, len(engine.latencies)
+        with pytest.raises(ValueError, match=message):
+            engine.run(np.asarray(allocs), np.asarray(rates), duration)
+        assert engine._rng.bit_generator.state == state
+        assert engine.time == clock
+        assert len(engine.latencies) == served
+        assert [t.alloc for t in engine.tiers] == [2.0] * 4
 
 
 class TestAccounting:
@@ -128,6 +147,91 @@ class TestAccounting:
         # The pooled percentile vector stays finite (zero placeholder).
         assert np.all(np.isfinite(result["latency_ms"]))
 
+    def test_multi_run_windowing_with_alloc_changes(self):
+        """Carried-over queued work, per-run summary windowing, and
+        allocation changes between runs: each summary covers its own
+        run's completions and drops, and its queue lengths are the
+        tiers' at the run's end."""
+        engine = EventDrivenEngine(
+            GRAPH, EventEngineConfig(max_queue=200), seed=3
+        )
+        rates = np.array([150.0, 15.0])
+        for level, duration in ((0.6, 8.0), (2.0, 6.0), (0.8, 8.0)):
+            served, dropped, start = (
+                len(engine.latencies), engine.dropped, engine.time)
+            summary = engine.run(np.full(4, level), rates, duration)
+            assert engine.time == start + duration
+            lat = engine.latencies[served:]
+            assert summary["n_requests"] == len(lat) > 0
+            assert all(start <= t <= engine.time for t, _ in lat)
+            values = np.array([v for _, v in lat]) * 1000.0
+            assert np.array_equal(
+                summary["latency_ms"],
+                np.percentile(values, LATENCY_PERCENTILES),
+            )
+            assert summary["dropped"] == engine.dropped - dropped
+            assert np.array_equal(
+                summary["queued"], [len(t.queue) for t in engine.tiers]
+            )
+            if level == 0.6:
+                assert summary["queued"].sum() > 0  # work carries over
+
+
+class TestP99SeriesRegression:
+    """The vectorized (searchsorted) per-second p99 series must equal the
+    original O(seconds x completions) mask scan, including NaN for idle
+    seconds."""
+
+    def _oracle_series(self, engine, duration: float) -> np.ndarray:
+        lat = engine.latencies
+        times = np.array([t for t, _ in lat])
+        values = np.array([v for _, v in lat]) * 1000.0
+        start = engine.time - duration
+        series = []
+        for second in range(int(duration)):
+            mask = (times >= start + second) & (times < start + second + 1)
+            series.append(
+                float(np.percentile(values[mask], 99))
+                if mask.any()
+                else float("nan")
+            )
+        return np.array(series)
+
+    def test_series_matches_mask_scan_with_idle_seconds(self):
+        engine = EventDrivenEngine(GRAPH, EventEngineConfig(), seed=12)
+        alloc = np.full(GRAPH.n_tiers, 2.0)
+        sparse = np.array([2.0, 0.5])  # ~2.5 rps: plenty of idle seconds
+        summary = engine.run(alloc, sparse, 20.0)
+        oracle = self._oracle_series(engine, 20.0)
+        assert np.isnan(oracle).any()  # idle seconds actually occurred
+        assert np.array_equal(
+            summary["p99_series_ms"], oracle, equal_nan=True
+        )
+
+    def test_series_windowed_on_second_run(self):
+        """Only this run's completions feed the series (lat_start
+        windowing) — the vectorized bucketing must respect it."""
+        engine = EventDrivenEngine(GRAPH, EventEngineConfig(), seed=14)
+        alloc = np.full(GRAPH.n_tiers, 2.0)
+        engine.run(alloc, np.array([150.0, 15.0]), 5.0)
+        n_before = len(engine.latencies)
+        summary = engine.run(alloc, np.array([2.0, 0.5]), 10.0)
+        lat = engine.latencies[n_before:]
+        times = np.array([t for t, _ in lat])
+        values = np.array([v for _, v in lat]) * 1000.0
+        start = engine.time - 10.0
+        oracle = []
+        for second in range(10):
+            mask = (times >= start + second) & (times < start + second + 1)
+            oracle.append(
+                float(np.percentile(values[mask], 99))
+                if mask.any()
+                else float("nan")
+            )
+        assert np.array_equal(
+            summary["p99_series_ms"], np.array(oracle), equal_nan=True
+        )
+
 
 class TestPhysics:
     def test_more_cpu_lower_latency(self):
@@ -154,6 +258,25 @@ class TestPhysics:
             max_queue=100, drop_latency=5.0,
         )
         assert result["latency_ms"].max() <= 5000.0 + 1e-6
+
+
+    def test_production_graph(self):
+        """The 28-tier social network, with its multi-tier stages: every
+        tier serves requests, and a starved allocation under more load
+        has the worse tail."""
+        graph = app_spec("social_network").graph_factory()
+        p99 = {}
+        for level, rps in ((2.0, 120.0), (0.5, 200.0)):
+            engine = EventDrivenEngine(graph, EventEngineConfig(), seed=13)
+            result = engine.run(
+                np.full(graph.n_tiers, level),
+                np.full(graph.n_types, rps / graph.n_types), 10.0,
+            )
+            assert result["n_requests"] > 0
+            assert result["cpu_util"].shape == (graph.n_tiers,)
+            assert all(tier.completed_work > 0 for tier in engine.tiers)
+            p99[level] = result["p99_ms"]
+        assert p99[0.5] > p99[2.0]
 
 
 class TestCrossValidation:

@@ -1,13 +1,13 @@
-"""Bitwise equivalence of the batched-tick interval path.
+"""Bitwise equivalence of the compiled interval and the per-tick loop.
 
-:meth:`QueueingEngine.run_interval` must be indistinguishable from the
-per-tick reference loop (``tests/oracles/engine.py``): every
-:class:`IntervalStats` field, the engine's internal state vectors, and
-the RNG stream itself are compared bitwise across normal, bursty,
-overload, and chaos-fault episodes — serial and under the process-pool
-harness, on the tiny app and on the production social network — with
-the compiled kernel and with the numpy recurrence that runs when no
-kernel loads.
+:meth:`QueueingEngine.run_interval` on the compiled kernel must be
+indistinguishable from the engine's per-tick loop, the path it takes
+when no kernel loads (reached here through
+``tests.conftest.PerTickEngine``): every :class:`IntervalStats` field,
+the engine's internal state vectors, and the RNG stream itself are
+compared bitwise across normal, bursty, overload, and chaos-fault
+episodes — serial and under the process-pool harness, on the tiny app
+and on the production social network.
 """
 
 import numpy as np
@@ -20,8 +20,7 @@ from repro.sim.engine import EngineConfig, QueueingEngine
 from repro.sim.faults import FaultInjector
 from repro.workload.generator import RequestMix, Workload
 from repro.workload.patterns import ConstantLoad
-from tests.conftest import make_tiny_graph
-from tests.oracles.engine import ReferenceQueueingEngine, use_reference_engine
+from tests.conftest import PerTickEngine, make_tiny_graph, per_tick
 
 _STAT_FIELDS = (
     "time", "rps", "cpu_alloc", "cpu_util", "rss_mb", "cache_mb",
@@ -53,7 +52,7 @@ def _engine_pair(overrides, seed=7, graph=None):
     graph = graph or make_tiny_graph()
     cfg = EngineConfig(**overrides)
     fast = QueueingEngine(graph, cfg, seed=seed)
-    ref = ReferenceQueueingEngine(graph, cfg, seed=seed)
+    ref = PerTickEngine(graph, cfg, seed=seed)
     return graph, fast, ref
 
 
@@ -103,28 +102,28 @@ class TestEngineEquivalence:
         assert drops > 0
 
     def test_reference_api_is_the_oracle(self):
-        # The oracle's explicit entry point runs the per-tick loop and
-        # never builds the batched plan, so the comparison above is not
-        # production code checked against itself.
+        # The per-tick engine never builds the compiled plan, so the
+        # comparison above is not the kernel checked against itself.
         graph, fast, ref = _engine_pair({})
         for i in range(10):
             allocs = np.full(graph.n_tiers, 2.0 + 0.1 * i)
             rates = np.full(graph.n_types, 70.0)
             assert_stats_equal(
                 fast.run_interval(allocs, rates),
-                ref.run_interval_reference(allocs, rates),
+                ref.run_interval(allocs, rates),
                 f"interval {i}",
             )
         assert_engines_equal(fast, ref)
-        assert fast._fast_plan is not None
+        assert (fast._fast_plan is None) == (_ckernel.load_kernel() is None)
         assert ref._fast_plan is None
 
     def test_pure_numpy_fallback(self, monkeypatch):
+        # Without a kernel, run_interval runs the per-tick loop and
+        # builds no plan.
         monkeypatch.setattr(_ckernel, "load_kernel", lambda: None)
         graph, fast, ref = _engine_pair({"max_queue": 60.0})
         _drive(graph, fast, ref, rps=500.0)
-        assert fast._fast_plan is not None
-        assert fast._fast_plan.clib is None
+        assert fast._fast_plan is None
 
     def test_kernel_used_when_available(self):
         pytest.importorskip("cffi")
@@ -134,7 +133,7 @@ class TestEngineEquivalence:
             pytest.skip("no C compiler")
         graph, fast, ref = _engine_pair({})
         _drive(graph, fast, ref, intervals=5)
-        assert fast._fast_plan.clib is not None
+        assert fast._fast_plan is not None
 
     @pytest.mark.parametrize(
         "scenario",
@@ -156,16 +155,17 @@ class TestEngineEquivalence:
 
 
 class TestDrawOrderEdgeCases:
-    """Intervals in which a draw call draws nothing, against the oracle
-    with and without the compiled kernel."""
+    """Intervals in which a draw call draws nothing, against the per-tick
+    loop with and without the compiled kernel."""
 
     def test_one_tick_interval(self, backend):
         # One tick per interval: integers(0, 1) returns zeros without
         # touching the generator.
         graph, fast, ref = _engine_pair({"tick": 1.0})
         _drive(graph, fast, ref)
-        assert fast._fast_plan.n_ticks == 1
-        assert (fast._fast_plan.clib is None) == (backend == "numpy")
+        assert (fast._fast_plan is None) == (backend == "numpy")
+        if fast._fast_plan is not None:
+            assert fast._fast_plan.n_ticks == 1
 
     def test_zero_rate_request_type(self, backend):
         # poisson(0) draws nothing, and the sampler skips the type (no
@@ -174,13 +174,14 @@ class TestDrawOrderEdgeCases:
         graph, fast, ref = _engine_pair({"max_queue": 40.0})
         drops = _drive(graph, fast, ref, rps=900.0, type_weights=[1.0, 0.0])
         assert drops > 0
-        assert fast._fast_plan.k_per_type[1] == 0
-        assert (fast._fast_plan.clib is None) == (backend == "numpy")
+        assert (fast._fast_plan is None) == (backend == "numpy")
+        if fast._fast_plan is not None:
+            assert fast._fast_plan.k_per_type[1] == 0
 
 
 class TestInvalidIntervalArgs:
     """Bad allocations and rates are refused before any draw, so both
-    backends and the oracle leave the generator where it was."""
+    backends leave the generator where it was."""
 
     def _refuse(self, allocs_of, rates_of, message):
         graph, fast, ref = _engine_pair({})
@@ -192,7 +193,7 @@ class TestInvalidIntervalArgs:
                 engine.run_interval(allocs, rates)
             assert engine._rng.bit_generator.state == state
             assert engine.time == 0.0
-        assert fast._fast_plan is None  # refused before the batched path
+        assert fast._fast_plan is None  # refused before the plan is built
 
     @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
     def test_non_finite_allocation(self, backend, bad):
@@ -227,9 +228,7 @@ class TestInvalidIntervalArgs:
         with pytest.raises(ValueError, match="must be finite"):
             cluster.step(allocs)
         assert cluster.engine._rng.bit_generator.state == state
-        assert (cluster.engine._fast_plan.clib is None) == (
-            backend == "numpy"
-        )
+        assert (cluster.engine._fast_plan is None) == (backend == "numpy")
 
 
 class TestReset:
@@ -288,21 +287,21 @@ class TestClusterEquivalence:
     def test_cluster_fast_vs_reference(self, faults):
         fast = self._cluster(faults)
         ref = self._cluster(faults)
-        use_reference_engine(ref.engine)
+        per_tick(ref.engine)
         assert type(fast.engine) is QueueingEngine
         for i in range(20):
             assert_stats_equal(fast.step(), ref.step(), f"interval {i}")
         assert_engines_equal(fast.engine, ref.engine)
         if faults:
             # The chaos profile installs physics behaviors; make sure the
-            # behavior-multiplier path of the fast loop actually ran.
+            # behaviour multipliers actually ran.
             assert fast.engine.behaviors
 
 
 def _episode_digest(seed: int, reference: bool) -> np.ndarray:
     """Picklable episode for the process-pool determinism check."""
     graph = make_tiny_graph()
-    engine_cls = ReferenceQueueingEngine if reference else QueueingEngine
+    engine_cls = PerTickEngine if reference else QueueingEngine
     engine = engine_cls(graph, EngineConfig(max_queue=200.0), seed=seed)
     allocs = np.full(graph.n_tiers, 1.5)
     rates = np.full(graph.n_types, 120.0)

@@ -10,8 +10,8 @@ and it must refuse the arguments those methods refuse, drawing nothing.
 The direct calls below skip the engine's argument checks and replay the
 call's draws on a twin generator, checked against the tick rows,
 sojourns and samples the call leaves in the plan's buffers.  The
-engine-level checks at the bottom run both backends and the per-tick
-oracle into the same invalid arguments.
+engine-level checks at the bottom run the kernel and the per-tick loop
+into the same invalid arguments.
 """
 
 import numpy as np
@@ -21,8 +21,7 @@ from repro.sim import _ckernel
 from repro.sim.engine import EngineConfig, QueueingEngine, _FastPlan
 from repro.sim.graph import AppGraph, RequestType
 from repro.sim.tier import TierKind, TierSpec
-from tests.conftest import make_tiny_graph
-from tests.oracles.engine import ReferenceQueueingEngine
+from tests.conftest import PerTickEngine, make_tiny_graph
 
 KERNEL = _ckernel.load_kernel()
 needs_kernel = pytest.mark.skipif(KERNEL is None, reason="no compiled kernel")
@@ -48,7 +47,7 @@ def make_engine(stages_per_type, seed, **overrides):
     config = EngineConfig(rate_cv=0.0, spike_prob=0.0, **overrides)
     engine = QueueingEngine(graph, config, seed=seed)
     n_ticks = max(int(round(1.0 / config.tick)), 1)
-    engine._fast_plan = _FastPlan(engine, n_ticks)
+    engine._fast_plan = _FastPlan(engine, n_ticks, KERNEL)
     return engine
 
 
@@ -270,15 +269,15 @@ class TestSamplerDraws:
 
 
 class TestEngineRefusesLikeNumpy:
-    """Both backends and the oracle raise the same ValueError on the
-    same invalid draw arguments, leaving the same generator state."""
+    """Both backends and the per-tick loop raise the same ValueError on
+    the same invalid draw arguments, leaving the same generator state."""
 
     def _raise_all(self, cfg, rps, message):
         graph = make_tiny_graph()
         allocs = np.full(graph.n_tiers, 2.0)
         rates = np.full(graph.n_types, rps)
         fast = QueueingEngine(graph, cfg, seed=3)
-        ref = ReferenceQueueingEngine(graph, cfg, seed=3)
+        ref = PerTickEngine(graph, cfg, seed=3)
         for engine in (fast, ref):
             with pytest.raises(ValueError, match=message):
                 engine.run_interval(allocs, rates)
@@ -292,7 +291,7 @@ class TestEngineRefusesLikeNumpy:
         # after the tick's modulation draws.
         fast = self._raise_all(EngineConfig(), 1e21, "lam value too large")
         assert fast.time == 0.0
-        assert (fast._fast_plan.clib is None) == (backend == "numpy")
+        assert (fast._fast_plan is None) == (backend == "numpy")
 
     def test_negative_noise_sigma(self, backend):
         # Refused at the first lognormal draw, after every tick's draws
@@ -301,4 +300,4 @@ class TestEngineRefusesLikeNumpy:
             EngineConfig(noise_sigma=-0.05), 60.0, "sigma < 0"
         )
         assert fast.time > 0.0
-        assert (fast._fast_plan.clib is None) == (backend == "numpy")
+        assert (fast._fast_plan is None) == (backend == "numpy")

@@ -21,8 +21,7 @@ from repro.harness.pipeline import app_spec
 from repro.sim import _ckernel
 from repro.sim.engine import EngineConfig, QueueingEngine
 from repro.sim.telemetry import LATENCY_PERCENTILES
-from tests.conftest import make_tiny_graph
-from tests.oracles.engine import ReferenceQueueingEngine
+from tests.conftest import PerTickEngine, make_tiny_graph
 from tests.sim.test_fast_sim import SCENARIOS, _drive, _engine_pair
 
 KERNEL = _ckernel.load_kernel()
@@ -140,7 +139,6 @@ class TestLoopRoute:
             infl = 1.0 / np.clip(1.0 - np.power(sat, 4), 1.0 / 12.0, 1.0)
             assert np.array_equal(plan.infl_rows, infl)
             knee += np.count_nonzero((sat > 0.5) & (sat < 1.0))
-        assert plan.clib is not None
         assert knee > 1000
 
     @pytest.mark.parametrize(
@@ -169,8 +167,8 @@ class TestLoopRoute:
 
 class TestNumpyLeavesNoFlags:
     """numpy checks the floating-point flags after each ufunc call; the
-    kernel does not.  On these episodes the numpy code raises none, so
-    the kernel hides no error numpy would report."""
+    kernel does not.  On these episodes the per-tick loop raises none,
+    so the kernel hides no error numpy would report."""
 
     @pytest.mark.parametrize("scenario", ["bursty", "overload", "no-jitter"])
     def test_numpy_path_raises_nothing(self, monkeypatch, scenario):
@@ -181,13 +179,13 @@ class TestNumpyLeavesNoFlags:
         with np.errstate(all="raise", under="ignore"):
             _drive(graph, fast, ref, rps=900.0 if scenario == "overload"
                    else 140.0)
-        assert fast._fast_plan.clib is None
+        assert fast._fast_plan is None
 
 
 class TestRefusedBurstRange:
     """``rng.uniform`` refuses a burst range whose high bound is below
     its low bound, or whose range is not finite, when a burst begins:
-    both backends refuse at the oracle's interval, with numpy's
+    both backends refuse at the per-tick loop's interval, with numpy's
     exception, and leave the clock and modulation state as it does."""
 
     @pytest.mark.parametrize(
@@ -210,7 +208,7 @@ class TestRefusedBurstRange:
         graph = make_tiny_graph()
         cfg = EngineConfig(spike_prob=0.3, **{field: bounds})
         fast = QueueingEngine(graph, cfg, seed=9)
-        ref = ReferenceQueueingEngine(graph, cfg, seed=9)
+        ref = PerTickEngine(graph, cfg, seed=9)
         allocs = np.full(graph.n_tiers, 2.0)
         rates = np.full(graph.n_types, 70.0)
         refusals = []
@@ -229,4 +227,4 @@ class TestRefusedBurstRange:
         for attr in ("time", "_log_mod", "_burst_start", "_burst_until",
                      "_burst_mult"):
             assert getattr(fast, attr) == getattr(ref, attr), attr
-        assert (fast._fast_plan.clib is None) == (backend == "numpy")
+        assert (fast._fast_plan is None) == (backend == "numpy")
