@@ -60,8 +60,9 @@ _GENERATION_CODES = np.array(
 
 @dataclass(frozen=True)
 class Action:
-    """One allocation and its provenance (the scheduler's safety
-    fallback, :meth:`ActionSpace.max_allocation_action`)."""
+    """One allocation and its provenance: the scheduler's safety
+    fallback (:meth:`ActionSpace.max_allocation_action`), and each row
+    of the candidate generator that runs without the compiled kernel."""
 
     kind: ActionKind
     alloc: np.ndarray
@@ -105,15 +106,6 @@ RELATIVE_STEPS: tuple[float, ...] = (0.1, 0.3)
 #: a right-sized boost instead of falling through to the max-allocation
 #: safety action.
 SCALE_UP_ALL_RATIOS: tuple[float, ...] = (0.1, 0.3, 0.6, 1.0)
-
-
-def _isclose(x: np.ndarray, y: np.ndarray) -> np.ndarray:
-    """``np.isclose(x, y)`` for float arrays at its default tolerances
-    (``rtol=1e-5``, ``atol=1e-8``): numpy's own expression, without the
-    argument handling ``np.isclose`` repeats on every call."""
-    with np.errstate(invalid="ignore"):
-        close = np.abs(x - y) <= 1e-8 + 1e-5 * np.abs(y)
-        return close & np.isfinite(y) | (x == y)
 
 
 class ActionSpace:
@@ -161,16 +153,17 @@ class ActionSpace:
         scale-downs, the per-tier scale-ups, the scale-up-all ratios,
         and the victim boost.  A candidate that would not change the
         allocation is skipped, and rows that are equal after rounding to
-        9 decimals keep only their last occurrence.  The rows must
-        match, in order, the ``Action``-list oracle in
-        ``tests/oracles/control.py``.
+        9 decimals keep only their last occurrence.
 
         The compiled kernel's ``sinan_candidates``
-        (:mod:`repro.sim._ckernel`) builds the rows when it loads, else
-        the numpy code in :meth:`_generate_numpy` does; both give the
-        same bits.  :attr:`CandidateSet.allocs` is a C-contiguous float64
-        matrix and its ``total_cpu`` numpy's own row sums: the kernel
-        adds each row in numpy's pairwise order.
+        (:mod:`repro.sim._ckernel`) builds the rows when it loads.
+        Without it, :meth:`_generate_actions` builds them as a list of
+        :class:`Action`, one Python loop per kind, and they are stacked
+        into the matrix.  That list is the kernel's pin: both give the
+        same rows, kinds and sums, bit for bit.
+        :attr:`CandidateSet.allocs` is a C-contiguous float64 matrix and
+        its ``total_cpu`` numpy's own row sums: the kernel adds each row
+        in numpy's pairwise order.
 
         Parameters
         ----------
@@ -217,9 +210,11 @@ class ActionSpace:
                 )
         kernel = _ckernel.load_kernel()
         if kernel is None:
-            allocs, kinds = self._generate_numpy(
+            actions = self._generate_actions(
                 current, cpu_util, victims, allow_scale_down
             )
+            allocs = np.stack([a.alloc for a in actions])
+            kinds = np.array([KIND_CODES[a.kind] for a in actions], dtype=np.int64)
             total_cpu = allocs.sum(axis=1)
         else:
             allocs, kinds, total_cpu = self._generate_compiled(
@@ -237,8 +232,9 @@ class ActionSpace:
     ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
         """:meth:`candidates`' rows, kind codes and row sums from the
         kernel, into buffers sized from this space's step menu, batch
-        sizes and ratios.  The batch scale-downs take numpy's ``argsort`` order, so
-        tied utilizations pick the tiers the numpy code picks."""
+        sizes and ratios.  The batch scale-downs take numpy's ``argsort``
+        order, so tied utilizations pick the tiers
+        :meth:`_generate_actions` picks."""
         ffi, lib = kernel
         n = self.n_tiers
         n_abs, n_rel = len(self.absolute_steps), len(self.relative_steps)
@@ -287,166 +283,123 @@ class ActionSpace:
         # the capacity.
         return allocs[:b].copy(), kinds[:b], total_cpu[:b].copy()
 
-    def _generate_numpy(
+    def _steps(self, current: np.ndarray, tier: int) -> list[float]:
+        """The tier's step menu, ascending: the absolute steps and its
+        relative ones, exact repeats once."""
+        steps = set(self.absolute_steps)
+        steps |= {current[tier] * r for r in self.relative_steps}
+        return sorted(steps)
+
+    def _generate_actions(
         self,
         current: np.ndarray,
         cpu_util: np.ndarray,
-        victims: np.ndarray | None,
-        allow_scale_down: bool,
-    ) -> tuple[np.ndarray, np.ndarray]:
-        """:meth:`candidates`' rows and kind codes without the kernel:
-        each action family built as a block by flat array algebra, then
-        :meth:`_dedupe_rows`."""
+        victims: np.ndarray | None = None,
+        allow_scale_down: bool = True,
+    ) -> list[Action]:
+        """:meth:`candidates`' rows as a list of :class:`Action`, in
+        generation order, one Python loop per kind, deduplicated by
+        :func:`_dedupe`.  The arguments are :meth:`candidates`', unchecked.
+        """
+        current = np.asarray(current, dtype=float)
+        cpu_util = np.asarray(cpu_util, dtype=float)
         n = self.n_tiers
-        busy = cpu_util * current
-        blocks: list[np.ndarray] = [current[None, :].copy()]
-        codes: list[np.ndarray] = [
-            np.full(1, KIND_CODES[ActionKind.HOLD], dtype=np.int64)
-        ]
+        actions = [Action(ActionKind.HOLD, current.copy(), "hold")]
+        busy = cpu_util * current  # cores actually used last interval
 
-        # Per-tier step menu, shared by scale-down and scale-up: the
-        # sorted union of the absolute steps and this tier's relative
-        # steps, with exact duplicates masked.
-        n_abs = len(self.absolute_steps)
-        steps = np.empty((n, n_abs + len(self.relative_steps)))
-        steps[:, :n_abs] = self.absolute_steps
-        steps[:, n_abs:] = current[:, None] * np.asarray(self.relative_steps)
-        steps.sort(axis=1)
-        fresh = np.ones(steps.shape, dtype=bool)
-        fresh[:, 1:] = steps[:, 1:] != steps[:, :-1]
-        tiers = np.repeat(np.arange(n), steps.shape[1])
-        flat_steps = steps.ravel()
-        flat_fresh = fresh.ravel()
-        cur_t = current[tiers]
-
-        def one_tier_block(tiers_hit: np.ndarray, values: np.ndarray) -> np.ndarray:
-            block = np.repeat(current[None, :], tiers_hit.size, axis=0)
-            block[np.arange(tiers_hit.size), tiers_hit] = values
-            return block
+        def util_ok(alloc: np.ndarray) -> bool:
+            # The cap constrains only the tiers this action shrinks; a
+            # tier that is already hot (and untouched) must not veto
+            # reclaiming a different, idle tier.
+            shrunk = alloc < current - 1e-12
+            if not shrunk.any():
+                return True
+            projected = busy[shrunk] / np.maximum(alloc[shrunk], 1e-9)
+            return bool(np.all(projected <= self.util_cap))
 
         if allow_scale_down:
-            down_vals = np.maximum(cur_t - flat_steps, self.min_alloc[tiers])
-            moved = ~_isclose(down_vals, cur_t)
-            shrunk = down_vals < cur_t - 1e-12
-            util_fine = ~shrunk | (
-                busy[tiers] / np.maximum(down_vals, 1e-9) <= self.util_cap
-            )
-            valid = (
-                flat_fresh
-                & (cur_t > self.min_alloc[tiers])
-                & moved
-                & util_fine
-            )
-            blocks.append(one_tier_block(tiers[valid], down_vals[valid]))
-            codes.append(
-                np.full(
-                    int(valid.sum()), KIND_CODES[ActionKind.SCALE_DOWN],
-                    dtype=np.int64,
-                )
-            )
-
+            for tier in range(n):
+                if current[tier] <= self.min_alloc[tier]:
+                    continue
+                for step in self._steps(current, tier):
+                    alloc = current.copy()
+                    alloc[tier] = max(alloc[tier] - step, self.min_alloc[tier])
+                    if np.allclose(alloc, current) or not util_ok(alloc):
+                        continue
+                    actions.append(Action(
+                        ActionKind.SCALE_DOWN, alloc, f"down tier {tier} by {step:.2f}"
+                    ))
             order = np.argsort(cpu_util)
-            n_batch = 2 * len(self.batch_sizes)
-            batch = np.repeat(current[None, :], n_batch, axis=0)
-            row = 0
             for k in self.batch_sizes:
-                chosen = order[: min(k, n)]
-                floor = self.min_alloc[chosen]
-                batch[row, chosen] = np.maximum(current[chosen] - 0.2, floor)
-                batch[row + 1, chosen] = np.maximum(current[chosen] * 0.9, floor)
-                row += 2
-            near = _isclose(batch, current[None, :]).all(axis=1)
-            b_shrunk = batch < current[None, :] - 1e-12
-            b_fine = (
-                ~b_shrunk
-                | (busy[None, :] / np.maximum(batch, 1e-9) <= self.util_cap)
-            ).all(axis=1)
-            b_valid = ~near & b_fine
-            blocks.append(batch[b_valid])
-            codes.append(
-                np.full(
-                    int(b_valid.sum()),
-                    KIND_CODES[ActionKind.SCALE_DOWN_BATCH],
-                    dtype=np.int64,
-                )
-            )
+                k = min(k, n)
+                chosen = order[:k]
+                for step_desc, stepped in (
+                    ("0.2", current[chosen] - 0.2),
+                    ("10%", current[chosen] * 0.9),
+                ):
+                    alloc = current.copy()
+                    alloc[chosen] = np.maximum(stepped, self.min_alloc[chosen])
+                    if np.allclose(alloc, current) or not util_ok(alloc):
+                        continue
+                    actions.append(Action(
+                        ActionKind.SCALE_DOWN_BATCH, alloc,
+                        f"down {k} least-utilized tiers by {step_desc}",
+                    ))
 
-        up_vals = np.minimum(cur_t + flat_steps, self.max_alloc[tiers])
-        up_valid = (
-            flat_fresh
-            & (cur_t < self.max_alloc[tiers])
-            & ~_isclose(up_vals, cur_t)
-        )
-        blocks.append(one_tier_block(tiers[up_valid], up_vals[up_valid]))
-        codes.append(
-            np.full(
-                int(up_valid.sum()), KIND_CODES[ActionKind.SCALE_UP],
-                dtype=np.int64,
-            )
-        )
+        for tier in range(n):
+            if current[tier] >= self.max_alloc[tier]:
+                continue
+            for step in self._steps(current, tier):
+                alloc = current.copy()
+                alloc[tier] = min(alloc[tier] + step, self.max_alloc[tier])
+                if not np.allclose(alloc, current):
+                    actions.append(Action(
+                        ActionKind.SCALE_UP, alloc, f"up tier {tier} by {step:.2f}"
+                    ))
 
-        ratios = np.asarray(SCALE_UP_ALL_RATIOS)
-        up_all = self._clip(current[None, :] * (1.0 + ratios)[:, None])
-        a_valid = ~_isclose(up_all, current[None, :]).all(axis=1)
-        blocks.append(up_all[a_valid])
-        codes.append(
-            np.full(
-                int(a_valid.sum()), KIND_CODES[ActionKind.SCALE_UP_ALL],
-                dtype=np.int64,
-            )
-        )
+        for ratio in SCALE_UP_ALL_RATIOS:
+            alloc = self._clip(current * (1.0 + ratio))
+            if not np.allclose(alloc, current):
+                actions.append(Action(
+                    ActionKind.SCALE_UP_ALL, alloc,
+                    f"up all tiers by {int(ratio * 100)}%",
+                ))
 
         if victims is not None and victims.any():
-            v_alloc = current.copy()
-            v_alloc[victims] = np.minimum(
-                v_alloc[victims] + 0.6, self.max_alloc[victims]
-            )
-            if not _isclose(v_alloc, current).all():
-                blocks.append(v_alloc[None, :])
-                codes.append(
-                    np.full(
-                        1, KIND_CODES[ActionKind.SCALE_UP_VICTIM],
-                        dtype=np.int64,
-                    )
-                )
-
-        allocs = np.concatenate(blocks, axis=0)
-        kinds = np.concatenate(codes)
-        keep = self._dedupe_rows(allocs)
-        return np.ascontiguousarray(allocs[keep]), kinds[keep]
-
-    @staticmethod
-    def _dedupe_rows(allocs: np.ndarray) -> np.ndarray:
-        """Row indices that survive deduplication, in original order.
-
-        Rows equal after rounding to 9 decimals are scored once: distinct
-        steps clipping to the same ``min_alloc`` / ``max_alloc``
-        boundary, near-equal menu steps (at 6.0 cores the 10% step is
-        0.6000000000000001), and batch rows whose other chosen tiers sit
-        at their floor, which equal a single-tier scale-down.  The
-        *last* occurrence wins: the most specific kind (e.g. Scale Up
-        Victim, generated after the generic per-tier upscales it may
-        coincide with) keeps its label.  Lexsorting the
-        rounded rows puts duplicates adjacent (lexsort is stable, so a
-        group's last element is its last occurrence); survivors are
-        re-sorted into their original relative order.
-        """
-        rounded = np.round(allocs, 9)
-        order = np.lexsort(rounded.T)
-        srt = rounded[order]
-        last_of_group = np.empty(order.size, dtype=bool)
-        last_of_group[-1] = True
-        if order.size > 1:
-            last_of_group[:-1] = (srt[1:] != srt[:-1]).any(axis=1)
-        keep = order[last_of_group]
-        keep.sort()
-        return keep
+            alloc = current.copy()
+            alloc[victims] = np.minimum(alloc[victims] + 0.6, self.max_alloc[victims])
+            if not np.allclose(alloc, current):
+                actions.append(Action(
+                    ActionKind.SCALE_UP_VICTIM, alloc,
+                    f"up {int(victims.sum())} recent victim tiers",
+                ))
+        return _dedupe(actions)
 
     def max_allocation_action(self) -> Action:
         """The safety fallback: every tier at its ceiling."""
         return Action(
             ActionKind.SCALE_UP_ALL, self.max_alloc.copy(), "all tiers to max"
         )
+
+
+def _dedupe(actions: list[Action]) -> list[Action]:
+    """Drop candidates whose resulting allocation duplicates another
+    after rounding to 9 decimals (distinct steps clipping to the same
+    ``min_alloc`` / ``max_alloc`` boundary, near-equal menu steps, batch
+    rows whose other chosen tiers sit at their floor), so no allocation
+    is scored twice.  The *last* occurrence of each allocation wins: the
+    most specific kind (e.g. Scale Up Victim, generated after the
+    generic per-tier upscales it may coincide with) keeps its label."""
+    seen: set[tuple] = set()
+    unique: list[Action] = []
+    for action in reversed(actions):
+        key = tuple(np.round(action.alloc, 9))
+        if key in seen:
+            continue
+        seen.add(key)
+        unique.append(action)
+    unique.reverse()
+    return unique
 
 
 __all__ = [

@@ -60,10 +60,6 @@ class CollectionConfig:
     alloc_bucket: float = 0.2
     """Bucket width (cores) for the bandit's per-tier resource states."""
 
-    @property
-    def explore_ceiling_ms(self) -> float:
-        return self.qos.latency_ms * (1.0 + self.alpha_frac)
-
 
 class CollectPolicy(Protocol):
     """Chooses the next allocation while collecting training data."""

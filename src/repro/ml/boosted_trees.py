@@ -28,19 +28,18 @@ bit-identical to walking the trees (the oracle in
 Training grows each tree from exact per-node gradient/hessian
 histograms over binned features.  The kernel's ``sinan_grow_tree``
 grows a tree depth first in one call and writes it straight into the
-arrays; without the kernel, :meth:`BoostedTrees._build_tree` grows it
-level by level (one fused ``np.bincount`` per level over the key
-``(node_slot * n_features + feature) * n_bins + bin``) as ``_Node``
-objects that :func:`_compile_trees` flattens.  Both repeat the
-recursive reference grower kept in ``tests/oracles/training.py``
-operation for operation: histogram cells add their rows in row order,
-prefix sums run left to right, gains use the same expression, the split
-is the first strict maximum in (feature, bin) order, and node sums —
-hence every leaf weight — are ``grad[rows].sum()`` in numpy's pairwise
-order.  So every backend grows the same trees bit for bit.  No
-histogram is derived by subtracting a sibling's from its parent's: the
-difference is off by rounding, and rounding decides near-ties between
-structurally different splits.
+arrays.  Without the kernel, :meth:`BoostedTrees._build_tree` grows it
+recursively as ``_Node`` objects, re-scanning every (node, feature)
+pair, and :func:`_compile_trees` flattens them.  That recursive grower
+is the kernel's pin: the kernel repeats it operation for operation
+(histogram cells add their rows in row order, prefix sums run left to
+right, gains use the same expression, the split is the first strict
+maximum in (feature, bin) order, and node sums — hence every leaf
+weight — are ``grad[rows].sum()`` in numpy's pairwise order), so both
+grow the same trees bit for bit.  No histogram is derived by
+subtracting a sibling's from its parent's: the difference is off by
+rounding, and rounding decides near-ties between structurally
+different splits.
 
 A training row is routed by its bin (``bins[r, f] <= b``, that is ``x <
 edges[f][b]``) while ``predict_margin`` routes by ``x <= threshold``; a
@@ -216,21 +215,26 @@ class BoostedTrees:
         Raises
         ------
         ValueError
-            Before any work, when ``X`` is not ``(B, D)`` aligned with
-            ``y``, ``y`` or ``y_val`` holds a label that is not a finite
-            value in [0, 1], or ``X_val`` is not ``(B_val, D)`` aligned
-            with ``y_val``.
+            Before any work, when only one of ``X_val`` and ``y_val`` is
+            given, ``X`` is not ``(B, D)`` aligned with ``y``, ``y`` or
+            ``y_val`` holds a label that is not a finite value in [0,
+            1], or ``X_val`` is not ``(B_val, D)`` aligned with
+            ``y_val``.
         """
+        validate = X_val is not None
+        if validate != (y_val is not None):
+            raise ValueError(
+                "X_val must be given with y_val, or neither; got only "
+                + ("X_val" if validate else "y_val")
+            )
         X = np.asarray(X, dtype=float)
         y = np.asarray(y, dtype=float).ravel()
         if X.ndim != 2 or len(X) != len(y):
             raise ValueError("X must be (B, D) aligned with y")
         _check_labels("y", y)
-        if y_val is not None:
+        if validate:
             y_val = np.asarray(y_val, dtype=float).ravel()
             _check_labels("y_val", y_val)
-        validate = X_val is not None and y_val is not None
-        if validate:
             X_val = np.asarray(X_val, dtype=float)
             if X_val.shape != (len(y_val), X.shape[1]):
                 raise ValueError(
@@ -281,9 +285,8 @@ class BoostedTrees:
 
         # Early stopping keeps the trees up to the best validation loss.
         self._compiled = grower.compile(best_n or None)
-        # Growth state is fit-time only: the model keeps the arrays.
-        for name in ("_bin_edges", "_keybase", "_hist_scratch"):
-            self.__dict__.pop(name, None)
+        # The bin edges are fit-time only: the model keeps the arrays.
+        del self._bin_edges
         self.train_accuracy = accuracy(self.predict(X), y)
         self.val_accuracy = (
             accuracy(self.predict(X_val), y_val) if validate else float("nan")
@@ -298,7 +301,8 @@ class BoostedTrees:
         X_val: np.ndarray | None,
         val_margin: np.ndarray | None,
     ) -> "_KernelGrower | _NodeGrower":
-        """The compiled grower when the kernel loads, else the numpy one."""
+        """The compiled grower when the kernel loads, else the recursive
+        one."""
         kernel = _ckernel.load_kernel()
         if kernel is None:
             return _NodeGrower(self, bins, X, margin, X_val, val_margin)
@@ -353,171 +357,71 @@ class BoostedTrees:
     def _build_tree(
         self, bins: np.ndarray, grad: np.ndarray, hess: np.ndarray
     ) -> _Node:
-        """Level-wise growth over fused gradient/hessian histograms (the
-        numpy route, when no kernel loads).
+        """One tree, grown depth first by recursion (the route when no
+        kernel loads, and the kernel's pin): every node re-scans each
+        feature's exact gradient/hessian histograms over its rows.
 
-        Per level, one pair of ``np.bincount`` calls over the key
-        ``(node_slot * D + feature) * n_bins + bin`` builds every
-        frontier node's exact (D, n_bins) histograms at once.
-        ``np.bincount`` accumulates in element order and node row sets
-        stay sorted, so each histogram is bit-identical to the recursive
-        reference grower's per-feature bincounts.  Gains replicate the
-        reference's exact expressions and its first-strict-maximum
-        tie-breaking (row-major argmax == first feature, then first bin,
-        attaining the maximum); leaf values use the reference's own
-        ``grad[rows].sum()`` arithmetic.  Empty bins under ``reg_lambda
-        == 0`` score 0/0; those entries are masked to ``-inf`` below, so
-        the division runs with its warnings off.
-
-        No histogram is derived by subtracting a sibling's from its
-        parent's: the difference is off by rounding, which decides
-        near-ties between structurally different splits.
+        Empty bins under ``reg_lambda == 0`` score 0/0; those positions
+        are invalid and masked to ``-inf``, so the gains are computed
+        with the division's warnings off.
         """
         cfg = self.config
-        n, d = bins.shape
-        edges = self._bin_edges
-        lam, mcw, lr = cfg.reg_lambda, cfg.min_child_weight, cfg.learning_rate
-        n_bins = np.array([len(e) + 1 for e in edges], dtype=np.int64)
-        nb = int(n_bins.max()) if d else 1
+        root_rows = np.arange(len(grad))
 
-        root = _Node()
-        rows0 = np.arange(n)
-        g0 = grad[rows0].sum()
-        h0 = hess[rows0].sum()
-        if cfg.max_depth <= 0 or n < 2 or nb < 2:
-            root.value = -lr * g0 / (h0 + lam)
-            return root
-
-        feat_ids = np.arange(d, dtype=np.int64)
-        # Split position b is real only while b indexes an edge of f.
-        pos_valid = np.arange(nb - 1)[None, :] < (n_bins[:, None] - 1)
-        keybase = self.__dict__.get("_keybase")
-        if keybase is None or keybase.shape != bins.shape:
-            keybase = feat_ids * nb + bins
-
-        def scan(rows_list: list[np.ndarray]) -> tuple[np.ndarray, np.ndarray]:
-            """Fused histograms (len(rows_list), D, nb) for grad and hess."""
-            m = len(rows_list)
-            rows_cat = rows_list[0] if m == 1 else np.concatenate(rows_list)
-            offset = np.repeat(
-                np.arange(m, dtype=np.int64) * (d * nb),
-                [len(r) for r in rows_list],
-            )
-            key = (keybase[rows_cat] + offset[:, None]).ravel()
-            size = m * d * nb
-            g_hist = np.bincount(
-                key, weights=np.repeat(grad[rows_cat], d), minlength=size
-            )
-            h_hist = np.bincount(
-                key, weights=np.repeat(hess[rows_cat], d), minlength=size
-            )
-            return g_hist.reshape(m, d, nb), h_hist.reshape(m, d, nb)
-
-        # Scratch buffers for split_scores, grown to the widest level
-        # seen and reused across levels and trees (they survive on the
-        # instance between _build_tree calls within one fit).
-        scratch = self.__dict__.get("_hist_scratch")
-        if not isinstance(scratch, dict) or scratch.get("shape") != (d, nb):
-            scratch = {"shape": (d, nb), "cap": 0}
-            self._hist_scratch = scratch
-
-        def buffers(m: int):
-            if scratch["cap"] < m:
-                for name in ("cg", "ch"):
-                    scratch[name] = np.empty((m, d, nb))
-                for name in ("t1", "t2", "t3", "r2"):
-                    scratch[name] = np.empty((m, d, nb - 1))
-                for name in ("vb", "vb2"):
-                    scratch[name] = np.empty((m, d, nb - 1), dtype=bool)
-                scratch["cap"] = m
-            return scratch
-
-        def split_scores(Gb, Hb, gs, hs):
-            """Gains (m, D, nb - 1) of a histogram block, ``-inf`` where
-            a split is invalid.
-
-            In-place arithmetic over reusable scratch; every operand
-            sequence matches the reference expressions, so results are
-            bit-identical to the naive formulation.  The returned array
-            is a view into scratch: consumed before the next call.
-            """
-            m = len(Gb)
-            s = buffers(m)
-            cg = s["cg"][:m]
-            ch = s["ch"][:m]
-            np.cumsum(Gb, axis=2, out=cg)
-            np.cumsum(Hb, axis=2, out=ch)
-            g_left = cg[:, :, :-1]
-            h_left = ch[:, :, :-1]
-            t1 = s["t1"][:m]
-            t2 = s["t2"][:m]
-            t3 = s["t3"][:m]
-            h_right = s["r2"][:m]
-            np.subtract(hs[:, None, None], h_left, out=h_right)
-            parent_score = (gs * gs / (hs + lam))[:, None, None]
-            # gain = gl²/(hl+λ) + gr²/(hr+λ) − parent, built in place.
-            with np.errstate(divide="ignore", invalid="ignore"):
-                np.multiply(g_left, g_left, out=t1)
-                np.add(h_left, lam, out=t2)
-                t1 /= t2
-                np.subtract(gs[:, None, None], g_left, out=t3)  # g_right
-                t3 *= t3
-                np.add(h_right, lam, out=t2)
-                t3 /= t2
-                t1 += t3
-                t1 -= parent_score
-            vb = s["vb"][:m]
-            vb2 = s["vb2"][:m]
-            np.greater_equal(h_left, mcw, out=vb)
-            np.greater_equal(h_right, mcw, out=vb2)
-            np.logical_and(vb, vb2, out=vb)
-            np.logical_and(vb, pos_valid[None], out=vb)
-            np.logical_not(vb, out=vb2)
-            np.copyto(t1, -np.inf, where=vb2)
-            return t1
-
-        # One frontier entry per still-growing node: (node, rows, g_sum,
-        # h_sum).
-        frontier: list[tuple] = [(root, rows0, g0, h0)]
-        depth = 0
-        while frontier:
-            m = len(frontier)
-            G, H = scan([e[1] for e in frontier])
-            g_sums = np.array([e[2] for e in frontier])
-            h_sums = np.array([e[3] for e in frontier])
-            flat = split_scores(G, H, g_sums, h_sums).reshape(m, -1)
-            best = np.argmax(flat, axis=1)
-            best_gain = flat[np.arange(m), best]
-
-            child_depth = depth + 1
-            next_frontier: list[tuple] = []
-            for i, (node, rows, g_sum, h_sum) in enumerate(frontier):
-                if not best_gain[i] > cfg.gamma:
-                    node.value = -lr * g_sum / (h_sum + lam)
+        def grow(rows: np.ndarray, depth: int) -> _Node:
+            g_sum = grad[rows].sum()
+            h_sum = hess[rows].sum()
+            leaf_value = -cfg.learning_rate * g_sum / (h_sum + cfg.reg_lambda)
+            if depth >= cfg.max_depth or len(rows) < 2:
+                return _Node(value=leaf_value)
+            best_gain = cfg.gamma
+            best = None
+            parent_score = g_sum * g_sum / (h_sum + cfg.reg_lambda)
+            sub_bins = bins[rows]
+            sub_g = grad[rows]
+            sub_h = hess[rows]
+            for f in range(bins.shape[1]):
+                n_bins = len(self._bin_edges[f]) + 1
+                if n_bins < 2:
                     continue
-                f, b = divmod(int(best[i]), nb - 1)
-                go_left = bins[rows, f] <= b
-                left_rows = rows[go_left]
-                right_rows = rows[~go_left]
-                if len(left_rows) == 0 or len(right_rows) == 0:
-                    node.value = -lr * g_sum / (h_sum + lam)
+                fb = sub_bins[:, f]
+                g_hist = np.bincount(fb, weights=sub_g, minlength=n_bins)
+                h_hist = np.bincount(fb, weights=sub_h, minlength=n_bins)
+                g_left = np.cumsum(g_hist)[:-1]
+                h_left = np.cumsum(h_hist)[:-1]
+                g_right = g_sum - g_left
+                h_right = h_sum - h_left
+                valid = (h_left >= cfg.min_child_weight) & (
+                    h_right >= cfg.min_child_weight
+                )
+                if not valid.any():
                     continue
-                node.feature = f
-                node.threshold = float(edges[f][b])
-                node.left = _Node()
-                node.right = _Node()
-                for child, child_rows in (
-                    (node.left, left_rows),
-                    (node.right, right_rows),
-                ):
-                    cg = grad[child_rows].sum()
-                    ch = hess[child_rows].sum()
-                    if child_depth >= cfg.max_depth or len(child_rows) < 2:
-                        child.value = -lr * cg / (ch + lam)
-                    else:
-                        next_frontier.append((child, child_rows, cg, ch))
-            frontier, depth = next_frontier, child_depth
-        return root
+                with np.errstate(divide="ignore", invalid="ignore"):
+                    gain = (
+                        g_left * g_left / (h_left + cfg.reg_lambda)
+                        + g_right * g_right / (h_right + cfg.reg_lambda)
+                        - parent_score
+                    )
+                gain = np.where(valid, gain, -np.inf)
+                b = int(np.argmax(gain))
+                if gain[b] > best_gain:
+                    best_gain = float(gain[b])
+                    best = (f, b)
+            if best is None:
+                return _Node(value=leaf_value)
+            f, b = best
+            threshold = self._bin_edges[f][b]
+            go_left = sub_bins[:, f] <= b
+            left_rows = rows[go_left]
+            right_rows = rows[~go_left]
+            if len(left_rows) == 0 or len(right_rows) == 0:
+                return _Node(value=leaf_value)
+            node = _Node(feature=f, threshold=float(threshold))
+            node.left = grow(left_rows, depth + 1)
+            node.right = grow(right_rows, depth + 1)
+            return node
+
+        return grow(root_rows, 0)
 
     # ------------------------------------------------------------------
     # Inference
@@ -587,22 +491,16 @@ class BoostedTrees:
 
 
 class _NodeGrower:
-    """The numpy route of :meth:`BoostedTrees.fit`: ``_Node`` trees from
-    the model's :meth:`~BoostedTrees._build_tree`, walked by
-    :meth:`~BoostedTrees._predict_tree` for the margins, and flattened
-    by :func:`_compile_trees` at the end."""
+    """The route of :meth:`BoostedTrees.fit` without the kernel:
+    ``_Node`` trees from the model's :meth:`~BoostedTrees._build_tree`,
+    walked by :meth:`~BoostedTrees._predict_tree` for the margins, and
+    flattened by :func:`_compile_trees` at the end."""
 
     def __init__(self, model, bins, X, margin, X_val, val_margin) -> None:
         self.model, self.bins = model, bins
         self.X, self.margin = X, margin
         self.X_val, self.val_margin = X_val, val_margin
         self.trees: list[_Node] = []
-        # Per-row scan keys are identical for every tree: fold the
-        # feature offsets into the bin codes once, so each histogram
-        # scan only adds the per-level node-slot offset.
-        if X.shape[1]:
-            nb_fit = max(len(e) + 1 for e in model._bin_edges)
-            model._keybase = np.arange(X.shape[1], dtype=np.int64) * nb_fit + bins
 
     def add_tree(self, grad: np.ndarray, hess: np.ndarray) -> None:
         """Grow one tree and add its leaf values to the margins."""

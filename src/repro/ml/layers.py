@@ -4,7 +4,8 @@ Minimal but complete: every layer implements ``forward``/``backward``
 and exposes parameter/gradient pairs for the optimizers in
 :mod:`repro.ml.optim`.  Convolution uses im2col so the heavy lifting is
 a single matrix multiply; the column matrix is built, and folded back,
-in one compiled-kernel call each (numpy shifted runs without a kernel).
+in one compiled-kernel call each (by padding and one copy or add per
+kernel tap without a kernel).
 
 ``backward(dout, input_grad=False)`` on a layer with parameters fills
 its parameter gradients and skips the gradient with respect to its
@@ -269,10 +270,10 @@ class Conv2D(_Weighted):
     * **Training** (``training=True``) runs ``cols.T @ K`` and keeps
       ``cols``; backward is one GEMM for ``dW`` (against ``cols``) and
       one GEMM back to column space, written over ``cols``, followed
-      by a col2im fold for ``dx``.  Its arrays (the channel-major copy,
-      ``cols``, the forward's GEMM output, the ``dout`` copy where
-      numpy's reshape makes one, the folded gradient) come from
-      :meth:`Layer._scratch`: a fit's workspace, or new arrays.
+      by a col2im fold for ``dx``.  Its arrays (``cols``, the forward's
+      GEMM output, the ``dout`` copy where numpy's reshape makes one,
+      the folded gradient) come from :meth:`Layer._scratch`: a fit's
+      workspace, or new arrays.
     * **Inference** (``training=False``) runs ``K.T @ cols`` and keeps
       nothing.  These are the operands, in the same layouts, that
       numpy's ``einsum`` hands to ``matmul`` for the padded
@@ -296,28 +297,19 @@ class Conv2D(_Weighted):
       thread count, not across thread counts.
 
     Both folds are one call each into the compiled kernel
-    (:mod:`repro.sim._ckernel`).  ``sinan_im2col`` fills ``cols`` with
-    the padded windows' values by copies and +0.0 alone, reading ``x``
-    in place (C-contiguous, or a ReLU's ``(B, H, W, C)``-ordered
-    output).  ``sinan_col2im`` starts each input gradient at +0.0 and
-    adds its on-grid taps in ``(i, j)`` order: the padded scatter-add's
-    sums.  Without a kernel both run on numpy shifted runs.  With the
-    input copied channel-major to ``(C, B*H*W)``, the kernel tap ``(di,
-    dj)`` (offsets from the centre) reads row ``c`` shifted by ``s =
-    di*W + dj``: one contiguous copy per block of channels fills the
-    tap's rows of the column matrix.  The entries whose source ``(h+di,
-    w+dj)`` falls off the grid — exactly those the shift pulled from a
-    neighbouring row or image — are then set to 0.0, the value "same"
-    padding supplies.  col2im zeroes the same entries of each ``dcols``
-    tap (their gradient belongs to the padding) and adds the tap's run,
-    shifted back, into a zeroed ``(C, B*H*W)`` gradient, taps in ``(i,
-    j)`` order: the padded scatter-add's sums plus extra ``+0.0``
-    terms, which are exact no-ops (a sum started at +0.0 never becomes
-    -0.0).  So both backends give the same bits, and the three GEMMs see
-    the same operands, in the same layouts, as the padded version:
-    training outputs and gradients match the padded oracle in
-    ``tests/oracles/training.py`` byte for byte (and the einsum oracle
-    there to ~1e-10).
+    (:mod:`repro.sim._ckernel`).  Without a kernel they run on the
+    padded input: :meth:`_im2col_padded` pads ``x`` with +0.0 and
+    copies each kernel tap's window into its rows of ``cols``, and
+    :meth:`_col2im_padded` adds each tap's rows, taps in ``(i, j)``
+    order, onto a zeroed padded gradient whose interior is ``dx``.  They
+    are the kernel's pin: ``sinan_im2col`` fills ``cols`` with the same
+    values by copies and +0.0 alone, reading ``x`` in place
+    (C-contiguous, or a ReLU's ``(B, H, W, C)``-ordered output), and
+    ``sinan_col2im`` starts each input gradient at +0.0 and adds its
+    on-grid taps in ``(i, j)`` order, the padded sums' terms in their
+    order.  So both backends give the same bits, and training outputs
+    and gradients match the padded oracle in ``tests/oracles/training.py``
+    byte for byte (and the einsum oracle there to ~1e-10).
 
     :meth:`backward` needs a training-mode forward first: an inference
     forward keeps no state to differentiate, and a backward that
@@ -380,7 +372,7 @@ class Conv2D(_Weighted):
             cols = np.empty((C, k * k, n))
         compiled = _ckernel.load_kernel()
         if compiled is None:
-            self._im2col_numpy(x, cols, training)
+            self._im2col_padded(x, cols)
         else:
             ffi, lib = compiled
             x, base = _kernel_input(x)
@@ -390,38 +382,21 @@ class Conv2D(_Weighted):
             )
         return cols.reshape(C * k * k, n)
 
-    def _im2col_numpy(
-        self, x: np.ndarray, cols: np.ndarray, training: bool
-    ) -> None:
-        """:meth:`_im2col` without the kernel: fills the ``(C, k*k,
-        B*H*W)`` array ``cols`` from shifted runs of a channel-major
-        copy of ``x``."""
+    def _im2col_padded(self, x: np.ndarray, cols: np.ndarray) -> None:
+        """:meth:`_im2col` without the kernel: ``x`` padded with +0.0,
+        then one strided copy per kernel tap fills its rows of the
+        C-contiguous ``cols`` (``C*k*k*B*H*W`` elements)."""
         B, C, H, W = x.shape
         k = self.kernel
-        n = B * H * W
-        if training:
-            src = self._scratch("src", (C, B, H, W), transient=True)
-        else:
-            src = np.empty((C, B, H, W))
-        # The input once, channel-major.  32 images at a time: a ReLU
-        # hands a training forward's x over (B, H, W, C)-ordered, and
-        # transposing the whole batch at once runs out of cache.
-        for b in range(0, B, 32):
-            src[:, b : b + 32] = x[b : b + 32].transpose(1, 0, 2, 3)
-        src = src.reshape(C, n)
-        # Channels go in blocks whose k*k runs are still in cache when
-        # their off-grid entries are zeroed; one copy per tap fills a
-        # block.  The served model's single window is one block, a
-        # training batch takes a channel per block.
-        step = max(1, _IM2COL_BLOCK_BYTES // max(1, cols[0].nbytes))
-        taps = _tap_shifts(k, B, H, W)
-        for c in range(0, C, step):
-            for run, (di, dj, s, lo, hi) in zip(
-                cols[c : c + step].swapaxes(0, 1), taps
-            ):
-                run[:, lo:hi] = src[c : c + step, lo + s : hi + s]
-                # Entries outside [lo, hi) are off the grid too.
-                _zero_off_grid(run, H, W, di, dj)
+        pad = k // 2
+        xp = np.pad(x, ((0, 0), (0, 0), (pad, pad), (pad, pad)))
+        taps = cols.reshape(C, k, k, B, H, W)
+        for i in range(k):
+            for j in range(k):
+                np.copyto(
+                    taps[:, i, j],
+                    xp[:, :, i : i + H, j : j + W].transpose(1, 0, 2, 3),
+                )
 
     def _backward_im2col(
         self, dout: np.ndarray, input_grad: bool
@@ -460,25 +435,31 @@ class Conv2D(_Weighted):
         """Fold the C-contiguous ``(C*k*k, B*H*W)`` column gradient
         ``dcols`` of the last training forward into ``dx``, ``(C,
         B*H*W)``: each input element's on-grid taps summed from +0.0 in
-        ``(i, j)`` order.  Without the kernel, the shifted runs of
-        ``dcols``, their off-grid entries zeroed, are added onto a zeroed
-        ``dx``: the same sums plus exact +0.0 no-ops."""
+        ``(i, j)`` order."""
+        compiled = _ckernel.load_kernel()
+        if compiled is None:
+            self._col2im_padded(dcols, dx)
+            return
+        B, C, H, W = self._x_shape
+        ffi, lib = compiled
+        lib.sinan_col2im(
+            B, C, H, W, self.kernel, ffi.from_buffer("double[]", dcols),
+            ffi.from_buffer("double[]", dx),
+        )
+
+    def _col2im_padded(self, dcols: np.ndarray, dx: np.ndarray) -> None:
+        """:meth:`_col2im` without the kernel: each tap's rows of
+        ``dcols`` added, taps in ``(i, j)`` order, onto a zeroed padded
+        gradient, whose interior is copied into ``dx``."""
         B, C, H, W = self._x_shape
         k = self.kernel
-        compiled = _ckernel.load_kernel()
-        if compiled is not None:
-            ffi, lib = compiled
-            lib.sinan_col2im(
-                B, C, H, W, k, ffi.from_buffer("double[]", dcols),
-                ffi.from_buffer("double[]", dx),
-            )
-            return
-        dx.fill(0.0)
-        taps = _tap_shifts(k, B, H, W)
-        for c, runs in enumerate(dcols.reshape(C, k * k, B * H * W)):
-            for run, (di, dj, s, lo, hi) in zip(runs, taps):
-                _zero_off_grid(run, H, W, di, dj)
-                dx[c, lo + s : hi + s] += run[lo:hi]
+        pad = k // 2
+        dxp = np.zeros((C, B, H + 2 * pad, W + 2 * pad))
+        taps = dcols.reshape(C, k, k, B, H, W)
+        for i in range(k):
+            for j in range(k):
+                dxp[:, :, i : i + H, j : j + W] += taps[:, i, j]
+        dx.reshape(C, B, H, W)[...] = dxp[:, :, pad : pad + H, pad : pad + W]
 
 
 class LSTMCell(_Weighted):
@@ -651,44 +632,6 @@ def _kernel_input(x: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
             return x, view
     x = np.array(x, dtype=np.float64, order="C")
     return x, x
-
-
-#: Bytes of column matrix one im2col channel block may span: a block's
-#: k*k runs stay in cache between their copy and their zeroing.
-_IM2COL_BLOCK_BYTES = 1 << 17
-
-
-def _tap_shifts(
-    k: int, B: int, H: int, W: int
-) -> list[tuple[int, int, int, int, int]]:
-    """Per tap of a k x k kernel, in ``(i, j)`` order: its offsets
-    ``(di, dj)`` from the centre, its flat shift ``s = di*W + dj`` and
-    the range ``[lo, hi)`` of flat positions whose source ``n + s`` lies
-    inside the ``B*H*W`` batch (empty when none does)."""
-    n = B * H * W
-    span = range(-(k // 2), k // 2 + 1)
-    taps = []
-    for di in span:
-        for dj in span:
-            s = di * W + dj
-            lo = max(0, -s)
-            taps.append((di, dj, s, lo, max(lo, min(n, n - s))))
-    return taps
-
-
-def _zero_off_grid(run: np.ndarray, H: int, W: int, di: int, dj: int) -> None:
-    """Set to 0.0 the entries of one tap's ``(..., B*H*W)`` runs whose
-    source ``(h+di, w+dj)`` lies off the ``H x W`` grid."""
-    # A view: each run is contiguous.
-    grid = run.reshape(*run.shape[:-1], -1, H, W)
-    if di < 0:
-        grid[..., :-di, :] = 0.0
-    elif di > 0:
-        grid[..., max(H - di, 0) :, :] = 0.0
-    if dj < 0:
-        grid[..., :-dj] = 0.0
-    elif dj > 0:
-        grid[..., max(W - dj, 0) :] = 0.0
 
 
 def _merges_to_view(shape: tuple[int, ...], strides: tuple[int, ...]) -> bool:

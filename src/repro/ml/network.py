@@ -134,15 +134,20 @@ class NeuralRegressor:
         (Section 5.4: initial learning rate 1e-5 = lambda/100).
 
         The input arrays and the targets must share one non-zero length,
-        as must the validation pair, and every target must be finite: a
-        ``ValueError`` says which before any work.  The training steps
-        run in one :class:`~repro.ml.layers.Workspace` that the fit
-        makes, lends every layer and takes back (with what the last
-        training forward kept) when it returns or raises, so a fitted
-        model carries none.
+        as must the validation pair, which comes whole or not at all, and
+        every target must be finite: a ``ValueError`` says which before
+        any work.  The training steps run in one
+        :class:`~repro.ml.layers.Workspace` that the fit makes, lends
+        every layer and takes back (with what the last training forward
+        kept) when it returns or raises, so a fitted model carries none.
         """
         _check_fit_data(inputs, targets, "training")
-        if val_inputs is not None and val_targets is not None:
+        if (val_inputs is None) != (val_targets is None):
+            raise ValueError(
+                "validation inputs and targets come as a pair; got only "
+                + ("val_inputs" if val_targets is None else "val_targets")
+            )
+        if val_inputs is not None:
             _check_fit_data(val_inputs, val_targets, "validation")
         loss = loss or MSELoss()
         rng = np.random.default_rng(seed)
@@ -197,7 +202,7 @@ class NeuralRegressor:
                 result.epoch_time_s.append(time.perf_counter() - tick)
                 result.epochs_run = epoch + 1
 
-                if val_inputs is not None and val_targets is not None:
+                if val_inputs is not None:
                     val_pred = self.predict(val_inputs)
                     val_score = rmse(val_pred, val_targets)
                     result.val_rmse.append(val_score)
@@ -223,7 +228,7 @@ class NeuralRegressor:
             for p, best in zip(self.params(), best_params):
                 p[...] = best
         result.train_rmse_final = rmse(self.predict(inputs), targets)
-        if val_inputs is not None and val_targets is not None:
+        if val_inputs is not None:
             result.val_rmse_final = rmse(self.predict(val_inputs), val_targets)
         return result
 

@@ -1,57 +1,57 @@
 """Optional compiled kernel: the simulator's interval, the boosted-tree
 descent and growth, the Table 1 candidate set and the conv folds.
 
-Five layers run here, each with a numpy fallback that computes the
-identical bits:
+Five layers run here, each with a Python fallback that computes the
+identical bits.  Every fallback but the tree descent's is also the
+reference the kernel is pinned to:
 
 * the simulator's interval (``sinan_interval``, one call per
-  :meth:`repro.sim.engine.QueueingEngine.run_interval`), whose numpy
-  code is the engine's per-tick loop, ``_run_interval_loop``: per tick
+  :meth:`repro.sim.engine.QueueingEngine.run_interval`), whose fallback
+  is the engine's per-tick loop, ``_run_interval_loop``: per tick
   the rate modulation, the ``Generator`` draws and a level-by-level
   sojourn sweep of small numpy calls, then the sampler's per-stage
   draws and gathers and ``np.percentile``;
 * the trees' flat descent
   (:meth:`repro.ml.boosted_trees.BoostedTrees.predict_margin`), whose
-  numpy code is ``_descend_numpy`` and pays about nine numpy passes per
+  fallback is ``_descend_numpy`` and pays about nine numpy passes per
   tree level;
 * the trees' growth (``sinan_grow_tree``, one call per tree of
-  :meth:`repro.ml.boosted_trees.BoostedTrees.fit`), whose numpy code is
-  ``BoostedTrees._build_tree`` plus ``_compile_trees``: per tree level,
-  a fused ``bincount``, a dozen passes over the gain block and a Python
-  loop over the nodes;
+  :meth:`repro.ml.boosted_trees.BoostedTrees.fit`), whose fallback is
+  the recursive grower, ``BoostedTrees._build_tree``, plus
+  ``_compile_trees``: per node, a Python loop over the features with
+  two ``bincount`` calls and a dozen small numpy passes each;
 * the control loop's candidate generation
-  (:meth:`repro.core.actions.ActionSpace.candidates`), whose numpy code
-  is ``ActionSpace._generate_numpy``: dozens of small numpy passes per
-  decision, the last a ``lexsort`` dedupe of the whole rounded matrix;
+  (:meth:`repro.core.actions.ActionSpace.candidates`), whose fallback
+  is ``ActionSpace._generate_actions``: one ``Action`` object per row,
+  built by a Python loop per kind, and a dedupe over rounded tuples;
 * the convolution's im2col and col2im folds (``sinan_im2col`` and
   ``sinan_col2im``, one call each per
-  :class:`repro.ml.layers.Conv2D` fold), whose numpy code is
-  ``Conv2D._im2col_numpy`` and the shifted-run branch of
-  ``Conv2D._col2im``: a channel-major copy, then a copy and a few
-  off-grid zeroings per kernel tap, about thirty numpy calls per fold
-  on the served model's single window.
+  :class:`repro.ml.layers.Conv2D` fold), whose fallbacks are
+  ``Conv2D._im2col_padded`` and ``Conv2D._col2im_padded``: ``np.pad``
+  or a zeroed padded gradient, then one strided copy or add per kernel
+  tap.
 
-In all five, per-call dispatch and argument checking (and the grower's
-per-node Python) cost more than the arithmetic or the draws.  This
-module compiles them into a tiny C kernel at first use (cffi ABI mode
-plus the system C compiler) and caches the shared object under the
-user's temp directory, keyed by a digest of the source and the compiler
-flags.  Everything is best-effort and all-or-nothing: any failure — no
+In all five, per-call dispatch and argument checking (and the
+fallbacks' per-node, per-row and per-tap Python) cost more than the
+arithmetic or the draws.  This module compiles them into a tiny C
+kernel at first use (cffi ABI mode plus the system C compiler) and
+caches the shared object under the user's temp directory, keyed by a
+digest of the source and the compiler flags.  Everything is best-effort and all-or-nothing: any failure — no
 ``cffi``, no compiler, an unwritable temp directory, a numpy whose
 distribution functions or float64 loops do not resolve — leaves all
-five layers on their numpy code.  The first failure is logged once at
+five layers on their fallbacks.  The first failure is logged once at
 WARNING and :func:`load_failure` returns its reason: on the fallback,
 the simulator's per-tick loop takes about ten times the kernel's time
 per interval.
 
-Bitwise equality with the numpy code relies on four things:
+Bitwise equality with the fallbacks relies on four things:
 
 * the kernel mirrors the reference expression trees operation for
   operation (same association order; comparison-based min/max, exact
   for the finite non-NaN values the engine produces; the trees' ``!(x
   <= threshold)`` and each row's margin summed in tree order; the
   candidate generator's ``np.maximum``, ``np.minimum``, ``np.clip``,
-  ``_isclose`` and ``np.round(x, 9)`` by numpy's own expressions, its
+  ``np.allclose`` and ``np.round(x, 9)`` by numpy's own expressions, its
   batch scale-downs in the order of numpy's ``argsort``, passed in; the
   grower's histograms and prefix sums in ``np.bincount``'s and
   ``np.cumsum``'s order, and every ``.sum()`` — a tree node's gradient
@@ -84,9 +84,9 @@ Bitwise equality with the numpy code relies on four things:
 
 The interval call holds the generator's lock throughout, since cffi
 releases the GIL.  numpy checks the floating-point flags after each ufunc
-call and the kernel does not; the numpy code raises none on the
+call and the kernel does not; the per-tick loop raises none on the
 equivalence suites' episodes (``tests/sim/test_kernel_loops.py``).
-Tests reach the numpy code by making :func:`load_kernel` return
+Tests reach the fallbacks by making :func:`load_kernel` return
 ``None``; the equivalence suites exercise both.
 """
 
@@ -291,8 +291,8 @@ static double np_sum(const double *a, intptr_t n)
 }
 
 /* One boosted tree (repro.ml.boosted_trees.BoostedTrees.fit), grown depth
- * first from the C-contiguous (n, d) bin codes, with the numpy grower's
- * arithmetic:
+ * first from the C-contiguous (n, d) bin codes, with the arithmetic of
+ * the recursive grower, BoostedTrees._build_tree:
  *   - a node's gradient and hessian sums are np_sum over its rows, in
  *     ascending row order (grad[rows].sum()); a leaf weighs
  *     -lr * g / (h + lam);
@@ -300,14 +300,14 @@ static double np_sum(const double *a, intptr_t n)
  *     order from 0.0 (np.bincount), and the prefix sums run left to right
  *     from the first bin (np.cumsum);
  *   - split position b of feature f (b < n_bins[f] - 1) is valid when
- *     both sides weigh at least mcw, and gains the numpy expression in its
- *     operation order; the winner is the first strict maximum in (feature,
+ *     both sides weigh at least mcw, and gains the recursive grower's
+ *     expression in its operation order; the winner is the first strict maximum in (feature,
  *     bin) order, and a valid NaN gain makes a leaf, as np.argmax picks
  *     the first NaN; the node splits when the winner's gain is > gamma
  *     and both sides keep a row;
  *   - the split is a stable partition on bins[r, f] <= b, so every node's
  *     rows stay ascending.
- * Three shortcuts skip only positions the numpy grower rules out.  The
+ * Three shortcuts skip only positions the recursive grower rules out.  The
  * hessians are positive (fit floors them at 1e-12), so the left-hand
  * hessian sum hl never falls and h - hl never rises along a feature's
  * bins: once h - hl < mcw the feature's later positions are invalid, and
@@ -437,11 +437,11 @@ intptr_t sinan_grow_tree(
 }
 
 /* The Table 1 candidate set (repro.core.actions.ActionSpace.candidates),
- * by the numpy generator's expressions and in its row order.  The
- * comparisons below are numpy's own: np.maximum / np.minimum keep their
- * first operand when it is NaN, np.clip is min(max(x, lo), hi) by
- * strict comparisons, and _isclose is np.isclose's default-tolerance
- * expression.  Where both operands are zeros of opposite sign, numpy's
+ * by the Action-list generator's expressions (ActionSpace._generate_actions)
+ * and in its row order.  The comparisons below are numpy's own:
+ * np.maximum / np.minimum keep their first operand when it is NaN,
+ * np.clip is min(max(x, lo), hi) by strict comparisons, and is_close is
+ * the default-tolerance test np.allclose applies to each element.  Where both operands are zeros of opposite sign, numpy's
  * own SIMD and scalar loops disagree; here that takes a floor or a
  * ceiling of zero cores. */
 static double np_maximum(double a, double b)
@@ -531,7 +531,7 @@ static intptr_t put_single(
  * total_cpu:
  * 2 + 2 * n * (n_abs + n_rel) + 2 * n_batch + n_ratios rows.
  *
- * Rows come in the numpy generator's order: hold, the per-tier
+ * Rows come in the Action-list generator's order: hold, the per-tier
  * scale-downs, the batch scale-downs, the per-tier scale-ups, the
  * scale-up-all ratios, the victim boost.  Rows equal after rounding to 9
  * decimals keep their last occurrence: a hash table, filled from the last
@@ -1394,8 +1394,9 @@ def load_kernel() -> tuple | None:
         _failure = f"{type(exc).__name__}: {exc}"
         logger.warning(
             "compiled kernel not loaded (%s): the simulator runs its "
-            "per-tick loop, and the trees, candidates and conv folds "
-            "their numpy code", _failure,
+            "per-tick loop, tree fits, candidates and conv folds their "
+            "reference code, and the tree descent its numpy gathers",
+            _failure,
         )
         logger.debug("compiled kernel load failure", exc_info=True)
     return _cached

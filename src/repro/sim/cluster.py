@@ -128,9 +128,6 @@ class ClusterSimulator:
         self.current_alloc = self.clip_alloc(np.asarray(initial_alloc, dtype=float))
         self._initial_alloc = self.current_alloc.copy()
 
-    def _replica_vec(self) -> np.ndarray:
-        return np.array([float(t.replicas) for t in self.graph.tiers])
-
     # ------------------------------------------------------------------
     # Control interface
     # ------------------------------------------------------------------

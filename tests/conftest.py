@@ -72,7 +72,10 @@ def rng() -> np.random.Generator:
 @pytest.fixture(params=["kernel", "numpy"])
 def backend(request, monkeypatch):
     """Run a test once on the compiled kernel (skipped when none loads)
-    and once on the numpy code that runs without it."""
+    and once on the Python code that runs without it: the simulator's
+    per-tick loop, the trees' numpy descent and recursive grower, the
+    Action-list candidate generator and the padded conv folds.  The
+    ``numpy`` id names that code."""
     if request.param == "numpy":
         monkeypatch.setattr(_ckernel, "load_kernel", lambda: None)
     elif _ckernel.load_kernel() is None:

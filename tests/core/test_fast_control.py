@@ -1,17 +1,18 @@
-"""Vectorized control loop vs the Action-list oracle: bitwise equality.
+"""The control loop against the Action-list oracle: bitwise equality.
 
-The matrix candidate path (:meth:`ActionSpace.candidates`) and the
-mask-based selection (:meth:`OnlineScheduler._select`) are only
-shippable because they change nothing but wall-clock time.  These tests
-pin that down against ``tests/oracles/control.py``: the candidate matrix
-row-for-row against the Action list — on clean telemetry, under fault
-profiles, and on telemetry recorded from a bandit-explorer episode — and
-the selected index against the list-based rule under synthetic
-predictions.  The candidate checks run on both backends: each class
-first on the one that serves (the compiled kernel when it loads), then,
-as its ``...OnNumpy`` subclass or through the ``backend`` fixture, on
-the numpy code that runs without it.  Whole closed loops with the
-control loop on its oracle run in ``tests/core/test_fast_path.py``.
+The compiled candidate generator (:meth:`ActionSpace.candidates` with
+the kernel loaded) and the mask-based selection
+(:meth:`OnlineScheduler._select`) are only shippable because they change
+nothing but wall-clock time.  These tests pin that down against
+``tests/oracles/control.py``: the candidate matrix row-for-row against
+the Action list — on clean telemetry, under fault profiles, and on
+telemetry recorded from a bandit-explorer episode — and the selected
+index against the list-based rule under synthetic predictions.  Without
+a kernel ``candidates`` stacks the Action list itself, so there each
+class, as its ``...OnNumpy`` subclass or through the ``backend``
+fixture, checks only what the stacking adds: the ``CandidateSet``'s
+dtypes, layout and row sums.  Whole closed loops with the control loop
+on its oracle run in ``tests/core/test_fast_path.py``.
 """
 
 import numpy as np
@@ -22,6 +23,7 @@ from repro.apps.social_network import social_network
 from repro.core.actions import ActionKind, ActionSpace, KINDS_BY_CODE
 from repro.core.data_collection import BanditExplorer, CollectionConfig
 from repro.core.scheduler import OnlineScheduler
+from repro.sim import _ckernel
 from tests.conftest import make_tiny_cluster, make_tiny_graph
 from tests.core.test_fast_path import (  # noqa: F401 (fixture re-export)
     QOS,
@@ -39,32 +41,36 @@ def tiny_space() -> ActionSpace:
 
 
 def assert_candidates_equal(space, current, cpu_util, victims, allow_down):
-    actions = candidates_reference(
-        space, current, cpu_util, victims=victims, allow_scale_down=allow_down
-    )
+    """``space.candidates`` is a well-formed ``CandidateSet`` and, with
+    the kernel loaded, the Action list's rows, kinds and sums."""
     cset = space.candidates(
         current, cpu_util, victims=victims, allow_scale_down=allow_down
     )
-    assert len(cset) == len(actions)
     assert cset.allocs.dtype == np.float64 and cset.kinds.dtype == np.int64
     assert cset.allocs.flags.c_contiguous
-    assert cset.allocs.shape == (len(actions), space.n_tiers)
+    assert cset.allocs.shape == (len(cset), space.n_tiers)
     # The matrix owns exactly its rows: a kept row pins no spare capacity.
     assert cset.allocs.base is None
+    # numpy's own row sums, byte for byte (the kernel repeats its order).
+    assert_same_bytes(cset.total_cpu, cset.allocs.sum(axis=1))
+    if _ckernel.load_kernel() is None:
+        return cset  # the rows are the Action list's own
+    actions = candidates_reference(
+        space, current, cpu_util, victims=victims, allow_scale_down=allow_down
+    )
+    assert len(cset) == len(actions)
     assert np.array_equal(cset.allocs, np.stack([a.alloc for a in actions]))
     assert [KINDS_BY_CODE[c] for c in cset.kinds] == [a.kind for a in actions]
     assert np.array_equal(
         cset.total_cpu, np.array([a.total_cpu for a in actions])
     )
-    # numpy's own row sums, byte for byte (the kernel repeats its order).
-    assert_same_bytes(cset.total_cpu, cset.allocs.sum(axis=1))
     for i, action in enumerate(actions):
         assert cset.kind_of(i) is action.kind
     return cset
 
 
-#: Runs a test class, through the ``backend`` fixture, on the numpy code
-#: alone (its base class runs on the backend that serves).
+#: Runs a test class, through the ``backend`` fixture, without the
+#: kernel alone (its base class runs on the backend that serves).
 ON_NUMPY = pytest.mark.parametrize("backend", ["numpy"], indirect=True)
 
 
@@ -144,7 +150,7 @@ class TestCandidateMatrixEquivalence:
 @ON_NUMPY
 @pytest.mark.usefixtures("backend")
 class TestCandidateMatrixEquivalenceOnNumpy(TestCandidateMatrixEquivalence):
-    """The same checks on the numpy code."""
+    """The same states without the kernel: well-formed candidate sets."""
 
 
 def served_space(app) -> ActionSpace:
@@ -215,7 +221,7 @@ class TestServedSizeCandidates:
 @ON_NUMPY
 @pytest.mark.usefixtures("backend")
 class TestServedSizeCandidatesOnNumpy(TestServedSizeCandidates):
-    """The same checks on the numpy code."""
+    """The same states without the kernel: well-formed candidate sets."""
 
 
 def rows_of(cset, kind: ActionKind) -> list[np.ndarray]:

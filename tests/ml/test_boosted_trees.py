@@ -17,7 +17,6 @@ from repro.ml.boosted_trees import (
 from repro.sim import _ckernel
 from tests.ml.test_layers import assert_same_bytes
 from tests.oracles.decision import predict_margin_reference
-from tests.oracles.training import ReferenceBoostedTrees, assert_same_structure
 
 
 def blobs(n=1000, seed=0):
@@ -73,15 +72,23 @@ class TestTraining:
         assert bt._compiled is compiled and bt.base_margin == base_margin
 
     def test_validation_set_must_match(self, backend):
+        """A validation set that does not fit ``X``, or half of one
+        (which would silently drop early stopping), is refused before
+        the model changes."""
         X, y = blobs(200)
-        bt = BoostedTrees(BoostedTreesConfig(n_trees=5), seed=0)
+        bt = BoostedTrees(BoostedTreesConfig(n_trees=5), seed=0).fit(X, y)
+        compiled, base_margin = bt._compiled, bt.base_margin
         for X_val, y_val in [
             (X[:50, :5], y[:50]),  # a column short
             (X[:50], y[:49]),  # a label short
             (X[:50, 0], y[:50]),  # one column as a vector
+            (X[:50], None),  # no labels
+            (None, y[:50]),  # no rows
+            (None, np.full(50, np.nan)),  # no rows: refused before its labels
         ]:
             with pytest.raises(ValueError, match="X_val must be"):
                 bt.fit(X, y, X_val, y_val)
+            assert bt._compiled is compiled and bt.base_margin == base_margin
 
     def test_fit_without_validation_set(self):
         X, y = blobs(300)
@@ -353,108 +360,6 @@ class TestDescentBackends:
         assert_margins_match_walks(bt, layout(X))
 
 
-def _fit_pair(config, X, y, X_val=None, y_val=None, seed=0):
-    """The same fit twice: histogram grower vs reference grower.
-
-    The production fit must not warn for any valid config; the oracle
-    divides 0/0 in empty bins when ``reg_lambda == 0`` (and masks the
-    result), so its warnings are silenced.
-    """
-    fast = BoostedTrees(config, seed=seed)
-    with warnings.catch_warnings():
-        warnings.simplefilter("error", RuntimeWarning)
-        fast.fit(X, y, X_val, y_val)
-    ref = ReferenceBoostedTrees(config, seed=seed)
-    with np.errstate(divide="ignore", invalid="ignore"):
-        ref.fit(X, y, X_val, y_val)
-    return fast, ref
-
-
-class TestHistogramGrower:
-    """The level-wise histogram grower is a drop-in for the reference."""
-
-    def test_matches_reference_with_validation(self):
-        X, y = blobs(900, seed=4)
-        fast, ref = _fit_pair(
-            BoostedTreesConfig(n_trees=40), X[:700], y[:700], X[700:], y[700:]
-        )
-        assert_same_structure(fast, ref)
-        assert np.array_equal(fast.predict_margin(X), ref.predict_margin(X))
-
-    def test_matches_reference_without_validation(self):
-        X, y = blobs(500, seed=5)
-        fast, ref = _fit_pair(BoostedTreesConfig(n_trees=30), X, y)
-        assert_same_structure(fast, ref)
-        assert np.array_equal(fast.predict_margin(X), ref.predict_margin(X))
-
-    @pytest.mark.parametrize(
-        "config",
-        [
-            BoostedTreesConfig(n_trees=15, min_child_weight=5.0),
-            BoostedTreesConfig(n_trees=15, gamma=0.5),
-            BoostedTreesConfig(n_trees=15, max_depth=1),
-            BoostedTreesConfig(n_trees=15, n_bins=8),
-            BoostedTreesConfig(n_trees=15, reg_lambda=0.0),
-            BoostedTreesConfig(n_trees=15, min_child_weight=0.01),
-        ],
-        ids=["mcw", "gamma", "stumps", "coarse-bins", "no-lambda", "tiny-mcw"],
-    )
-    def test_matches_reference_across_configs(self, config):
-        X, y = blobs(400, seed=6)
-        fast, ref = _fit_pair(config, X, y)
-        assert_same_structure(fast, ref)
-
-    def test_matches_reference_with_duplicate_columns(self):
-        """Duplicated features force exact cross-feature gain ties; the
-        tie-break must still follow the reference (first feature wins)."""
-        X, y = blobs(400, seed=7)
-        X = np.hstack([X, X[:, :3]])
-        fast, ref = _fit_pair(BoostedTreesConfig(n_trees=20), X, y)
-        assert_same_structure(fast, ref)
-
-    def test_matches_reference_with_discrete_features(self):
-        """Few distinct values: most bins empty, ties everywhere."""
-        rng = np.random.default_rng(8)
-        X = rng.integers(0, 4, size=(300, 5)).astype(float)
-        y = ((X[:, 0] + X[:, 1] >= 4) ^ (rng.random(300) < 0.1)).astype(float)
-        fast, ref = _fit_pair(BoostedTreesConfig(n_trees=25), X, y)
-        assert_same_structure(fast, ref)
-
-    def test_degenerate_regularization_rejected(self):
-        """λ=0 with mcw=0 leaves empty-bin gains at 0/0: no grower can
-        rank splits, so the config is refused at construction."""
-        with pytest.raises(ValueError, match="min_child_weight and reg_lambda"):
-            BoostedTreesConfig(n_trees=5, reg_lambda=0.0, min_child_weight=0.0)
-        with pytest.raises(ValueError, match="reg_lambda=-1.0"):
-            BoostedTreesConfig(reg_lambda=-1.0, min_child_weight=-2.0)
-
-    def test_binize_chunked_matches_unchunked(self):
-        """Row-chunked binning is exact under ragged per-feature bin
-        counts (constant and low-cardinality columns dedupe edges)."""
-        rng = np.random.default_rng(10)
-        X = np.column_stack([
-            rng.normal(size=200),
-            np.full(200, 3.14),
-            rng.integers(0, 3, 200).astype(float),
-            rng.exponential(size=200),
-        ])
-        bt = BoostedTrees(BoostedTreesConfig(n_bins=16))
-        bt._bin_edges = bt._make_bins(X)
-        whole = bt._binize(X)
-        assert whole.dtype == np.int32
-        for chunk in (1, 7, 200, 1000):
-            chunked = bt._binize(X, chunk_rows=chunk)
-            assert chunked.dtype == np.int32
-            assert np.array_equal(chunked, whole)
-
-
-def fit_on_numpy(config, X, y, X_val=None, y_val=None):
-    """The fit with no kernel loaded: the numpy grower."""
-    with pytest.MonkeyPatch.context() as mp:
-        mp.setattr(_ckernel, "load_kernel", lambda: None)
-        return BoostedTrees(config, seed=0).fit(X, y, X_val, y_val)
-
-
 def assert_same_fit(a, b):
     """Byte for byte: the compiled arrays, ``max_depth``,
     ``base_margin`` and both accuracies."""
@@ -482,19 +387,32 @@ def served_shape(seed=0, n=435, d=137):
     return X[:391], y[:391], X[391:], y[391:]
 
 
-class TestGrowerBackends:
-    """The compiled grower (``sinan_grow_tree``) and the numpy grower,
-    one ``backend`` each, grow what the numpy grower and the recursive
-    reference grow: the same compiled arrays, byte for byte."""
+def production_fit(config, X, y, X_val=None, y_val=None):
+    """``BoostedTrees(config, seed=0).fit(...)``, which may raise no
+    warning for any valid config (the recursive grower divides 0/0 in
+    empty bins when ``reg_lambda == 0``, and must keep that quiet)."""
+    with warnings.catch_warnings():
+        warnings.simplefilter("error", RuntimeWarning)
+        return BoostedTrees(config, seed=0).fit(X, y, X_val, y_val)
 
-    def check(self, config, X, y, X_val=None, y_val=None, reference=True):
-        fit = BoostedTrees(config, seed=0).fit(X, y, X_val, y_val)
-        assert_same_fit(fit, fit_on_numpy(config, X, y, X_val, y_val))
-        if reference:
-            ref = ReferenceBoostedTrees(config, seed=0)
-            with np.errstate(divide="ignore", invalid="ignore"):
-                ref.fit(X, y, X_val, y_val)
-            assert_same_fit(fit, ref)
+
+#: The kernel loader as imported, before any case's ``backend`` patch.
+_load_kernel = _ckernel.load_kernel
+
+
+class TestGrowerBackends:
+    """The compiled grower (``sinan_grow_tree``) grows what the
+    recursive grower, the route without a kernel, grows: the same
+    compiled arrays, byte for byte.  Each case fits once on its
+    ``backend``, raising no warning, and its own assertions hold on
+    that fit; the ``numpy`` case then pins the kernel's fit to it."""
+
+    def check(self, config, X, y, X_val=None, y_val=None):
+        fit = production_fit(config, X, y, X_val, y_val)
+        if _ckernel.load_kernel() is None and _load_kernel() is not None:
+            with pytest.MonkeyPatch.context() as mp:
+                mp.setattr(_ckernel, "load_kernel", _load_kernel)
+                assert_same_fit(production_fit(config, X, y, X_val, y_val), fit)
         return fit
 
     @pytest.mark.parametrize(
@@ -517,7 +435,7 @@ class TestGrowerBackends:
         self.check(config, X, y)
 
     def test_served_shape(self, backend):
-        fit = self.check(BoostedTreesConfig(), *served_shape(), reference=False)
+        fit = self.check(BoostedTreesConfig(), *served_shape())
         assert fit._compiled.max_depth == 6
 
     @pytest.mark.parametrize("rounds", [3, 400])
@@ -603,6 +521,33 @@ class TestGrowerBackends:
         )
         k = n * 3 // 4
         self.check(config, X[:k], y[:k], X[k:], y[k:])
+
+    def test_degenerate_regularization_rejected(self):
+        """λ=0 with mcw=0 leaves empty-bin gains at 0/0: no grower can
+        rank splits, so the config is refused at construction."""
+        with pytest.raises(ValueError, match="min_child_weight and reg_lambda"):
+            BoostedTreesConfig(n_trees=5, reg_lambda=0.0, min_child_weight=0.0)
+        with pytest.raises(ValueError, match="reg_lambda=-1.0"):
+            BoostedTreesConfig(reg_lambda=-1.0, min_child_weight=-2.0)
+
+    def test_binize_chunked_matches_unchunked(self):
+        """Row-chunked binning is exact under ragged per-feature bin
+        counts (constant and low-cardinality columns dedupe edges)."""
+        rng = np.random.default_rng(10)
+        X = np.column_stack([
+            rng.normal(size=200),
+            np.full(200, 3.14),
+            rng.integers(0, 3, 200).astype(float),
+            rng.exponential(size=200),
+        ])
+        bt = BoostedTrees(BoostedTreesConfig(n_bins=16))
+        bt._bin_edges = bt._make_bins(X)
+        whole = bt._binize(X)
+        assert whole.dtype == np.int32
+        for chunk in (1, 7, 200, 1000):
+            chunked = bt._binize(X, chunk_rows=chunk)
+            assert chunked.dtype == np.int32
+            assert np.array_equal(chunked, whole)
 
     def test_kernel_node_sums_match_numpy(self):
         """A node's gradient sum is numpy's ``.sum()`` of its rows, bit

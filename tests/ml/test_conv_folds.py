@@ -1,13 +1,15 @@
 """Conv2D's folds on both backends: the compiled kernel's ``sinan_im2col``
-and ``sinan_col2im`` against the numpy shifted runs, byte for byte.
+and ``sinan_col2im`` against the padded folds, byte for byte.
 
-The numpy code is reached as the other layers' suites reach it, by
-making :func:`repro.sim._ckernel.load_kernel` return None.  The padded
-oracle suites in ``tests/ml/test_layers.py`` run whichever backend
-loads; this file holds the two to each other on inputs those suites do
-not build: NaN of either sign, infinities, -0.0 and subnormals in the
-input and in the column gradient, float32 and strided inputs, a ReLU's
-channels-last output, and grids no wider or taller than one cell.
+The padded folds (``Conv2D._im2col_padded`` and ``_col2im_padded``) run
+when :func:`repro.sim._ckernel.load_kernel` returns None, and the tests
+reach them that way, as the other layers' suites reach their no-kernel
+paths.  The padded oracle suites in ``tests/ml/test_layers.py`` run
+whichever backend loads; this file holds the two to each other on
+inputs those suites do not build: NaN of either sign, infinities, -0.0
+and subnormals in the input and in the column gradient, float32 and
+strided inputs, a ReLU's channels-last output, and grids no wider or
+taller than one cell.
 """
 
 import numpy as np
@@ -34,7 +36,7 @@ def kernel():
 
 
 def on_both_backends(monkeypatch, run):
-    """``run()`` on the kernel, then on numpy."""
+    """``run()`` on the kernel, then on the padded folds."""
     got = run()
     with monkeypatch.context() as mp:
         mp.setattr(_ckernel, "load_kernel", lambda: None)
@@ -65,7 +67,7 @@ def planted(rng, shape, count=1):
 
 def folds(layer, x, dcols):
     """Both modes' column matrices of ``x`` and the fold of ``dcols``
-    (a copy: the numpy fold zeroes its off-grid entries)."""
+    (a copy, so no fold can change the next one's input)."""
     B, C, H, W = x.shape
     layer._x_shape = x.shape
     dx = np.full((C, B * H * W), np.nan)
@@ -105,7 +107,7 @@ class TestFoldsMatchNumpy:
     def test_input_layouts(self, kernel, monkeypatch, batch, layout):
         """The kernel reads a C-contiguous input and a ReLU's
         ``(B, H, W, C)``-ordered output in place, and a float64 copy of
-        anything else; numpy reads each as it comes."""
+        anything else; the padded fold reads each as it comes."""
         rng = np.random.default_rng(7)
         layer = Conv2D(12, 12, 3, rng)
         x = planted(rng, (batch, 12, 28, 5), count=3)

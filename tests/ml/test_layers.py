@@ -435,8 +435,9 @@ def hw_id(hw):
 
 
 class TestConv2DBitwise:
-    """Shifted-run im2col/col2im vs the padded im2col oracle, byte for
-    byte: the faster path may not move a single trained bit."""
+    """Production training (the compiled folds when the kernel loads)
+    vs the padded oracle, byte for byte: the faster path may not move a
+    single trained bit."""
 
     @pytest.mark.parametrize("special", [False, True], ids=["finite", "special"])
     @pytest.mark.parametrize("batch", [1, 7, 256])

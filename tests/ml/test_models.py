@@ -236,6 +236,8 @@ def bad_data_cases():
         "ragged-inputs": ((x_rh, x_lh[:39], x_rc), y, None, "length"),
         "val-ragged": (inputs, y, (val[0], val[1][:9]), "validation"),
         "val-nan-target": (inputs, y, (val[0], np.full_like(val[1], np.nan)), "validation"),
+        "val-inputs-alone": (inputs, y, (val[0], None), "validation"),
+        "val-targets-alone": (inputs, y, (None, val[1]), "validation"),
     }
 
 
@@ -245,8 +247,9 @@ BAD_DATA = bad_data_cases()
 class TestFitRefusesBadData:
     """``fit`` raises ``ValueError`` before any work when the input
     arrays and targets (or the validation pair) do not share one
-    non-zero length, or a target is not finite: no parameter moves and
-    no layer is left holding a workspace."""
+    non-zero length, a target is not finite, or only half of the
+    validation pair is given: no parameter moves and no layer is left
+    holding a workspace."""
 
     @pytest.mark.parametrize("case", BAD_DATA.values(), ids=BAD_DATA)
     def test_refused(self, case):

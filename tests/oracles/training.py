@@ -1,16 +1,15 @@
 """Oracles for the training path.
 
-* :class:`ReferenceBoostedTrees` grows every tree with the recursive
-  depth-first grower that re-scans each (node, feature) pair, on either
-  backend; both production growers, the compiled one and the level-wise
-  numpy one, must match it split for split
-  (:func:`assert_same_structure`, on the compiled arrays), and byte for
-  byte (``TestGrowerBackends``).
-* :class:`PaddedConv2D` trains with the padded im2col path: ``np.pad``
-  and one strided copy per kernel tap build the column matrix, and a
-  scatter-add onto a padded gradient folds it back.  It is the
-  bit-exact oracle: the production shifted-run im2col/col2im must match
-  its output, column matrix, ``dW``, ``db`` and input gradient byte for
+* :class:`ReferenceBoostedTrees` grows every tree on the ``_Node``
+  route, :meth:`BoostedTrees._build_tree`'s recursive grower (the path
+  without a kernel), on either backend; the compiled grower must match
+  it split for split (:func:`assert_same_structure`, on the compiled
+  arrays), and byte for byte (``TestGrowerBackends``).
+* :class:`PaddedConv2D` trains on the padded folds,
+  :meth:`Conv2D._im2col_padded` and :meth:`Conv2D._col2im_padded` (the
+  path without a kernel), on fresh arrays and with its own GEMMs.  It
+  is the bit-exact oracle: production's im2col/col2im must match its
+  output, column matrix, ``dW``, ``db`` and input gradient byte for
   byte, on any input (``-0.0``, NaN and ±inf included).
 * :class:`ReferenceConv2D` trains with the einsum forward and the
   tap-loop einsum backward; the production im2col path must match its
@@ -32,90 +31,23 @@ from __future__ import annotations
 import numpy as np
 
 from repro.core.predictor import HybridPredictor
-from repro.ml.boosted_trees import BoostedTrees, _Node, _NodeGrower
+from repro.ml.boosted_trees import BoostedTrees, _NodeGrower
 from repro.ml.layers import Conv2D, Dense, Layer, LSTMCell, _sigmoid
 from repro.ml.network import Sequential
 
 
 class ReferenceBoostedTrees(BoostedTrees):
-    """Boosted trees fitted with the recursive reference grower, through
-    the ``_Node`` route on either backend."""
+    """Boosted trees fitted through the ``_Node`` route, the recursive
+    grower that runs without a kernel, on either backend."""
 
     def _grower(self, bins, X, margin, X_val, val_margin) -> _NodeGrower:
         return _NodeGrower(self, bins, X, margin, X_val, val_margin)
 
-    def _build_tree(
-        self, bins: np.ndarray, grad: np.ndarray, hess: np.ndarray
-    ) -> _Node:
-        return self._build_tree_reference(bins, grad, hess)
-
-    def _build_tree_reference(
-        self, bins: np.ndarray, grad: np.ndarray, hess: np.ndarray
-    ) -> _Node:
-        """The pre-optimization grower (equivalence oracle): recursive
-        depth-first growth re-scanning every (node, feature) pair."""
-        cfg = self.config
-        root_rows = np.arange(len(grad))
-
-        def grow(rows: np.ndarray, depth: int) -> _Node:
-            g_sum = grad[rows].sum()
-            h_sum = hess[rows].sum()
-            leaf_value = -cfg.learning_rate * g_sum / (h_sum + cfg.reg_lambda)
-            if depth >= cfg.max_depth or len(rows) < 2:
-                return _Node(value=leaf_value)
-            best_gain = cfg.gamma
-            best = None
-            parent_score = g_sum * g_sum / (h_sum + cfg.reg_lambda)
-            sub_bins = bins[rows]
-            sub_g = grad[rows]
-            sub_h = hess[rows]
-            for f in range(bins.shape[1]):
-                n_bins = len(self._bin_edges[f]) + 1
-                if n_bins < 2:
-                    continue
-                fb = sub_bins[:, f]
-                g_hist = np.bincount(fb, weights=sub_g, minlength=n_bins)
-                h_hist = np.bincount(fb, weights=sub_h, minlength=n_bins)
-                g_left = np.cumsum(g_hist)[:-1]
-                h_left = np.cumsum(h_hist)[:-1]
-                g_right = g_sum - g_left
-                h_right = h_sum - h_left
-                valid = (h_left >= cfg.min_child_weight) & (
-                    h_right >= cfg.min_child_weight
-                )
-                if not valid.any():
-                    continue
-                gain = (
-                    g_left * g_left / (h_left + cfg.reg_lambda)
-                    + g_right * g_right / (h_right + cfg.reg_lambda)
-                    - parent_score
-                )
-                gain = np.where(valid, gain, -np.inf)
-                b = int(np.argmax(gain))
-                if gain[b] > best_gain:
-                    best_gain = float(gain[b])
-                    best = (f, b)
-            if best is None:
-                return _Node(value=leaf_value)
-            f, b = best
-            threshold = self._bin_edges[f][b]
-            go_left = sub_bins[:, f] <= b
-            left_rows = rows[go_left]
-            right_rows = rows[~go_left]
-            if len(left_rows) == 0 or len(right_rows) == 0:
-                return _Node(value=leaf_value)
-            node = _Node(feature=f, threshold=float(threshold))
-            node.left = grow(left_rows, depth + 1)
-            node.right = grow(right_rows, depth + 1)
-            return node
-
-        return grow(root_rows, 0)
-
 
 def assert_same_structure(fast: BoostedTrees, ref: BoostedTrees) -> None:
     """Split-for-split equality of two fitted ensembles' compiled
-    arrays: layout, features and thresholds exact, leaf weights to 1e-10
-    (the histogram grower's oracle contract)."""
+    arrays: layout, features and thresholds exact, leaf weights to
+    1e-10."""
     a, b = fast._compiled, ref._compiled
     assert (a is None) == (b is None)
     if a is None:
@@ -129,70 +61,45 @@ def assert_same_structure(fast: BoostedTrees, ref: BoostedTrees) -> None:
 
 
 class PaddedConv2D(Conv2D):
-    """Conv2D trained with the padded im2col path (bit-exact oracle).
+    """Conv2D trained on the padded folds (bit-exact oracle).
 
-    A training forward builds the padded column matrix; inference is
-    production's.  It always computes the input gradient, whatever
-    ``input_grad`` asks.
+    A training forward builds the column matrix with
+    :meth:`Conv2D._im2col_padded` and backward folds the column gradient
+    with :meth:`Conv2D._col2im_padded`, whichever backend loads; every
+    array is a fresh one, never the fit's workspace, and backward always
+    computes the input gradient, whatever ``input_grad`` asks.
+    Inference is production's.
     """
 
     def forward(self, x: np.ndarray, training: bool = False) -> np.ndarray:
         if not training:
             return super().forward(x)
-        if x.shape[1] != self.in_ch:
-            raise ValueError(f"expected {self.in_ch} channels, got {x.shape[1]}")
-        return self._forward_im2col(x)
-
-    def backward(self, dout: np.ndarray, *, input_grad: bool = True) -> np.ndarray:
-        if self._cols is None:
-            raise self._needs_training_forward()
-        return self._backward_im2col(dout)
-
-    def _forward_im2col(self, x: np.ndarray) -> np.ndarray:
         B, C, H, W = x.shape
+        if C != self.in_ch:
+            raise ValueError(f"expected {self.in_ch} channels, got {C}")
         k = self.kernel
-        pad = k // 2
         self._x_shape = x.shape
-        xp = np.pad(x, ((0, 0), (0, 0), (pad, pad), (pad, pad)))
-        # im2col matrix (C*k*k, B*H*W), filled one kernel tap at a time:
-        # each tap is a (C, B, H, W) slice copy with a contiguous
-        # destination, which on these small feature maps is much faster
-        # than one big transpose of the 6D sliding-window view.  Rows
-        # follow the (c, i, j) order of W.reshape(C*k*k, O); BLAS
-        # handles the transposed GEMM operand without a copy.
-        cols = np.empty((C, k, k, B, H, W))
-        for i in range(k):
-            for j in range(k):
-                np.copyto(
-                    cols[:, i, j],
-                    xp[:, :, i : i + H, j : j + W].transpose(1, 0, 2, 3),
-                )
+        cols = np.empty((C, k * k, B * H * W))
+        self._im2col_padded(x, cols)
         self._cols = cols.reshape(C * k * k, B * H * W)
         out = self._cols.T @ self.W.reshape(C * k * k, self.out_ch)
         out += self.b
         return out.reshape(B, H, W, self.out_ch).transpose(0, 3, 1, 2)
 
-    def _backward_im2col(self, dout: np.ndarray) -> np.ndarray:
+    def backward(self, dout: np.ndarray, *, input_grad: bool = True) -> np.ndarray:
+        if self._cols is None:
+            raise self._needs_training_forward()
         B, C, H, W = self._x_shape
         k = self.kernel
-        pad = k // 2
         O = self.out_ch
         dout_mat = dout.transpose(0, 2, 3, 1).reshape(B * H * W, O)
         self.dW[...] = (self._cols @ dout_mat).reshape(C, k, k, O)
         self.db[...] = dout_mat.sum(axis=0)
-        # dx: one GEMM back to column space, then fold the k*k taps
-        # onto the padded input (col2im).
-        dcols = (self.W.reshape(C * k * k, O) @ dout_mat.T).reshape(
-            C, k, k, B, H, W
-        )
-        dxp = np.zeros((B, C, H + 2 * pad, W + 2 * pad), dtype=dout.dtype)
-        dst = dxp.transpose(1, 0, 2, 3)
-        for i in range(k):
-            for j in range(k):
-                dst[:, :, i : i + H, j : j + W] += dcols[:, i, j]
-        if pad:
-            return dxp[:, :, pad:-pad, pad:-pad]
-        return dxp
+        # dx: one GEMM back to column space, then the fold.
+        dcols = self.W.reshape(C * k * k, O) @ dout_mat.T
+        dx = np.empty((C, B * H * W))
+        self._col2im_padded(dcols, dx)
+        return dx.reshape(C, B, H, W).transpose(1, 0, 2, 3)
 
 
 class ReferenceConv2D(Conv2D):
@@ -378,10 +285,10 @@ def use_padded_training(model):
     """Switch a model to the bit-exact training oracles, in place.
 
     ``model`` is a layer, a network or a :class:`HybridPredictor` (its
-    CNN; the trees have no second path).  Every :class:`Conv2D` trains
-    on :class:`PaddedConv2D`, and every :class:`Dense`,
-    :class:`LSTMCell` and :class:`Sequential` computes its input
-    gradient even where production skips it.
+    CNN; :func:`use_reference_training` switches the trees).  Every
+    :class:`Conv2D` trains on :class:`PaddedConv2D`, and every
+    :class:`Dense`, :class:`LSTMCell` and :class:`Sequential` computes
+    its input gradient even where production skips it.
     """
     if type(model) in _PADDED_ORACLES:
         if isinstance(model, Sequential):
