@@ -17,6 +17,7 @@ from repro.ml.boosted_trees import (
 from repro.sim import _ckernel
 from tests.ml.test_layers import assert_same_bytes
 from tests.oracles.decision import predict_margin_reference
+from tests.oracles.training import ReferenceBoostedTrees, assert_same_structure
 
 
 def blobs(n=1000, seed=0):
@@ -394,6 +395,67 @@ def production_fit(config, X, y, X_val=None, y_val=None):
     with warnings.catch_warnings():
         warnings.simplefilter("error", RuntimeWarning)
         return BoostedTrees(config, seed=0).fit(X, y, X_val, y_val)
+
+
+def _fit_pair(config, X, y, X_val=None, y_val=None):
+    """The same fit twice: :func:`production_fit`, and the recursive
+    reference grower (:class:`ReferenceBoostedTrees`)."""
+    fast = production_fit(config, X, y, X_val, y_val)
+    ref = ReferenceBoostedTrees(config, seed=0).fit(X, y, X_val, y_val)
+    return fast, ref
+
+
+class TestHistogramGrower:
+    """The production fit (the compiled histogram grower whenever the
+    kernel loads) matches the recursive reference split for split, and
+    raises no warning."""
+
+    def test_matches_reference_with_validation(self):
+        X, y = blobs(900, seed=4)
+        fast, ref = _fit_pair(
+            BoostedTreesConfig(n_trees=40), X[:700], y[:700], X[700:], y[700:]
+        )
+        assert_same_structure(fast, ref)
+        assert np.array_equal(fast.predict_margin(X), ref.predict_margin(X))
+
+    def test_matches_reference_without_validation(self):
+        X, y = blobs(500, seed=5)
+        fast, ref = _fit_pair(BoostedTreesConfig(n_trees=30), X, y)
+        assert_same_structure(fast, ref)
+        assert np.array_equal(fast.predict_margin(X), ref.predict_margin(X))
+
+    @pytest.mark.parametrize(
+        "config",
+        [
+            BoostedTreesConfig(n_trees=15, min_child_weight=5.0),
+            BoostedTreesConfig(n_trees=15, gamma=0.5),
+            BoostedTreesConfig(n_trees=15, max_depth=1),
+            BoostedTreesConfig(n_trees=15, n_bins=8),
+            BoostedTreesConfig(n_trees=15, reg_lambda=0.0),
+            BoostedTreesConfig(n_trees=15, min_child_weight=0.01),
+        ],
+        ids=["mcw", "gamma", "stumps", "coarse-bins", "no-lambda", "tiny-mcw"],
+    )
+    def test_matches_reference_across_configs(self, config):
+        X, y = blobs(400, seed=6)
+        fast, ref = _fit_pair(config, X, y)
+        assert_same_structure(fast, ref)
+
+    def test_matches_reference_with_duplicate_columns(self):
+        """Duplicated features force exact cross-feature gain ties; the
+        tie-break must still follow the reference (first feature wins)."""
+        X, y = blobs(400, seed=7)
+        X = np.hstack([X, X[:, :3]])
+        fast, ref = _fit_pair(BoostedTreesConfig(n_trees=20), X, y)
+        assert_same_structure(fast, ref)
+
+    def test_matches_reference_with_discrete_features(self):
+        """Few distinct values: most bins empty, ties everywhere."""
+        rng = np.random.default_rng(8)
+        X = rng.integers(0, 4, size=(300, 5)).astype(float)
+        y = ((X[:, 0] + X[:, 1] >= 4) ^ (rng.random(300) < 0.1)).astype(float)
+        fast, ref = _fit_pair(BoostedTreesConfig(n_trees=25), X, y)
+        assert_same_structure(fast, ref)
 
 
 #: The kernel loader as imported, before any case's ``backend`` patch.
